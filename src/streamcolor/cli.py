@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import os
 import sys
 
@@ -261,7 +262,10 @@ def cmd_bench(args) -> int:
     return 0 if bad == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it is most of a
+    run's set-up time, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="streamcolor")
     sub = parser.add_subparsers(dest="command", required=True)
 

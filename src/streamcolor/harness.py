@@ -438,7 +438,7 @@ def execute_run(req: RunRequest) -> dict:
     millis = int((time.perf_counter() - started) * 1000)
     report = None
     if breach is None:
-        report = check_assignments(expected, assignments)
+        report = check_assignments(expected, assignments, budget=stats.declared_budget)
     return {
         "preset": req.preset,
         "family": req.spec.family,

@@ -4,12 +4,16 @@ Three colorers, all proper by construction:
 
 * `color_bipartite_exact` colors a bipartite graph with exactly its max
   degree D, inserting edges one at a time. Each edge takes the lowest
-  color free at both endpoints; when none is shared, one alternating
-  two-colored path is flipped, which frees a shared color. O(m * D)
-  worst case, ample for the buffer flushes and spill sets it serves.
-* `color_general` colors any simple graph with at most D + 1 colors by
-  the fan-rotation construction: build a maximal fan, invert one
-  two-colored path, rotate a fan prefix.
+  color free at both endpoints; when none is shared, the alternating
+  two-colored path that starts at one endpoint is flipped in a single
+  walk (the two table entries swap at each vertex it passes), which
+  frees a shared color. O(m * D) worst case, ample for the buffer
+  flushes and spill sets it serves.
+* `color_general` colors any simple graph with at most D + 1 colors.
+  Each edge takes the lowest color in [0, D + 1) free at both
+  endpoints; only when there is none does it run the fan-rotation step
+  (Misra & Gries 1992): build a maximal fan, invert one two-colored
+  path in a single walk, rotate a fan prefix.
 * `color_greedy` gives each edge the lowest color unused at either
   endpoint, never exceeding 2D - 1.
 
@@ -21,6 +25,7 @@ meter (2 table entries plus 1 result word per edge) and released on exit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NotBipartite
 from .meter import SpaceMeter
@@ -30,12 +35,17 @@ Edge = tuple[int, int]
 
 @dataclass
 class OfflineGraph:
-    """A finite simple graph held in memory, with an optional side witness."""
+    """A finite simple graph held in memory, with an optional side witness.
+
+    The max degree and the bipartition are computed once per graph, on
+    first use, so callers that size a color block and the colorer share
+    one pass; the edge list must not change after either is read.
+    """
 
     edges: list[Edge]
     sides: dict[int, int] | None = None  # vertex -> 0/1, every edge crossing
 
-    @property
+    @cached_property
     def max_degree(self) -> int:
         deg: dict[int, int] = {}
         for a, b in self.edges:
@@ -48,6 +58,10 @@ class OfflineGraph:
 
         Raises NotBipartite when an odd cycle makes a witness impossible.
         """
+        return self._witness
+
+    @cached_property
+    def _witness(self) -> dict[int, int]:
         if self.sides is not None:
             for a, b in self.edges:
                 if self.sides.get(a) == self.sides.get(b):
@@ -78,6 +92,13 @@ def _scratch_words(m: int) -> int:
     return 3 * m  # two color-table entries plus one result word per edge
 
 
+def _lowest_free(used: dict[int, int], limit: int) -> int:
+    for c in range(limit):
+        if c not in used:
+            return c
+    raise AssertionError(f"no free color below {limit}")
+
+
 def color_bipartite_exact(graph: OfflineGraph, meter: SpaceMeter | None = None) -> list[int]:
     """Proper coloring of a bipartite graph with colors in [0, max degree)."""
     graph.bipartition()  # validates the witness / raises NotBipartite
@@ -93,62 +114,128 @@ def color_bipartite_exact(graph: OfflineGraph, meter: SpaceMeter | None = None) 
     table: dict[int, dict[int, int]] = {}
     colors = [-1] * len(edges)
 
-    def lowest_free(v: int) -> int:
-        used = table.get(v, ())
-        for c in range(dmax):
-            if c not in used:
-                return c
-        raise AssertionError("no free color below max degree")
-
     for idx, (u, v) in enumerate(edges):
-        tu = table.setdefault(u, {})
-        tv = table.setdefault(v, {})
-        shared = -1
+        tu = table.get(u)
+        if tu is None:
+            tu = table[u] = {}
+        tv = table.get(v)
+        if tv is None:
+            tv = table[v] = {}
         for c in range(dmax):
             if c not in tu and c not in tv:
-                shared = c
+                colors[idx] = c
+                tu[c] = idx
+                tv[c] = idx
                 break
-        if shared >= 0:
-            colors[idx] = shared
-            tu[shared] = idx
-            tv[shared] = idx
-            continue
-
-        alpha = lowest_free(u)
-        beta = lowest_free(v)
-        # Collect the alpha/beta alternating path starting at v. Since v
-        # misses beta it is a path endpoint, and in a bipartite graph the
-        # path can never reach u (it would need the color u misses on the
-        # wrong side). Flipping it frees alpha at v while keeping the
-        # coloring proper.
-        path: list[int] = []
-        x, want = v, alpha
-        while True:
-            e = table[x].get(want)
-            if e is None:
-                break
-            path.append(e)
-            a, b = edges[e]
-            x = b if a == x else a
-            want = beta if want == alpha else alpha
-        for e in path:  # two-phase flip so table entries never collide
-            old = colors[e]
-            a, b = edges[e]
-            del table[a][old]
-            del table[b][old]
-        for e in path:
-            new = beta if colors[e] == alpha else alpha
-            colors[e] = new
-            a, b = edges[e]
-            table[a][new] = e
-            table[b][new] = e
-        colors[idx] = alpha
-        tu[alpha] = idx
-        tv[alpha] = idx
+        else:
+            alpha = _lowest_free(tu, dmax)
+            beta = _lowest_free(tv, dmax)
+            # Flip the alpha/beta alternating path starting at v: v misses
+            # beta, so it is a path endpoint, and in a bipartite graph the
+            # path can never reach u (it would need the color u misses on
+            # the wrong side). Swapping the alpha and beta entries at each
+            # vertex passed frees alpha at v and keeps the coloring proper.
+            x, want, other = v, alpha, beta
+            while True:
+                tx = table[x]
+                e = tx.pop(want, None)  # the path edge leaving x
+                back = tx.pop(other, None)  # the one it arrived on
+                if back is not None:
+                    tx[want] = back
+                if e is None:
+                    break
+                tx[other] = e
+                colors[e] = other
+                a, b = edges[e]
+                x = b if a == x else a
+                want, other = other, want
+            colors[idx] = alpha
+            tu[alpha] = idx
+            tv[alpha] = idx
 
     if meter:
         meter.release("offline-scratch", words)
     return colors
+
+
+def _invert_path(
+    table: dict[int, dict[int, int]], colors: dict[Edge, int], x: int, c: int, d: int
+) -> None:
+    """Swap c and d on the maximal path from x (which misses c) that alternates d, c.
+
+    One walk: at each vertex passed the two table entries trade places.
+    """
+    want, other = d, c
+    while True:
+        tx = table[x]
+        y = tx.pop(want, None)  # the next vertex along the path
+        back = tx.pop(other, None)  # the previous one
+        if back is not None:
+            tx[want] = back
+        if y is None:
+            return
+        tx[other] = y
+        colors[(x, y) if x < y else (y, x)] = other
+        x = y
+        want, other = other, want
+
+
+def _fan_insert(
+    table: dict[int, dict[int, int]], colors: dict[Edge, int], u: int, v: int, palette: int
+) -> None:
+    """Color (u, v) when no color below `palette` is free at both ends.
+
+    Misra & Gries 1992: grow a maximal fan at u from v, free the tip's
+    lowest free color d at u by inverting one c/d path, then rotate the
+    shortest fan prefix whose tip misses d.
+    """
+    tu = table[u]
+    fan = [v]
+    in_fan = {v}
+    # colored edges at u, lowest color first; fixed while the fan grows
+    candidates = sorted(tu.items())
+    tip = table[v]
+    while True:  # extend to a maximal fan
+        for c, w in candidates:
+            if c not in tip and w not in in_fan:
+                fan.append(w)
+                in_fan.add(w)
+                tip = table[w]
+                break
+        else:
+            break
+
+    c = _lowest_free(tu, palette)
+    d = _lowest_free(tip, palette)
+    if d in tu:
+        _invert_path(table, colors, u, c, d)  # afterwards d is free at u
+        if d in tu:
+            raise AssertionError("path inversion failed to free the fan color")
+
+    # the first fan vertex missing d, provided the fan chain (the color of
+    # (u, fan[i+1]) is free at fan[i]) still holds up to it
+    target = 0
+    while d in table[fan[target]]:
+        if target + 1 == len(fan):
+            raise AssertionError("no rotatable fan prefix")
+        nxt = fan[target + 1]
+        if colors[(u, nxt) if u < nxt else (nxt, u)] in table[fan[target]]:
+            raise AssertionError("fan chain broken before a vertex missing d")
+        target += 1
+
+    # rotate the prefix: each fan edge takes the color of its successor,
+    # the tip takes d
+    for i in range(target):
+        w, nxt = fan[i], fan[i + 1]
+        c = colors[(u, nxt) if u < nxt else (nxt, u)]
+        del table[nxt][c]
+        table[w][c] = u
+        tu[c] = w
+        colors[(u, w) if u < w else (w, u)] = c
+    w = fan[target]
+    table[w][d] = u
+    tu[d] = w
+    colors[(u, w) if u < w else (w, u)] = d
 
 
 def color_general(graph: OfflineGraph, meter: SpaceMeter | None = None) -> list[int]:
@@ -162,97 +249,28 @@ def color_general(graph: OfflineGraph, meter: SpaceMeter | None = None) -> list[
         meter.add("offline-scratch", words)
 
     table: dict[int, dict[int, int]] = {}  # vertex -> color -> neighbor
-    colors: dict[Edge, int] = {}
-
-    def key(a: int, b: int) -> Edge:
-        return (a, b) if a < b else (b, a)
-
-    def used(v: int) -> dict[int, int]:
-        return table.setdefault(v, {})
-
-    def lowest_free(v: int) -> int:
-        uv = used(v)
-        for c in range(palette):
-            if c not in uv:
-                return c
-        raise AssertionError("no free color within max degree + 1")
-
-    def paint(a: int, b: int, c: int) -> None:
-        colors[key(a, b)] = c
-        used(a)[c] = b
-        used(b)[c] = a
-
-    def unpaint(a: int, b: int) -> int:
-        c = colors.pop(key(a, b))
-        del used(a)[c]
-        del used(b)[c]
-        return c
-
-    def invert_path(start: int, c: int, d: int) -> None:
-        # maximal path from `start` whose edges alternate d, c; collect it
-        # first, then swap the two colors in one pass
-        path: list[Edge] = []
-        x, want = start, d
-        while True:
-            y = used(x).get(want)
-            if y is None:
-                break
-            path.append((x, y))
-            x = y
-            want = c if want == d else d
-        flipped = [(a, b, unpaint(a, b)) for a, b in path]
-        for a, b, old in flipped:
-            paint(a, b, c if old == d else d)
-
-    def fan_holds(u: int, fan: list[int], upto: int) -> bool:
-        # the defining chain: the color of (u, fan[i+1]) is free at fan[i]
-        for i in range(upto):
-            nxt_color = colors.get(key(u, fan[i + 1]))
-            if nxt_color is None or nxt_color in used(fan[i]):
-                return False
-        return True
+    colors: dict[Edge, int] = {}  # (low end, high end) -> color
 
     for u, v in edges:
-        if key(u, v) in colors:
+        e = (u, v) if u < v else (v, u)
+        if e in colors:
             continue
-        fan = [v]
-        in_fan = {v}
-        # colored edges at u, lowest color first; fixed while the fan grows
-        candidates = sorted(used(u).items())
-        while True:  # extend to a maximal fan
-            last_used = used(fan[-1])
-            for c, w in candidates:
-                if c not in last_used and w not in in_fan:
-                    fan.append(w)
-                    in_fan.add(w)
-                    break
-            else:
+        tu = table.get(u)
+        if tu is None:
+            tu = table[u] = {}
+        tv = table.get(v)
+        if tv is None:
+            tv = table[v] = {}
+        for c in range(palette):
+            if c not in tu and c not in tv:
+                colors[e] = c
+                tu[c] = v
+                tv[c] = u
                 break
+        else:
+            _fan_insert(table, colors, u, v, palette)
 
-        c = lowest_free(u)
-        d = lowest_free(fan[-1])
-        if d in used(u):
-            invert_path(u, c, d)  # afterwards d is free at u
-        if d in used(u):
-            raise AssertionError("path inversion failed to free the fan color")
-
-        target = -1
-        for j in range(len(fan)):
-            if d not in used(fan[j]) and fan_holds(u, fan, j):
-                target = j
-                break
-        if target == -1:
-            raise AssertionError("no rotatable fan prefix")
-        # rotate the prefix: each fan edge takes the color of its successor,
-        # the tip takes d; strip old colors first so nothing collides at u
-        chain = [colors[key(u, fan[i + 1])] for i in range(target)]
-        for i in range(1, target + 1):
-            unpaint(u, fan[i])
-        for i in range(target):
-            paint(u, fan[i], chain[i])
-        paint(u, fan[target], d)
-
-    out = [colors[key(a, b)] for a, b in edges]
+    out = [colors[(a, b) if a < b else (b, a)] for a, b in edges]
     if meter:
         meter.release("offline-scratch", words)
     return out

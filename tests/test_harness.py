@@ -148,6 +148,22 @@ def test_verify_budget_check():
     assert report.proper and not report.budget_ok
 
 
+def test_grid_row_with_a_color_over_the_budget_is_not_proper(monkeypatch):
+    from streamcolor import harness
+
+    real = harness.run_stream
+
+    def shifted(header, events, alg, *, emit, **kwargs):
+        # every color moved past the budget: still proper and complete
+        return real(header, events, alg, emit=lambda u, v, c: emit(u, v, c + 10**6), **kwargs)
+
+    monkeypatch.setattr(harness, "run_stream", shifted)
+    row = execute_run(RunRequest("one-sided", GenSpec("regular-bipartite", 32, 4, "vertex-one-sided", seed=1)))
+    report = row["_report"]
+    assert report.proper and report.complete and not report.budget_ok
+    assert row["proper"] is False
+
+
 def test_verify_rejects_streams_with_repeated_edges():
     with pytest.raises(MalformedLine):
         verify(io.StringIO("H 4 0 2 edge 0 1\ne 0 1\ne 1 0\n"), io.StringIO(""))

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from streamcolor.errors import NotBipartite
+from streamcolor.harness import GenSpec, build_edges
 from streamcolor.meter import SpaceMeter
 from streamcolor.offline import (
     OfflineGraph,
@@ -64,6 +65,58 @@ def random_bipartite(rng, max_left=6, max_right=6, max_edges=12):
     return edges, sides_for(nl, nr)
 
 
+def two_phase_bipartite_exact(graph):
+    """Reference exact colorer: collects each alternating path, then
+    deletes all its table entries before re-adding them flipped."""
+    graph.bipartition()
+    edges = graph.edges
+    if not edges:
+        return []
+    dmax = graph.max_degree
+    table = {}
+    colors = [-1] * len(edges)
+
+    def lowest_free(v):
+        used = table.get(v, ())
+        return next(c for c in range(dmax) if c not in used)
+
+    for idx, (u, v) in enumerate(edges):
+        tu = table.setdefault(u, {})
+        tv = table.setdefault(v, {})
+        shared = next((c for c in range(dmax) if c not in tu and c not in tv), -1)
+        if shared >= 0:
+            colors[idx] = shared
+            tu[shared] = idx
+            tv[shared] = idx
+            continue
+        alpha = lowest_free(u)
+        beta = lowest_free(v)
+        path = []
+        x, want = v, alpha
+        while True:
+            e = table[x].get(want)
+            if e is None:
+                break
+            path.append(e)
+            a, b = edges[e]
+            x = b if a == x else a
+            want = beta if want == alpha else alpha
+        for e in path:
+            a, b = edges[e]
+            del table[a][colors[e]]
+            del table[b][colors[e]]
+        for e in path:
+            new = beta if colors[e] == alpha else alpha
+            colors[e] = new
+            a, b = edges[e]
+            table[a][new] = e
+            table[b][new] = e
+        colors[idx] = alpha
+        tu[alpha] = idx
+        tv[alpha] = idx
+    return colors
+
+
 # --- exact bipartite colorer ---
 
 
@@ -93,6 +146,29 @@ def test_exact_colorer_meets_the_brute_force_minimum():
         assert is_proper(edges, colors)
         assert max(colors) < dmax
         assert len(set(colors)) == dmax == brute_force_min_colors(edges, dmax)
+
+
+def test_one_walk_flip_matches_the_two_phase_reference_on_small_graphs():
+    rng = random.Random(13)  # C9-style instances: up to 6 + 6 vertices, 12 edges
+    flipped = 0
+    for _ in range(4000):
+        edges, sides = random_bipartite(rng, max_edges=12)
+        colors = color_bipartite_exact(OfflineGraph(edges, sides))
+        assert colors == two_phase_bipartite_exact(OfflineGraph(edges, sides))
+        flipped += colors != color_greedy(OfflineGraph(edges))
+    assert flipped > 0  # lowest shared color alone was not enough somewhere
+
+
+@pytest.mark.parametrize("delta", [8, 16])
+def test_one_walk_flip_matches_the_two_phase_reference_on_regular_graphs(delta):
+    edges = build_edges(GenSpec("regular-bipartite", 64, delta, "edge", seed=delta))
+    # built order is one perfect matching after another and never flips;
+    # a shuffled order flips hundreds of paths
+    random.Random(delta).shuffle(edges)
+    colors = color_bipartite_exact(OfflineGraph(edges))
+    assert colors == two_phase_bipartite_exact(OfflineGraph(edges))
+    assert colors != color_greedy(OfflineGraph(edges))
+    assert is_proper(edges, colors) and max(colors) == delta - 1
 
 
 def test_exact_colorer_requires_bipartite_input():
@@ -145,6 +221,32 @@ def test_fan_rotation_proper_and_within_bound_on_random_graphs():
         colors = color_general(graph)
         assert is_proper(edges, colors)
         assert max(colors) <= graph.max_degree  # palette is [0, dmax + 1)
+
+
+def test_fan_step_runs_when_no_common_color_is_free():
+    # D = 3, reached by 2 and 5 in the prefix and by 0 and 1 with the last
+    # edge, so the palette is [0, 4) with or without it. Before the last edge,
+    # lowest-common-free coloring leaves 0 holding colors {0, 1} and 1
+    # holding {2, 3}, so (0, 1) must go through the fan step.
+    prefix = [
+        (2, 3), (2, 4), (1, 2),  # 2 takes 0, 1, so (1, 2) takes 2
+        (5, 6), (5, 7), (1, 5),  # 5 takes 0, 1, 1 has 2: (1, 5) takes 3
+        (0, 8), (0, 9),  # 0 takes 0, 1
+    ]
+    edges = prefix + [(0, 1)]
+    dmax = OfflineGraph(edges).max_degree
+    assert dmax == OfflineGraph(prefix).max_degree == 3  # same palette
+    before = color_general(OfflineGraph(prefix))
+    at = {}
+    for (a, b), c in zip(prefix, before):
+        at.setdefault(a, set()).add(c)
+        at.setdefault(b, set()).add(c)
+    assert at[0] | at[1] == set(range(dmax + 1))  # no common free color
+
+    colors = color_general(OfflineGraph(edges))
+    assert is_proper(edges, colors)
+    assert max(colors) <= dmax
+    assert colors[:-1] != before  # the fan step recolored a stored edge
 
 
 def test_fan_rotation_handles_odd_cycles():
