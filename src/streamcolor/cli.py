@@ -10,9 +10,9 @@ Subcommands:
 
 Exit codes: 0 success; 1 verification found a bad output; 2 infeasible
 generator spec; 3 input/stream errors (mode mismatch, degree violations,
-malformed lines); 4 internal randomized-bound violation; 5 parse errors
-while verifying. The environment variable STREAMCOLOR_SEED overrides any
---seed flag.
+vertex ids out of range, malformed lines, a non-integer STREAMCOLOR_SEED);
+4 internal randomized-bound violation; 5 parse errors while verifying.
+The environment variable STREAMCOLOR_SEED overrides any --seed flag.
 """
 
 from __future__ import annotations
@@ -61,21 +61,13 @@ _BOUND_ERRORS = (
 )
 
 
-def _env_seed(value: int | None) -> int | None:
-    env = os.environ.get("STREAMCOLOR_SEED")
-    if env is not None:
-        return int(env)
-    return value
-
-
 def cmd_gen(args) -> int:
-    seed = _env_seed(args.seed)
     spec = harness.GenSpec(
         family=args.family,
         n=args.n,
         delta=args.delta,
         mode=args.mode,
-        seed=seed if seed is not None else 0,
+        seed=args.seed,
         batch_size=args.batch_size,
     )
     try:
@@ -89,14 +81,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
-    seed = _env_seed(args.seed)
     try:
         infile = open(args.input)
     except OSError as exc:
         print(f"cannot open input: {exc}", file=sys.stderr)
         return 3
     out_path = args.output
-    sink = open(out_path, "w", buffering=1) if out_path else sys.stdout
+    # block-buffered; closed (so flushed) on every exit path below
+    sink = open(out_path, "w") if out_path else sys.stdout
     try:
         header, events = parse_stream(infile)
         check_mode(header, args.alg)
@@ -115,7 +107,7 @@ def cmd_run(args) -> int:
             args.alg,
             s=args.s,
             force_stream=args.force_stream,
-            seed=seed,
+            seed=args.seed,
             emit=writer.emit,
         )
         writer.trailer(stats.peak_words)
@@ -166,8 +158,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kout(args) -> int:
-    seed = _env_seed(args.seed)
-    result = harness.run_kout_experiment(args.n, args.c, args.k, args.trials, seed or 0)
+    result = harness.run_kout_experiment(args.n, args.c, args.k, args.trials, args.seed or 0)
     low, high = result.wilson()
     print("n,u_size,k,trials,seed,failures,rate,ci_low,ci_high")
     print(
@@ -313,6 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    env = os.environ.get("STREAMCOLOR_SEED")
+    if env is not None and hasattr(args, "seed"):
+        try:
+            args.seed = int(env)
+        except ValueError:
+            print(f"input error: STREAMCOLOR_SEED={env!r} is not an integer", file=sys.stderr)
+            return 3
     return args.func(args)
 
 

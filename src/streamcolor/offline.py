@@ -4,11 +4,13 @@ Three colorers, all proper by construction:
 
 * `color_bipartite_exact` colors a bipartite graph with exactly its max
   degree D, inserting edges one at a time. Each edge takes the lowest
-  color free at both endpoints; when none is shared, the alternating
-  two-colored path that starts at one endpoint is flipped in a single
-  walk (the two table entries swap at each vertex it passes), which
-  frees a shared color. O(m * D) worst case, ample for the buffer
-  flushes and spill sets it serves.
+  color free at both endpoints, read off per-vertex used-color bitmasks;
+  when none is shared, the alternating two-colored path that starts at
+  one endpoint is flipped in a single walk. At each inner vertex of the
+  path both colors stay present, so the two edge indices trade places
+  in the color table and only the masks of the path's two ends change.
+  O(m * D) worst case, ample for the buffer flushes and spill sets it
+  serves.
 * `color_general` colors any simple graph with at most D + 1 colors.
   Each edge takes the lowest color in [0, D + 1) free at both
   endpoints; only when there is none does it run the fan-rotation step
@@ -19,11 +21,14 @@ Three colorers, all proper by construction:
 
 Edges are processed in input order and color searches are lowest-first,
 so results are deterministic. Scratch tables are charged to the passed
-meter (2 table entries plus 1 result word per edge) and released on exit.
+meter (2 table entries plus 1 result word per edge, and for the exact
+bipartite colorer ceil(D / 64) mask words per vertex) and released on
+exit.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,13 +50,22 @@ class OfflineGraph:
     edges: list[Edge]
     sides: dict[int, int] | None = None  # vertex -> 0/1, every edge crossing
 
-    @cached_property
+    @property
     def max_degree(self) -> int:
+        return self._degrees[0]
+
+    @property
+    def vertex_count(self) -> int:
+        """Vertices that some edge touches."""
+        return self._degrees[1]
+
+    @cached_property
+    def _degrees(self) -> tuple[int, int]:
         deg: dict[int, int] = {}
         for a, b in self.edges:
             deg[a] = deg.get(a, 0) + 1
             deg[b] = deg.get(b, 0) + 1
-        return max(deg.values(), default=0)
+        return max(deg.values(), default=0), len(deg)
 
     def bipartition(self) -> dict[int, int]:
         """The stored witness, or a 2-coloring found by search.
@@ -106,52 +120,65 @@ def color_bipartite_exact(graph: OfflineGraph, meter: SpaceMeter | None = None) 
     if not edges:
         return []
     dmax = graph.max_degree
-    words = _scratch_words(len(edges))
+    # plus one used-color bitmask of ceil(D / 64) words per vertex
+    words = _scratch_words(len(edges)) + graph.vertex_count * -(-dmax // 64)
     if meter:
         meter.add("offline-scratch", words)
 
-    # table[v][color] = index of the edge carrying that color at v
-    table: dict[int, dict[int, int]] = {}
+    # table[v][color] = index of the edge carrying that color at v;
+    # bit c of used[v] is set exactly when c is a key of table[v]
+    table: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    used: dict[int, int] = {}
+    full = (1 << dmax) - 1
     colors = [-1] * len(edges)
 
     for idx, (u, v) in enumerate(edges):
-        tu = table.get(u)
-        if tu is None:
-            tu = table[u] = {}
-        tv = table.get(v)
-        if tv is None:
-            tv = table[v] = {}
-        for c in range(dmax):
-            if c not in tu and c not in tv:
-                colors[idx] = c
-                tu[c] = idx
-                tv[c] = idx
-                break
+        mu = used.get(u, 0)
+        mv = used.get(v, 0)
+        free = full & ~(mu | mv)
+        if free:
+            bit = free & -free
+            c = bit.bit_length() - 1
         else:
-            alpha = _lowest_free(tu, dmax)
-            beta = _lowest_free(tv, dmax)
             # Flip the alpha/beta alternating path starting at v: v misses
             # beta, so it is a path endpoint, and in a bipartite graph the
             # path can never reach u (it would need the color u misses on
-            # the wrong side). Swapping the alpha and beta entries at each
-            # vertex passed frees alpha at v and keeps the coloring proper.
-            x, want, other = v, alpha, beta
+            # the wrong side). Flipping it frees alpha at v; both colors
+            # stay present at every inner vertex, so only the masks of the
+            # two ends change.
+            bit = ~mu & (mu + 1)  # alpha, the lowest color free at u
+            beta_bit = ~mv & (mv + 1)
+            alpha = bit.bit_length() - 1
+            beta = beta_bit.bit_length() - 1
+            swap = bit | beta_bit
+            mv ^= swap
+            tx = table[v]
+            e = tx.pop(alpha)
+            tx[beta] = e
+            colors[e] = beta
+            x = v
+            old, new = alpha, beta  # e, arriving at the next vertex, was old
             while True:
-                tx = table[x]
-                e = tx.pop(want, None)  # the path edge leaving x
-                back = tx.pop(other, None)  # the one it arrived on
-                if back is not None:
-                    tx[want] = back
-                if e is None:
-                    break
-                tx[other] = e
-                colors[e] = other
                 a, b = edges[e]
                 x = b if a == x else a
-                want, other = other, want
-            colors[idx] = alpha
-            tu[alpha] = idx
-            tv[alpha] = idx
+                tx = table[x]
+                nxt = tx.get(new)  # the path edge leaving x
+                if nxt is None:  # the far end: e was its only path edge
+                    del tx[old]
+                    tx[new] = e
+                    used[x] ^= swap
+                    break
+                tx[new] = e  # the two indices trade colors in place
+                tx[old] = nxt
+                colors[nxt] = old
+                e = nxt
+                old, new = new, old
+            c = alpha
+        colors[idx] = c
+        used[u] = mu | bit
+        used[v] = mv | bit
+        table[u][c] = idx
+        table[v][c] = idx
 
     if meter:
         meter.release("offline-scratch", words)

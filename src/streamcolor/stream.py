@@ -18,10 +18,11 @@ Output files carry one `c <u> <v> <color>` line per colored edge, in
 emission order, then a trailer `T <colors_used> <peak_words>`.
 
 The parser is single pass and lazy: it yields events in file order and
-validates syntax, event-kind legality, self-loops, duplicate neighbors
-within one arrival, and the declared degree bound (detected at the exact
-violating event via per-vertex counters). Side-range semantics are left
-to the algorithm layer so that parsing stays a pure syntax concern.
+validates syntax, event-kind legality, vertex ids in [0, n_online +
+n_offline), self-loops, duplicate neighbors within one arrival, and the
+declared degree bound (detected at the exact violating event via
+per-vertex counters). Side-range semantics are left to the algorithm
+layer so that parsing stays a pure syntax concern.
 """
 
 from __future__ import annotations
@@ -147,6 +148,7 @@ def parse_stream(lines: Iterable[str]) -> tuple[StreamHeader, Iterator[StreamEve
 def _events(header: StreamHeader, it: Iterator[str]) -> Iterator[StreamEvent]:
     delta = header.delta
     mode = header.mode
+    n = header.n_total
     degrees: dict[int, int] = {}
     lineno = 1
 
@@ -167,8 +169,8 @@ def _events(header: StreamHeader, it: Iterator[str]) -> Iterator[StreamEvent]:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError as exc:
                 raise MalformedLine(f"line {lineno}: non-integer endpoint") from exc
-            if u < 0 or v < 0:
-                raise MalformedLine(f"line {lineno}: negative vertex id")
+            if not (0 <= u < n and 0 <= v < n):
+                raise MalformedLine(f"line {lineno}: vertex id outside [0, {n})")
             if u == v:
                 raise SelfLoop(f"line {lineno}: self-loop at vertex {u}")
             du = degrees.get(u, 0) + 1
@@ -183,7 +185,7 @@ def _events(header: StreamHeader, it: Iterator[str]) -> Iterator[StreamEvent]:
         elif kind == "V":
             if mode not in (MODE_VERTEX_ONE_SIDED, MODE_VERTEX_TWO_SIDED):
                 raise ModeMismatch(f"line {lineno}: vertex event in {mode} stream")
-            yield _arrival(parts, lineno, delta, degrees, VertexArrival)
+            yield _arrival(parts, lineno, n, delta, degrees, VertexArrival)
 
         elif kind == "B":
             if mode != MODE_BATCH:
@@ -193,7 +195,7 @@ def _events(header: StreamHeader, it: Iterator[str]) -> Iterator[StreamEvent]:
                     f"line {lineno}: batch has {len(parts) - 2} edges, "
                     f"declared batch_size is {header.batch_size}"
                 )
-            yield _arrival(parts, lineno, delta, degrees, BatchArrival)
+            yield _arrival(parts, lineno, n, delta, degrees, BatchArrival)
 
         elif kind == "H":
             raise MalformedLine(f"line {lineno}: second header line")
@@ -201,14 +203,14 @@ def _events(header: StreamHeader, it: Iterator[str]) -> Iterator[StreamEvent]:
             raise MalformedLine(f"line {lineno}: unknown record {kind!r}")
 
 
-def _arrival(parts, lineno, delta, degrees, cls):
+def _arrival(parts, lineno, n, delta, degrees, cls):
     try:
         u = int(parts[1])
         neighbors = tuple(int(p) for p in parts[2:])
     except (ValueError, IndexError) as exc:
         raise MalformedLine(f"line {lineno}: bad vertex arrival") from exc
-    if u < 0 or any(v < 0 for v in neighbors):
-        raise MalformedLine(f"line {lineno}: negative vertex id")
+    if not 0 <= u < n or (neighbors and not 0 <= min(neighbors) <= max(neighbors) < n):
+        raise MalformedLine(f"line {lineno}: vertex id outside [0, {n})")
     if any(v == u for v in neighbors):
         raise SelfLoop(f"line {lineno}: self-loop at vertex {u}")
     if len(set(neighbors)) != len(neighbors):
@@ -241,7 +243,12 @@ def serialize_stream(header: StreamHeader, events: Iterable[StreamEvent]) -> str
 
 
 def emit_assignment(sink: TextIO, u: int, v: int, color: int) -> None:
-    """Write one output record; the sink should be line buffered."""
+    """Write one output record.
+
+    The sink may buffer: a record reaches the file when the sink flushes
+    or closes, and `streamcolor run` closes its output file on every exit
+    path, so an aborted run still leaves every line it emitted.
+    """
     try:
         sink.write(f"c {u} {v} {color}\n")
     except ValueError as exc:

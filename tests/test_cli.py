@@ -163,3 +163,66 @@ def test_bench_runs_a_tiny_grid(tmp_path, capsys):
     rows = out[header_at + 1 :]
     assert len(rows) == 2
     assert all(",true," in row for row in rows)
+
+
+def test_run_rejects_vertex_ids_outside_the_header_range(tmp_path, capsys):
+    stream = tmp_path / "s.txt"
+    stream.write_text("H 2 2 2 edge 0 1\ne 0 1\ne 0 999999\n")
+    assert run_cli("run", str(stream), "--alg", "edge-sqrt",
+                   "-o", str(tmp_path / "o.txt")) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("input error:")] == [
+        "input error: line 3: vertex id outside [0, 4)"
+    ]
+
+
+def test_non_integer_env_seed_exits_three(tmp_path, monkeypatch, capsys):
+    stream = tmp_path / "s.txt"
+    run_cli("gen", "--family", "regular-bipartite", "--n", "16", "--delta", "2",
+            "--mode", "edge", "--seed", "1", "-o", str(stream))
+    monkeypatch.setenv("STREAMCOLOR_SEED", "seven")
+    out = tmp_path / "o.txt"
+    assert run_cli("run", str(stream), "--alg", "edge-sqrt", "-o", str(out)) == 3
+    assert run_cli("gen", "--family", "regular-bipartite", "--n", "16", "--delta", "2",
+                   "--mode", "edge", "-o", str(tmp_path / "g.txt")) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["input error: STREAMCOLOR_SEED='seven' is not an integer"] * 2
+    # commands without a seed do not read it
+    assert run_cli("verify", str(stream), str(stream)) == 5
+
+
+def test_aborted_run_keeps_its_emitted_prefix(tmp_path, monkeypatch):
+    import streamcolor.cli as cli_mod
+    from streamcolor.harness import check_assignments, collect_edges
+    from streamcolor.stream import parse_output, parse_stream
+
+    stream, bad = tmp_path / "s.txt", tmp_path / "bad.txt"
+    full, aborted = tmp_path / "full.txt", tmp_path / "aborted.txt"
+    run_cli("gen", "--family", "regular-bipartite", "--n", "256", "--delta", "8",
+            "--mode", "vertex-one-sided", "--seed", "5", "-o", str(stream))
+    # online vertex 0 already has all delta edges: this last arrival passes delta
+    bad.write_text(stream.read_text() + "V 0 256\n")
+    assert run_cli("run", str(stream), "--alg", "one-sided", "-o", str(full)) == 0
+
+    real_writer, writers = cli_mod.AssignmentWriter, []
+
+    def writer(sink):
+        writers.append(real_writer(sink))
+        return writers[-1]
+
+    monkeypatch.setattr(cli_mod, "AssignmentWriter", writer)
+    assert run_cli("run", str(bad), "--alg", "one-sided", "-o", str(aborted)) == 3
+
+    raw = aborted.read_text()
+    assert len(raw) > 8192  # more than one write buffer's worth
+    assert raw.endswith("\n")  # the close flushed the last partial block
+    lines = raw.splitlines()
+    assert len(lines) == writers[-1].count > 0  # every emitted line, no trailer
+    assert lines == full.read_text().splitlines()[: len(lines)]
+    assignments, trailer = parse_output(lines)
+    assert trailer is None
+    _header, events = parse_stream(stream.read_text().splitlines())
+    report = check_assignments(collect_edges(events), assignments)
+    assert report.proper and not report.duplicates and not report.unknown

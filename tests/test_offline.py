@@ -171,6 +171,40 @@ def test_one_walk_flip_matches_the_two_phase_reference_on_regular_graphs(delta):
     assert is_proper(edges, colors) and max(colors) == delta - 1
 
 
+def test_exact_colorer_on_a_star_with_a_pendant_matching():
+    # center 0 of degree 70 (two mask words), leaves 1..70 of degree 2,
+    # pendants 101..170 of degree 1. With the matching first every leaf
+    # holds color 0, so the center's last edge finds only 0 free at the
+    # center and must flip a path; shuffled orders are irregular too.
+    star = [(0, leaf) for leaf in range(1, 71)]
+    pendant = [(leaf, 100 + leaf) for leaf in range(1, 71)]
+    edges = pendant + star
+    colors = color_bipartite_exact(OfflineGraph(edges))
+    assert max(color_greedy(OfflineGraph(edges))) == 70  # greedy needs one more
+    assert colors == two_phase_bipartite_exact(OfflineGraph(edges))
+    assert is_proper(edges, colors) and sorted(colors[70:]) == list(range(70))
+    for seed in range(5):
+        random.Random(seed).shuffle(edges)
+        colors = color_bipartite_exact(OfflineGraph(edges))
+        assert colors == two_phase_bipartite_exact(OfflineGraph(edges))
+        assert is_proper(edges, colors) and max(colors) == 69
+
+
+@pytest.mark.parametrize("delta", [1, 3, 64, 65, 100, 130])
+def test_exact_colorer_matches_the_reference_and_charges_its_masks(delta):
+    # one mask word per vertex up to delta 64, then two, then three
+    edges = build_edges(GenSpec("regular-bipartite", 160, delta, "edge", seed=1))
+    random.Random(delta).shuffle(edges)
+    graph = OfflineGraph(edges)
+    assert graph.vertex_count == 320 and graph.max_degree == delta
+    meter = SpaceMeter()
+    colors = color_bipartite_exact(graph, meter)
+    assert colors == two_phase_bipartite_exact(OfflineGraph(edges))
+    assert is_proper(edges, colors) and max(colors) == delta - 1
+    assert meter.peak_words == 3 * len(edges) + 320 * -(-delta // 64)
+    assert meter.current_words == 0 and meter.consistent()
+
+
 def test_exact_colorer_requires_bipartite_input():
     with pytest.raises(NotBipartite):
         color_bipartite_exact(OfflineGraph([(0, 1), (1, 2), (0, 2)]))

@@ -79,6 +79,24 @@ def test_duplicate_neighbor_in_one_arrival():
         events_of("H 2 4 3 vertex-one-sided 0 1\nV 0 2 2\n")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "H 2 2 2 edge 0 1\ne 0 4\n",  # one past the last id
+        "H 2 2 2 edge 0 1\ne -1 2\n",
+        "H 2 2 2 vertex-one-sided 0 1\nV 0 2 4\n",  # a neighbor
+        "H 2 2 2 vertex-one-sided 0 1\nV 0 -3 2\n",
+        "H 2 2 2 vertex-one-sided 0 1\nV 4 2\n",  # the arriving vertex
+        "H 2 2 2 vertex-one-sided 0 1\nV 7\n",  # with no neighbors
+        "H 2 2 2 batch 1 1\nB 0 9\n",
+        "H 4 0 2 vertex-two-sided 0 1\nV 0\nV 1 0 4\n",
+    ],
+)
+def test_vertex_ids_outside_the_declared_range_rejected(text):
+    with pytest.raises(MalformedLine, match=r"outside \[0, 4\)"):
+        events_of(text)
+
+
 def test_isolated_vertex_arrival_allowed():
     header, evs = events_of("H 2 2 1 vertex-one-sided 0 1\nV 0\nV 1 2\n")
     assert evs[0] == VertexArrival(0, ())
