@@ -127,50 +127,46 @@ class OneSidedColorer:
         p = self.params.period
         cap = self.offline_cap
 
+        known = self.states
         states = []
+        slots = []
         for v in neighbors:
-            st = self.states.get(v)
+            st = known.get(v)
             if st is None:
                 st = draw_offline_state(self.rng, self.params)
-                self.states[v] = st
+                known[v] = st
                 meter.add(self._mkey, OfflineState.WORDS)
-            if st.deg >= cap:
+            dg = st.deg
+            if dg >= cap:
                 raise BoundViolation(
                     f"{self.name}: offline vertex {v} would pass its degree cap {cap}"
                 )
             states.append(st)
+            slots.append(((st.r1 + dg) % p, (st.r2 + dg) % p, (st.r3 + dg) % p))
+        # only once every slot is built, so each slot reads its neighbor's
+        # degree from before this arrival; spilled edges count too
+        for st in states:
+            st.deg += 1
 
         if self.delta == 1:
-            st = states[0]
-            st.deg += 1
             return [ColorAssignment(u, neighbors[0], self.block)]
-
-        slots = []
-        for st in states:
-            dg = st.deg
-            slots.append(((st.r1 + dg) % p, (st.r2 + dg) % p, (st.r3 + dg) % p))
 
         scratch = 6 * d  # proposals plus matcher state, released below
         meter.add(self._tkey, scratch)
         matched = maximum_matching(slots)
         meter.release(self._tkey, scratch)
 
-        base = self.block + batch_index * 3 * p
-        out: list[ColorAssignment] = []
-        if all(c != -1 for c in matched):
-            for i, v in enumerate(neighbors):
-                y = matched[i]
-                band = slots[i].index(y)
-                states[i].deg += 1
-                out.append(ColorAssignment(u, v, base + band * p + y))
-        else:
-            for i, v in enumerate(neighbors):
-                states[i].deg += 1
-                self.spill.append((u, v))
-            meter.add(self._skey, 2 * d)
-            self.spilled_vertices += 1
-            self.spilled_edges_total += d
-        return out
+        if -1 not in matched:
+            base = self.block + batch_index * 3 * p
+            return [
+                ColorAssignment(u, v, base + slot.index(y) * p + y)
+                for v, slot, y in zip(neighbors, slots, matched)
+            ]
+        self.spill.extend((u, v) for v in neighbors)
+        meter.add(self._skey, 2 * d)
+        self.spilled_vertices += 1
+        self.spilled_edges_total += d
+        return []
 
     # -- end of stream --
 

@@ -67,10 +67,6 @@ class TooManyBatches(StreamColorError):
     """An online vertex produced more batches than the colorer was sized for."""
 
 
-class UnknownSide(StreamColorError):
-    """A vertex id falls outside both declared sides of a bipartite split."""
-
-
 class FlushBudgetExceeded(StreamColorError):
     """More buffer flushes were requested than the color accounting allows."""
 

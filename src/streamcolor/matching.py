@@ -6,10 +6,17 @@ perfect matching of slots to base colors yields a conflict-free color
 choice for the whole arrival: matched base colors are pairwise distinct,
 and re-adding each slot's band offset keeps them distinct.
 
-`perfect_match` runs Hopcroft-Karp with the right side stored sparsely
-(only colors actually proposed), so one call costs O(slots) space and can
-be discarded before the next arrival. All tie-breaks are fixed (lowest
-color id first, then lowest slot id), making runs reproducible.
+`maximum_matching` (and `perfect_match` on top of it) runs Hopcroft-Karp
+with the right side stored sparsely (only colors actually proposed), so
+one call costs O(slots) space and can be discarded before the next
+arrival. Its first phase, where every slot is free, is exactly a greedy
+pass (each slot in index order takes its lowest free color) and runs as
+a plain loop; on proposal slots it usually matches every slot, and the
+call ends there. Otherwise the BFS/DFS phases continue from the greedy
+state, with each DFS walking its augmenting path on an explicit stack, so
+no path length can exhaust the interpreter's recursion limit. All
+tie-breaks are fixed (lowest color id first, then lowest slot id), making
+runs reproducible.
 
 `brute_force_match` is the independent oracle used by the tests, and
 `kout_trial` samples the random k-out model that the spill analysis rests
@@ -24,8 +31,6 @@ from collections import deque
 
 from .errors import InstanceTooLarge, TooManySlots
 from .palette import OfflineState, PaletteParams, propose_bases
-
-_INF = float("inf")
 
 
 class ColorGraph:
@@ -48,18 +53,35 @@ def build_color_graph(states: list[OfflineState], params: PaletteParams) -> Colo
 
 
 def maximum_matching(slots: list[tuple[int, ...]]) -> list[int]:
-    """Hopcroft-Karp over slot -> color adjacency.
+    """Hopcroft-Karp over slot -> color adjacency, greedy first phase.
 
     Returns the matched color per slot (-1 if unmatched). Neighbors are
     scanned in ascending color order and free slots in index order, so the
     result is a pure function of the input.
+
+    Hopcroft-Karp's first phase starts with every slot free at distance 0,
+    so it is exactly a greedy pass: each slot, in index order, takes its
+    lowest color not yet taken. That pass runs as a plain loop, and when it
+    matches every slot (the common case for proposal slots) the result is
+    returned at once. Otherwise the BFS/DFS phases continue from the greedy
+    state, each DFS walking its augmenting path with an explicit stack, in
+    the order the recursive formulation visits slots and colors.
     """
     n = len(slots)
     adj = [sorted(s) for s in slots]
     match_slot = [-1] * n
     match_color: dict[int, int] = {}
-    dist = [0] * n
 
+    for i, cs in enumerate(adj):
+        for c in cs:
+            if c not in match_color:
+                match_slot[i] = c
+                match_color[c] = i
+                break
+    if -1 not in match_slot:
+        return match_slot
+
+    dist = [0] * n
     while True:
         queue: deque[int] = deque()
         for i in range(n):
@@ -80,22 +102,47 @@ def maximum_matching(slots: list[tuple[int, ...]]) -> list[int]:
                     queue.append(j)
         if not reachable_free:
             break
-
-        def advance(i: int) -> bool:
-            for c in adj[i]:
-                j = match_color.get(c, -1)
-                if j == -1 or (dist[j] == dist[i] + 1 and advance(j)):
-                    match_slot[i] = c
-                    match_color[c] = i
-                    return True
-            dist[i] = -1
-            return False
-
         for i in range(n):
             if match_slot[i] == -1:
-                advance(i)
+                _augment(i, adj, dist, match_slot, match_color)
 
     return match_slot
+
+
+def _augment(root, adj, dist, match_slot, match_color) -> None:
+    """One layered DFS from the free slot `root`; flips the path it finds.
+
+    `path[k]` is the slot at depth k and `nxt[k]` the index of the next
+    color it tries, so `adj[path[k]][nxt[k] - 1]` is the color it tried
+    last. A slot whose colors are exhausted leaves the layering (distance
+    -1), as in the recursive DFS.
+    """
+    path = [root]
+    nxt = [0]
+    while path:
+        i = path[-1]
+        cs = adj[i]
+        k = nxt[-1]
+        while k < len(cs):
+            c = cs[k]
+            k += 1
+            j = match_color.get(c, -1)
+            if j == -1:
+                nxt[-1] = k
+                for slot, tried in zip(path, nxt):
+                    c = adj[slot][tried - 1]
+                    match_slot[slot] = c
+                    match_color[c] = slot
+                return
+            if dist[j] == dist[i] + 1:
+                nxt[-1] = k
+                path.append(j)
+                nxt.append(0)
+                break
+        else:
+            dist[i] = -1
+            path.pop()
+            nxt.pop()
 
 
 def perfect_match(graph: ColorGraph) -> list[tuple[int, int]] | None:

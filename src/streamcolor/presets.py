@@ -49,7 +49,6 @@ from .stream import (
     EdgeArrival,
     StreamEvent,
     StreamHeader,
-    VertexArrival,
 )
 
 PRESETS = (
@@ -186,7 +185,8 @@ class _Trivial(_Pipeline):
 
 class _OneSided(_Pipeline):
     def __init__(self, header: StreamHeader, seed: int, meter: SpaceMeter, alloc: ColorAllocator):
-        self.header = header
+        self.n_online = header.n_online
+        self.n_total = header.n_total
         self.colorer = OneSidedColorer(
             header.delta,
             random.Random(split_seed(seed, 1)),
@@ -196,16 +196,16 @@ class _OneSided(_Pipeline):
         )
 
     def feed(self, event):
-        h = self.header
-        u = event.u
-        if not 0 <= u < h.n_online:
+        u, neighbors = event
+        n_online = self.n_online
+        if not 0 <= u < n_online:
             raise ModeMismatch(f"arriving vertex {u} is not an online id")
-        for v in event.neighbors:
-            if not h.n_online <= v < h.n_total:
-                raise ModeMismatch(f"neighbor {v} is not an offline id")
+        if neighbors and not n_online <= min(neighbors) <= max(neighbors) < self.n_total:
+            v = next(v for v in neighbors if not n_online <= v < self.n_total)
+            raise ModeMismatch(f"neighbor {v} is not an offline id")
         if type(event) is BatchArrival:
-            return self.colorer.on_batch(u, list(event.neighbors))
-        return self.colorer.on_online_vertex(u, list(event.neighbors))
+            return self.colorer.on_batch(u, list(neighbors))
+        return self.colorer.on_online_vertex(u, list(neighbors))
 
     def finalize(self):
         return self.colorer.finalize()
@@ -492,14 +492,16 @@ def run_stream(
     colors: set[int] = set()
     emitted = 0
     for event in events:
-        for a in pipeline.feed(event):
-            colors.add(a.color)
-            emitted += 1
-            emit(a.u, a.v, a.color)
-    for a in pipeline.finalize():
-        colors.add(a.color)
-        emitted += 1
-        emit(a.u, a.v, a.color)
+        out = pipeline.feed(event)
+        for u, v, c in out:
+            colors.add(c)
+            emit(u, v, c)
+        emitted += len(out)
+    out = pipeline.finalize()
+    for u, v, c in out:
+        colors.add(c)
+        emit(u, v, c)
+    emitted += len(out)
     report = pipeline.spill_report()
     if alg == "edge-general":
         s_out = clamp_s(header, s)

@@ -206,12 +206,12 @@ def _events(header: StreamHeader, it: Iterator[str]) -> Iterator[StreamEvent]:
 def _arrival(parts, lineno, n, delta, degrees, cls):
     try:
         u = int(parts[1])
-        neighbors = tuple(int(p) for p in parts[2:])
+        neighbors = tuple(map(int, parts[2:]))
     except (ValueError, IndexError) as exc:
         raise MalformedLine(f"line {lineno}: bad vertex arrival") from exc
     if not 0 <= u < n or (neighbors and not 0 <= min(neighbors) <= max(neighbors) < n):
         raise MalformedLine(f"line {lineno}: vertex id outside [0, {n})")
-    if any(v == u for v in neighbors):
+    if u in neighbors:
         raise SelfLoop(f"line {lineno}: self-loop at vertex {u}")
     if len(set(neighbors)) != len(neighbors):
         raise DuplicateEdge(f"line {lineno}: repeated neighbor in one arrival")
@@ -242,19 +242,6 @@ def serialize_stream(header: StreamHeader, events: Iterable[StreamEvent]) -> str
     return "\n".join(lines) + "\n"
 
 
-def emit_assignment(sink: TextIO, u: int, v: int, color: int) -> None:
-    """Write one output record.
-
-    The sink may buffer: a record reaches the file when the sink flushes
-    or closes, and `streamcolor run` closes its output file on every exit
-    path, so an aborted run still leaves every line it emitted.
-    """
-    try:
-        sink.write(f"c {u} {v} {color}\n")
-    except ValueError as exc:
-        raise IoFailure("output sink is closed") from exc
-
-
 class AssignmentWriter:
     """Streams `c` lines to a sink and tracks the set of colors used."""
 
@@ -266,9 +253,18 @@ class AssignmentWriter:
         self.count = 0
 
     def emit(self, u: int, v: int, color: int) -> None:
+        """Write one `c` record.
+
+        The sink may buffer: a record reaches the file when the sink flushes
+        or closes, and `streamcolor run` closes its output file on every exit
+        path, so an aborted run still leaves every line it emitted.
+        """
         self.colors.add(color)
         self.count += 1
-        emit_assignment(self.sink, u, v, color)
+        try:
+            self.sink.write(f"c {u} {v} {color}\n")
+        except ValueError as exc:
+            raise IoFailure("output sink is closed") from exc
 
     @property
     def colors_used(self) -> int:

@@ -177,6 +177,22 @@ def test_run_rejects_vertex_ids_outside_the_header_range(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("V 0 3 1\n", "neighbor 1 is not an offline id"),  # the first one off its side
+        ("B 0 1 3\n", "neighbor 1 is not an offline id"),
+        ("V 2 3\n", "arriving vertex 2 is not an online id"),
+    ],
+)
+def test_one_sided_run_rejects_ids_on_the_wrong_side(tmp_path, capsys, body, message):
+    mode = "batch 2" if body.startswith("B") else "vertex-one-sided 0"
+    stream = tmp_path / "s.txt"
+    stream.write_text(f"H 2 2 2 {mode} 1\n{body}")
+    assert run_cli("run", str(stream), "--alg", "one-sided", "-o", str(tmp_path / "o.txt")) == 3
+    assert f"input error: {message}" in capsys.readouterr().err.splitlines()
+
+
 def test_non_integer_env_seed_exits_three(tmp_path, monkeypatch, capsys):
     stream = tmp_path / "s.txt"
     run_cli("gen", "--family", "regular-bipartite", "--n", "16", "--delta", "2",

@@ -1,0 +1,59 @@
+"""Golden output hashes: `streamcolor run` output is pinned byte for byte.
+
+Each case generates a small stream (n=256) with a fixed seed, runs one
+preset through the CLI and compares the SHA-256 of the output file, `c`
+lines and `T` trailer, with the recorded value. A change meant to keep
+every color (a refactor or a speed-up) must leave these hashes as they
+are; a change that moves colors on purpose records the new hashes and
+says why.
+"""
+
+import hashlib
+
+import pytest
+
+from streamcolor.cli import main
+from streamcolor.harness import GenSpec, generate
+
+# (id, family, mode, delta, batch_size, preset, extra run arguments, sha256)
+CASES = [
+    ("one-sided-vertex", "regular-bipartite", "vertex-one-sided", 32, 0, "one-sided", (),
+     "4f68ebb1c97b8a49dac4e00c923e1002bcde631eb1cca9b647d49f9c11ec5fd0"),
+    ("one-sided-batch", "regular-bipartite", "batch", 32, 4, "one-sided", (),
+     "be40f9f55fd08a957010e443c83a83adcb823b8f677ec9048d97cc1e59568c68"),
+    ("vertex-general-bipartite", "regular-bipartite", "vertex-two-sided", 32, 0,
+     "vertex-general", (),
+     "a924925fa7ad9c5a3bb1d3231fc6a96949feedfe83b52db9ee30da61e5baf34a"),
+    # Δ=64 at n=256 builds one bipartization level (plan_levels gives [96])
+    ("vertex-general-general", "regular-general", "vertex-two-sided", 64, 0,
+     "vertex-general", (),
+     "ff60c790e234e6f7212ae9da247d930c78126cba6e8c2c3860748f1761617a83"),
+    ("edge-sqrt-forced", "regular-bipartite", "edge", 32, 0, "edge-sqrt", ("--force-stream",),
+     "ccb473c10abca9f018d3c1f3c6544ee9b2961b039a652ee93d6ac5dcce6a0a38"),
+    ("edge-sqrt-fallback", "regular-bipartite", "edge", 32, 0, "edge-sqrt", (),
+     "ec96048f63dda992a0854f161f2e13c462d500ac54d00c8302cd48a368a360f7"),
+    ("edge-general-s2-forced", "regular-bipartite", "edge", 32, 0, "edge-general",
+     ("--s", "2", "--force-stream"),
+     "fc84e8bb296a5412150d53a3579e8df5b92a739a9370e1ece9d1d7017df549d4"),
+    ("offline-exact", "regular-bipartite", "vertex-one-sided", 32, 0, "offline-exact", (),
+     "7a8ddbe72cd320404fb4aba139124b7119b99d776d3a58282e7da8590cb200a4"),
+    ("offline-greedy", "regular-general", "edge", 32, 0, "offline-greedy", (),
+     "987e8196905c7fe4adde429c89791fb3156159c8eeed0f6b7bf3e759232dcb8a"),
+]
+
+SEED = 11
+
+
+def output_sha256(tmp_path, family, mode, delta, batch_size, preset, extra):
+    stream = tmp_path / "stream.txt"
+    out = tmp_path / "out.txt"
+    stream.write_text(generate(GenSpec(family, 256, delta, mode, SEED, batch_size)))
+    assert main(["run", str(stream), "--alg", preset, *extra, "-o", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+def test_run_output_matches_its_golden_hash(case, tmp_path, monkeypatch):
+    monkeypatch.delenv("STREAMCOLOR_SEED", raising=False)
+    _, family, mode, delta, batch_size, preset, extra, expected = case
+    assert output_sha256(tmp_path, family, mode, delta, batch_size, preset, extra) == expected

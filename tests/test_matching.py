@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from streamcolor.matching import (
     perfect_match,
     sample_distinct,
 )
-from streamcolor.palette import OfflineState, PaletteParams
+from streamcolor.palette import OfflineState, PaletteParams, period_for
 
 
 def valid(graph, result):
@@ -162,3 +163,91 @@ def test_maximum_matching_on_hall_violator_is_partial():
     got = maximum_matching([(0, 1), (0, 1), (0, 1)])
     assert sorted(c for c in got if c != -1) == [0, 1]
     assert got.count(-1) == 1
+
+
+def recursive_hopcroft_karp(slots):
+    """Reference matcher: Hopcroft-Karp with every phase run by BFS and a
+    recursive DFS, including the first one (one recursion level per
+    augmenting-path layer)."""
+    n = len(slots)
+    adj = [sorted(s) for s in slots]
+    match_slot = [-1] * n
+    match_color = {}
+    dist = [0] * n
+
+    while True:
+        queue = deque()
+        for i in range(n):
+            if match_slot[i] == -1:
+                dist[i] = 0
+                queue.append(i)
+            else:
+                dist[i] = -1
+        reachable_free = False
+        while queue:
+            i = queue.popleft()
+            for c in adj[i]:
+                j = match_color.get(c, -1)
+                if j == -1:
+                    reachable_free = True
+                elif dist[j] == -1:
+                    dist[j] = dist[i] + 1
+                    queue.append(j)
+        if not reachable_free:
+            break
+
+        def advance(i):
+            for c in adj[i]:
+                j = match_color.get(c, -1)
+                if j == -1 or (dist[j] == dist[i] + 1 and advance(j)):
+                    match_slot[i] = c
+                    match_color[c] = i
+                    return True
+            dist[i] = -1
+            return False
+
+        for i in range(n):
+            if match_slot[i] == -1:
+                advance(i)
+
+    return match_slot
+
+
+def test_matcher_equals_the_recursive_reference():
+    rng = random.Random(4242)
+    instances = []
+    # arrivals as the one-sided colorer builds them: delta slots, each
+    # three distinct proposals out of P = ceil(2.72 delta)
+    for delta, count in ((8, 1500), (32, 1000), (128, 300)):
+        p = period_for(delta)
+        for _ in range(count):
+            d = rng.randrange(1, delta + 1)
+            instances.append([tuple(sample_distinct(rng, p, 3)) for _ in range(d)])
+    # Hall violators: more slots than the palette holds colors
+    for _ in range(1200):
+        palette = rng.randrange(2, 8)
+        n = rng.randrange(palette + 1, 3 * palette + 2)
+        k = min(3, palette)
+        instances.append([tuple(sample_distinct(rng, palette, k)) for _ in range(n)])
+    # ragged slots of one to four colors
+    for _ in range(1200):
+        palette = rng.randrange(4, 24)
+        n = rng.randrange(0, 20)
+        instances.append(
+            [tuple(sample_distinct(rng, palette, rng.randrange(1, 5))) for _ in range(n)]
+        )
+    assert len(instances) >= 5000
+    partial = 0
+    for slots in instances:
+        got = maximum_matching(slots)
+        assert got == recursive_hopcroft_karp(slots)
+        partial += -1 in got
+    assert partial > 1000  # the phases after the greedy pass ran and ended short
+
+
+def test_deep_augmenting_path_needs_no_recursion():
+    # greedy gives slot i color i, so the last slot's only color is taken and
+    # its augmenting path runs through all 3,000 chained slots
+    slots = [(i, i + 1) for i in range(3000)] + [(0,)]
+    got = maximum_matching(slots)
+    assert got == [i + 1 for i in range(3000)] + [0]

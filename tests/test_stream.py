@@ -16,7 +16,6 @@ from streamcolor.stream import (
     EdgeArrival,
     StreamHeader,
     VertexArrival,
-    emit_assignment,
     event_to_line,
     parse_header,
     parse_output,
@@ -139,8 +138,9 @@ def test_event_to_line_forms():
 
 def test_emit_assignment_format():
     sink = io.StringIO()
-    emit_assignment(sink, 0, 5, 17)
-    emit_assignment(sink, 1, 2, 0)
+    w = AssignmentWriter(sink)
+    w.emit(0, 5, 17)
+    w.emit(1, 2, 0)
     assert sink.getvalue() == "c 0 5 17\nc 1 2 0\n"
 
 
@@ -148,7 +148,7 @@ def test_emit_after_close_is_io_failure():
     sink = io.StringIO()
     sink.close()
     with pytest.raises(IoFailure):
-        emit_assignment(sink, 0, 1, 2)
+        AssignmentWriter(sink).emit(0, 1, 2)
 
 
 def test_writer_tracks_distinct_colors_and_trailer():
