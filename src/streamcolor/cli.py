@@ -11,7 +11,10 @@ Subcommands:
 Exit codes: 0 success; 1 verification found a bad output; 2 infeasible
 generator spec; 3 input/stream errors (mode mismatch, degree violations,
 vertex ids out of range, malformed lines, a non-integer STREAMCOLOR_SEED);
-4 internal randomized-bound violation; 5 parse errors while verifying.
+4 internal randomized-bound violation, or any other internal error of a run
+(for example a shift period too small); 5 parse errors while verifying. A
+bench config that is malformed or lacks `preset`, `mode`, `n` or `delta`
+in a run block exits 3.
 The environment variable STREAMCOLOR_SEED overrides any --seed flag.
 """
 
@@ -123,6 +126,9 @@ def cmd_run(args) -> int:
     except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
+    except StreamColorError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     finally:
         infile.close()
         if out_path:
@@ -207,11 +213,17 @@ def _as_list(value) -> list:
     return [value]
 
 
+_REQUIRED_RUN_KEYS = ("preset", "mode", "n", "delta")
+
+
 def expand_bench_config(text: str) -> tuple[list[harness.RunRequest], dict]:
     top, blocks = parse_bench_config(text)
     requests: list[harness.RunRequest] = []
-    for block in blocks:
+    for number, block in enumerate(blocks, start=1):
         merged = {**top, **block}
+        for key in _REQUIRED_RUN_KEYS:
+            if key not in merged:
+                raise MalformedLine(f"config run block {number}: missing key {key!r}")
         preset = merged["preset"]
         mode = merged["mode"]
         force = bool(merged.get("force_stream", False))
@@ -239,7 +251,11 @@ def expand_bench_config(text: str) -> tuple[list[harness.RunRequest], dict]:
 def cmd_bench(args) -> int:
     with open(args.config) as fh:
         text = fh.read()
-    requests, top = expand_bench_config(text)
+    try:
+        requests, top = expand_bench_config(text)
+    except MalformedLine as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 3
     jobs = args.jobs or int(top.get("jobs", 1))
     for key in sorted(top):
         print(f"# {key}={top[key]}")

@@ -16,6 +16,13 @@ group to one of s batch-mode colorers per side. If the checkpoint finds no
 such vertex, the whole buffer (max degree below k) is colored offline with
 one fresh block and dropped.
 
+The grouped buffer is one insertion-ordered dict per vertex, edge id to
+other endpoint, with each buffered edge under both of its endpoints. A
+drain takes a vertex's first k entries and deletes each edge at both ends,
+so everything the buffer holds is bounded by the edges buffered, at most
+n*s, plus one entry per vertex seen since the last flush; nothing grows
+with the length of the stream.
+
 Leftover buffered edges at end of stream are colored offline with a final
 fresh block. Every input edge is emitted exactly once: through a
 sub-colorer, a flush block, a spill block, or the leftover block.
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import islice
 from typing import Callable
 
 from .core import OneSidedColorer, SpillReport
@@ -44,12 +52,6 @@ def ceil_sqrt(n: int) -> int:
 def batch_route(batch_number: int, shift: int, k: int) -> int:
     """Sub-colorer index for a vertex's next batch (1-based batch count)."""
     return (batch_number + shift) % k
-
-
-def group_route(batch_number: int, group_width: int, shift: int, s: int) -> int:
-    """Sub-colorer index from the batch's group number (1-based count)."""
-    group = -(-batch_number // group_width)
-    return (group + shift) % s
 
 
 class BatchIndexDispatcher:
@@ -188,31 +190,47 @@ class GroupedBatchDispatcher:
             for side in (0, 1)
         ]
 
-        self.adj: dict[int, deque[tuple[int, int]]] = {}
-        self.alive: list[bool] = []
-        self.counts: dict[int, int] = {}
+        # adj[x] maps each buffered edge id at x to its other endpoint, in
+        # arrival order; len(adj[x]) is x's buffered count. A vertex keeps its
+        # (possibly empty) dict until the buffer is emptied, so the flush
+        # walks vertices in first-arrival order.
+        self.adj: dict[int, dict[int, int]] = {}
         self.ready: deque[int] = deque()
         self.size = 0
+        self.next_eid = 0
         self.batch_count: dict[int, int] = {}
         self.group_shift: dict[int, int] = {}
         self._bkey = f"{name}:buffer"
         self._ckey = f"{name}:counters"
 
     def feed_edge(self, a: int, b: int) -> list[ColorAssignment]:
-        eid = len(self.alive)
-        self.alive.append(True)
-        for x, y in ((a, b), (b, a)):
-            lst = self.adj.get(x)
-            if lst is None:
-                lst = self.adj[x] = deque()
-            lst.append((y, eid))
-            cnt = self.counts.get(x, 0) + 1
-            self.counts[x] = cnt
-            if cnt == self.k:
-                self.ready.append(x)
-        self.size += 1
-        self.meter.add(self._bkey, 4)
-        if self.size < self.cap:
+        eid = self.next_eid
+        self.next_eid = eid + 1
+        adj = self.adj
+        k = self.k
+        at = adj.get(a)
+        if at is None:
+            at = adj[a] = {}
+        at[eid] = b
+        if len(at) == k:
+            self.ready.append(a)
+        at = adj.get(b)
+        if at is None:
+            at = adj[b] = {}
+        at[eid] = a
+        if len(at) == k:
+            self.ready.append(b)
+        size = self.size + 1
+        self.size = size
+        # SpaceMeter.add(self._bkey, 4), inline: this runs once per edge
+        meter = self.meter
+        ledger = meter.ledger
+        ledger[self._bkey] = ledger.get(self._bkey, 0) + 4
+        words = meter.current_words + 4
+        meter.current_words = words
+        if words > meter.peak_words:
+            meter.peak_words = words
+        if size < self.cap:
             return []
         return self._checkpoint()
 
@@ -231,23 +249,21 @@ class GroupedBatchDispatcher:
     def _pop_ready(self) -> int | None:
         while self.ready:
             u = self.ready.popleft()
-            if self.counts.get(u, 0) >= self.k:
+            if len(self.adj[u]) >= self.k:
                 return u
         return None
 
     def _extract(self, u: int) -> list[ColorAssignment]:
         k = self.k
-        lst = self.adj[u]
+        adj = self.adj
+        at = adj[u]
+        taken = list(islice(at.items(), k))
         batch: list[int] = []
-        while len(batch) < k:
-            v, eid = lst.popleft()
-            if not self.alive[eid]:
-                continue
-            self.alive[eid] = False
+        for eid, v in taken:
+            del at[eid]
+            del adj[v][eid]
             batch.append(v)
-            self.counts[v] -= 1
-        self.counts[u] -= k
-        if self.counts[u] >= k:
+        if len(at) >= k:
             self.ready.append(u)
         self.size -= k
         self.meter.release(self._bkey, 4 * k)
@@ -267,19 +283,19 @@ class GroupedBatchDispatcher:
         return self.arrays[side][idx].on_batch(u, batch)
 
     def _collect_live(self) -> list[tuple[int, int]]:
+        # each edge is taken at the first of its endpoints in adj order and
+        # deleted at the other one
         edges: list[tuple[int, int]] = []
-        for x, lst in self.adj.items():
-            while lst:
-                y, eid = lst.popleft()
-                if self.alive[eid]:
-                    self.alive[eid] = False
-                    edges.append((x, y))
-        self.counts.clear()
+        adj = self.adj
+        for x, at in adj.items():
+            for eid, y in at.items():
+                edges.append((x, y))
+                del adj[y][eid]
+        adj.clear()
         self.ready.clear()
         released = self.size
         self.size = 0
         self.meter.release(self._bkey, 4 * released)
-        self.adj.clear()
         return edges
 
     def _flush(self) -> list[ColorAssignment]:

@@ -282,7 +282,7 @@ class _EdgeBipartite(_Pipeline):
     """Edge arrivals on a declared-bipartite graph (no bipartization)."""
 
     def __init__(self, header, seed, meter, alloc, alg, s):
-        self.header = header
+        self.n_online = header.n_online
         n = header.n_total
         if alg == "edge-sqrt":
             self.dispatcher = BatchIndexDispatcher(
@@ -304,16 +304,13 @@ class _EdgeBipartite(_Pipeline):
             self._grouped = True
 
     def feed(self, event):
-        h = self.header
-        a, b = event.u, event.v
-        aside = 0 if a < h.n_online else 1
-        bside = 0 if b < h.n_online else 1
-        if aside == bside:
+        a, b = event
+        a_online = a < self.n_online
+        if a_online == (b < self.n_online):
             raise ModeMismatch(f"edge ({a}, {b}) does not cross the declared sides")
-        if self._grouped:
+        if self._grouped or a_online:
             return self.dispatcher.feed_edge(a, b)
-        u, v = (a, b) if aside == 0 else (b, a)  # online endpoint owns the buffer slot
-        return self.dispatcher.feed_edge(u, v)
+        return self.dispatcher.feed_edge(b, a)  # online endpoint owns the buffer slot
 
     def finalize(self):
         return self.dispatcher.finalize()

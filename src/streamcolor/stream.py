@@ -150,14 +150,14 @@ def _events(header: StreamHeader, it: Iterator[str]) -> Iterator[StreamEvent]:
     mode = header.mode
     n = header.n_total
     degrees: dict[int, int] = {}
+    degree = degrees.get
     lineno = 1
 
     for raw in it:
         lineno += 1
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         kind = parts[0]
 
         if kind == "e":
@@ -173,8 +173,8 @@ def _events(header: StreamHeader, it: Iterator[str]) -> Iterator[StreamEvent]:
                 raise MalformedLine(f"line {lineno}: vertex id outside [0, {n})")
             if u == v:
                 raise SelfLoop(f"line {lineno}: self-loop at vertex {u}")
-            du = degrees.get(u, 0) + 1
-            dv = degrees.get(v, 0) + 1
+            du = degree(u, 0) + 1
+            dv = degree(v, 0) + 1
             if du > delta or dv > delta:
                 who = u if du > delta else v
                 raise DegreeExceeded(f"line {lineno}: vertex {who} passes delta={delta}")
@@ -199,7 +199,7 @@ def _events(header: StreamHeader, it: Iterator[str]) -> Iterator[StreamEvent]:
 
         elif kind == "H":
             raise MalformedLine(f"line {lineno}: second header line")
-        else:
+        elif kind[0] != "#":  # a first token starting with '#' marks a comment
             raise MalformedLine(f"line {lineno}: unknown record {kind!r}")
 
 

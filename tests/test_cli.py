@@ -105,6 +105,26 @@ def test_internal_bound_violation_exits_four(tmp_path, monkeypatch):
                    "-o", str(tmp_path / "o.txt")) == 4
 
 
+def test_other_internal_errors_exit_four_without_a_traceback(tmp_path, monkeypatch, capsys):
+    import streamcolor.cli as cli_mod
+    from streamcolor.errors import PeriodTooSmall
+
+    stream = tmp_path / "s.txt"
+    run_cli("gen", "--family", "regular-bipartite", "--n", "16", "--delta", "4",
+            "--mode", "edge", "--seed", "1", "-o", str(stream))
+    capsys.readouterr()
+
+    def boom(*args, **kwargs):
+        raise PeriodTooSmall("period 2 cannot hold three distinct shifts")
+
+    monkeypatch.setattr(cli_mod, "run_stream", boom)
+    assert run_cli("run", str(stream), "--alg", "edge-sqrt",
+                   "-o", str(tmp_path / "o.txt")) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "internal error: period 2 cannot hold three distinct shifts"
+    assert not any("Traceback" in line for line in err)
+
+
 def test_env_seed_overrides_flag(tmp_path, monkeypatch):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     args = ["gen", "--family", "regular-bipartite", "--n", "16", "--delta", "2",
@@ -163,6 +183,22 @@ def test_bench_runs_a_tiny_grid(tmp_path, capsys):
     rows = out[header_at + 1 :]
     assert len(rows) == 2
     assert all(",true," in row for row in rows)
+
+
+@pytest.mark.parametrize("missing", ["preset", "mode", "n", "delta"])
+def test_bench_config_missing_a_run_key_exits_three(tmp_path, capsys, missing):
+    lines = {
+        "preset": 'preset = "one-sided"',
+        "mode": 'mode = "vertex-one-sided"',
+        "n": "n = 16",
+        "delta": "delta = 4",
+    }
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("[run]\n" + "".join(v + "\n" for k, v in lines.items() if k != missing))
+    assert run_cli("bench", "--config", str(cfg)) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: config run block 1: missing key {missing!r}\n"
+    assert "preset," not in captured.out
 
 
 def test_run_rejects_vertex_ids_outside_the_header_range(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -7,9 +8,8 @@ from streamcolor.dispatch import (
     GroupedBatchDispatcher,
     batch_route,
     ceil_sqrt,
-    group_route,
 )
-from streamcolor.errors import FlushBudgetExceeded
+from streamcolor.errors import BoundViolation, FlushBudgetExceeded
 from streamcolor.meter import SpaceMeter
 from streamcolor.palette import ColorAllocator
 
@@ -22,13 +22,6 @@ def test_batch_route_formula():
     assert batch_route(3, 2, 4) == 1
     assert batch_route(4, 0, 4) == 0  # wraps at k
     assert batch_route(1, 0, 4) == 1
-
-
-def test_group_route_formula():
-    # width 2: batch 5 sits in group 3; shifted by 1 mod 3 -> instance 1
-    assert group_route(5, 2, 1, 3) == 1
-    assert group_route(1, 6, 0, 1) == 0  # single instance when s = 1
-    assert group_route(1, 2, 2, 3) == 0
 
 
 def checker(assignments):
@@ -146,7 +139,7 @@ def test_grouped_drains_every_full_vertex_at_the_checkpoint():
     for j in range(2):
         out += d.feed_edge(3 + j, 1000 + 8 + j)
     # checkpoint fired at size 10: both full vertices must have been drained
-    assert d.counts.get(1, 0) < d.k and d.counts.get(2, 0) < d.k
+    assert len(d.adj.get(1, ())) < d.k and len(d.adj.get(2, ())) < d.k
     assert len(out) == 8
     out += d.finalize()
     assert len(out) == 10
@@ -176,3 +169,162 @@ def test_grouped_leftover_is_colored_at_finalize():
 def test_s_is_clamped_to_the_batch_width():
     d, _, _ = grouped(delta=16, s=99, cap=100)
     assert d.s == d.k == 4
+
+
+class DequeBufferDispatcher(GroupedBatchDispatcher):
+    """Reference buffer: per-vertex deques of (other, edge id) with lazy
+    deletion through a list of live flags, one per edge ever fed, and a
+    separate per-vertex count. The dispatcher must drain, flush and route
+    exactly as this does."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.adj = {}
+        self.alive: list[bool] = []
+        self.counts: dict[int, int] = {}
+
+    def feed_edge(self, a, b):
+        eid = len(self.alive)
+        self.alive.append(True)
+        for x, y in ((a, b), (b, a)):
+            lst = self.adj.get(x)
+            if lst is None:
+                lst = self.adj[x] = deque()
+            lst.append((y, eid))
+            cnt = self.counts.get(x, 0) + 1
+            self.counts[x] = cnt
+            if cnt == self.k:
+                self.ready.append(x)
+        self.size += 1
+        self.meter.add(self._bkey, 4)
+        if self.size < self.cap:
+            return []
+        return self._checkpoint()
+
+    def _pop_ready(self):
+        while self.ready:
+            u = self.ready.popleft()
+            if self.counts.get(u, 0) >= self.k:
+                return u
+        return None
+
+    def _extract(self, u):
+        k = self.k
+        lst = self.adj[u]
+        batch = []
+        while len(batch) < k:
+            v, eid = lst.popleft()
+            if not self.alive[eid]:
+                continue
+            self.alive[eid] = False
+            batch.append(v)
+            self.counts[v] -= 1
+        self.counts[u] -= k
+        if self.counts[u] >= k:
+            self.ready.append(u)
+        self.size -= k
+        self.meter.release(self._bkey, 4 * k)
+
+        count = self.batch_count.get(u)
+        if count is None:
+            count = 0
+            self.group_shift[u] = self.rng.randrange(self.s)
+            self.meter.add(self._ckey, 2)
+        count += 1
+        self.batch_count[u] = count
+        group = -(-count // self.group_width)
+        if group > self.max_groups:
+            raise BoundViolation(f"{self.name}: vertex {u} exceeded {self.max_groups} groups")
+        idx = (group + self.group_shift[u]) % self.s
+        return self.arrays[self.side_of(u)][idx].on_batch(u, batch)
+
+    def _collect_live(self):
+        edges = []
+        for x, lst in self.adj.items():
+            while lst:
+                y, eid = lst.popleft()
+                if self.alive[eid]:
+                    self.alive[eid] = False
+                    edges.append((x, y))
+        self.counts.clear()
+        self.ready.clear()
+        released = self.size
+        self.size = 0
+        self.meter.release(self._bkey, 4 * released)
+        self.adj.clear()
+        return edges
+
+
+def random_multigraph_stream(rng, n_side, delta, m):
+    """Up to m random cross-side edges, parallel edges allowed, degrees <= delta."""
+    degree = [0] * (2 * n_side)
+    edges = []
+    for _ in range(m):
+        u = rng.randrange(n_side)
+        v = n_side + rng.randrange(n_side)
+        if degree[u] < delta and degree[v] < delta:
+            degree[u] += 1
+            degree[v] += 1
+            edges.append((u, v) if rng.random() < 0.5 else (v, u))
+    return edges
+
+
+def run_grouped(cls, edges, n_side, delta, s, cap, seed):
+    meter = SpaceMeter()
+    d = cls(
+        delta,
+        s,
+        cap,
+        side_of=lambda v: 0 if v < n_side else 1,
+        seed=seed,
+        meter=meter,
+        allocator=ColorAllocator(),
+        flush_bound=10_000,
+    )
+    trace = []
+    for u, v in edges:
+        trace.append((d.feed_edge(u, v), meter.current_words, meter.peak_words))
+    trace.append((d.finalize(), meter.current_words, meter.peak_words))
+    return trace, dict(meter.ledger), d.flushes
+
+
+def test_grouped_buffer_matches_the_deque_reference():
+    rng = random.Random(2024)
+    flushed = 0
+    for case in range(300):
+        delta, s = [(4, 1), (9, 2), (16, 1), (16, 3), (25, 2)][case % 5]
+        n_side = rng.randint(3, 12)
+        edges = random_multigraph_stream(rng, n_side, delta, rng.randint(1, n_side * delta))
+        cap = rng.randint(2, max(2, n_side * s))
+        seed = rng.randrange(1 << 30)
+        got = run_grouped(GroupedBatchDispatcher, edges, n_side, delta, s, cap, seed)
+        want = run_grouped(DequeBufferDispatcher, edges, n_side, delta, s, cap, seed)
+        assert got == want, f"case {case}"
+        flushed += got[2] > 0
+    assert flushed > 100
+
+
+def test_grouped_buffer_footprint_is_bounded_by_the_buffered_edges():
+    n, delta, s = 256, 32, 1
+    edges = regular_bipartite_edges(n, delta, seed=9)
+    meter = SpaceMeter()
+    d = GroupedBatchDispatcher(
+        delta,
+        s,
+        2 * n * s,
+        side_of=lambda v: 0 if v < n else 1,
+        seed=1,
+        meter=meter,
+        allocator=ColorAllocator(),
+        flush_bound=10_000,
+    )
+    bound = 2 * d.cap  # 1,024 against 8,192 edges fed
+    for u, v in edges:
+        d.feed_edge(u, v)
+        assert sum(map(len, d.adj.values())) == 2 * d.size
+        assert meter.ledger.get(d._bkey, 0) == 4 * d.size
+        for name, value in vars(d).items():
+            if hasattr(value, "__len__"):
+                assert len(value) <= bound, name
+    assert d.flushes > 0
+    assert len(edges) > 4 * bound

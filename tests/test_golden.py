@@ -35,6 +35,14 @@ CASES = [
     ("edge-general-s2-forced", "regular-bipartite", "edge", 32, 0, "edge-general",
      ("--s", "2", "--force-stream"),
      "fc84e8bb296a5412150d53a3579e8df5b92a739a9370e1ece9d1d7017df549d4"),
+    # s=1 caps the grouped buffer at n edges: 14 flushes at this seed
+    ("edge-general-s1-forced", "regular-bipartite", "edge", 32, 0, "edge-general",
+     ("--s", "1", "--force-stream"),
+     "d8105a8079268d6334c8146a303540041a77b615c7b2f712770c81fd704faf2a"),
+    # one EdgeBipartization level over grouped dispatchers sharing one meter
+    ("edge-general-general", "regular-general", "edge", 64, 0, "edge-general",
+     ("--s", "2", "--force-stream"),
+     "8d3c8f6a4258509411f611d51cc688e310b857c903f0bcad97a95c6dc3b79522"),
     ("offline-exact", "regular-bipartite", "vertex-one-sided", 32, 0, "offline-exact", (),
      "7a8ddbe72cd320404fb4aba139124b7119b99d776d3a58282e7da8590cb200a4"),
     ("offline-greedy", "regular-general", "edge", 32, 0, "offline-greedy", (),
