@@ -13,8 +13,9 @@ generator spec; 3 input/stream errors (mode mismatch, degree violations,
 vertex ids out of range, malformed lines, a non-integer STREAMCOLOR_SEED);
 4 internal randomized-bound violation, or any other internal error of a run
 (for example a shift period too small); 5 parse errors while verifying. A
-bench config that is malformed or lacks `preset`, `mode`, `n` or `delta`
-in a run block exits 3.
+bench config that cannot be read, is malformed, lacks `preset`, `mode`,
+`n` or `delta` in a run block, or gives a non-integer where a grid value
+or `jobs` must be an integer exits 3 with one `input error:` line.
 The environment variable STREAMCOLOR_SEED overrides any --seed flag.
 """
 
@@ -113,7 +114,7 @@ def cmd_run(args) -> int:
             seed=args.seed,
             emit=writer.emit,
         )
-        writer.trailer(stats.peak_words)
+        writer.trailer(stats.colors_used, stats.peak_words)
         print(
             f"colors used: {stats.colors_used}  peak words: {stats.peak_words}  "
             f"spilled: {stats.spilled_vertices} arrivals / {stats.spilled_edges} edges",
@@ -216,6 +217,20 @@ def _as_list(value) -> list:
 _REQUIRED_RUN_KEYS = ("preset", "mode", "n", "delta")
 
 
+def _int(value, where: str) -> int:
+    """An int, or an int's digits in quotes; a float or a bool is not one."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and value.strip().lstrip("+-").isdecimal():
+        return int(value)
+    raise MalformedLine(f"{where}: {value!r} is not an integer")
+
+
+def _ints(block: dict, key: str, default, number: int) -> list[int]:
+    where = f"config run block {number}: key {key!r}"
+    return [_int(v, where) for v in _as_list(block.get(key, default))]
+
+
 def expand_bench_config(text: str) -> tuple[list[harness.RunRequest], dict]:
     top, blocks = parse_bench_config(text)
     requests: list[harness.RunRequest] = []
@@ -228,35 +243,45 @@ def expand_bench_config(text: str) -> tuple[list[harness.RunRequest], dict]:
         mode = merged["mode"]
         force = bool(merged.get("force_stream", False))
         seeds = merged.get("seeds", 1)
-        seed_list = list(range(int(seeds))) if isinstance(seeds, int) else list(seeds)
+        if isinstance(seeds, (list, tuple)):
+            seed_list = _ints(merged, "seeds", None, number)
+        else:  # seeds = N means seeds 0..N-1
+            seed_list = list(range(_int(seeds, f"config run block {number}: key 'seeds'")))
+        batch_size = _int(
+            merged.get("batch_size", 0), f"config run block {number}: key 'batch_size'"
+        )
         for family in _as_list(merged.get("families", merged.get("family", "regular-bipartite"))):
-            for n in _as_list(merged["n"]):
-                for delta in _as_list(merged["delta"]):
-                    for s in _as_list(merged.get("s", 1)):
+            for n in _ints(merged, "n", None, number):
+                for delta in _ints(merged, "delta", None, number):
+                    for s in _ints(merged, "s", 1, number):
                         for seed in seed_list:
                             spec = harness.GenSpec(
                                 family=family,
-                                n=int(n),
-                                delta=int(delta),
+                                n=n,
+                                delta=delta,
                                 mode=mode,
-                                seed=int(seed),
-                                batch_size=int(merged.get("batch_size", 0)),
+                                seed=seed,
+                                batch_size=batch_size,
                             )
                             requests.append(
-                                harness.RunRequest(preset, spec, s=int(s), force_stream=force)
+                                harness.RunRequest(preset, spec, s=s, force_stream=force)
                             )
     return requests, top
 
 
 def cmd_bench(args) -> int:
-    with open(args.config) as fh:
-        text = fh.read()
+    try:
+        with open(args.config) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"input error: cannot read config: {exc}", file=sys.stderr)
+        return 3
     try:
         requests, top = expand_bench_config(text)
+        jobs = args.jobs or _int(top.get("jobs", 1), "config key 'jobs'")
     except MalformedLine as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
-    jobs = args.jobs or int(top.get("jobs", 1))
     for key in sorted(top):
         print(f"# {key}={top[key]}")
     print(harness.CSV_HEADER)

@@ -10,7 +10,10 @@ Three colorers, all proper by construction:
   path both colors stay present, so the two edge indices trade places
   in the color table and only the masks of the path's two ends change.
   O(m * D) worst case, ample for the buffer flushes and spill sets it
-  serves.
+  serves. The color table has two layouts with the same steps and
+  colors under one charge: flat rows of D cells per vertex when every
+  vertex has degree D, so that the n_v * D cells are 2m, and one
+  color -> edge dict per vertex (2m entries) otherwise.
 * `color_general` colors any simple graph with at most D + 1 colors.
   Each edge takes the lowest color in [0, D + 1) free at both
   endpoints; only when there is none does it run the fan-rotation step
@@ -31,6 +34,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .errors import NotBipartite
 from .meter import SpaceMeter
@@ -124,7 +128,20 @@ def color_bipartite_exact(graph: OfflineGraph, meter: SpaceMeter | None = None) 
     words = _scratch_words(len(edges)) + graph.vertex_count * -(-dmax // 64)
     if meter:
         meter.add("offline-scratch", words)
+    # The degrees sum to 2m <= n_v * D, with equality exactly when every
+    # vertex has degree D: only then do n_v rows of D cells fit in the
+    # 2 table words per edge that the charge covers.
+    if graph.vertex_count * dmax <= 2 * len(edges):
+        colors = _exact_rows(edges, dmax)
+    else:
+        colors = _exact_dicts(edges, dmax)
+    if meter:
+        meter.release("offline-scratch", words)
+    return colors
 
+
+def _exact_dicts(edges: list[Edge], dmax: int) -> list[int]:
+    """The exact colorer over one color -> edge dict per vertex."""
     # table[v][color] = index of the edge carrying that color at v;
     # bit c of used[v] is set exactly when c is a key of table[v]
     table: defaultdict[int, dict[int, int]] = defaultdict(dict)
@@ -179,10 +196,78 @@ def color_bipartite_exact(graph: OfflineGraph, meter: SpaceMeter | None = None) 
         used[v] = mv | bit
         table[u][c] = idx
         table[v][c] = idx
-
-    if meter:
-        meter.release("offline-scratch", words)
     return colors
+
+
+def _exact_rows(edges: list[Edge], dmax: int) -> list[int]:
+    """The exact colorer over one flat table of D cells per vertex.
+
+    Same steps and colors as `_exact_dicts`. Vertices get rows in order of
+    first appearance; cell `row + c` holds the edge carrying color c there.
+    `ends[e]` is the xor of the rows of e's two ends, so one xor steps
+    along a path, and no color is written during a flip: at the end the
+    colors are read off the rows into `ends`, which is returned. Correct
+    on any bipartite input; cells stay empty only at vertices of degree
+    below D, which `color_bipartite_exact` never sends here.
+    """
+    order = dict.fromkeys(chain.from_iterable(edges))
+    row = dict(zip(order, range(0, len(order) * dmax, dmax)))
+    used = dict.fromkeys(row.values(), 0)  # row -> used-color bitmask
+    ends = [row[a] ^ row[b] for a, b in edges]
+    tab: list[int | None] = [None] * (len(order) * dmax)
+    full = (1 << dmax) - 1
+
+    for idx, (u, v) in enumerate(edges):
+        ru = row[u]
+        rv = row[v]
+        mu = used[ru]
+        mv = used[rv]
+        free = full & ~(mu | mv)
+        if free:
+            bit = free & -free
+            c = bit.bit_length() - 1
+        else:
+            # the alpha/beta path from v, flipped as in `_exact_dicts`; the
+            # cell of alpha at v is overwritten with idx below
+            bit = ~mu & (mu + 1)
+            beta_bit = ~mv & (mv + 1)
+            alpha = bit.bit_length() - 1
+            beta = beta_bit.bit_length() - 1
+            swap = bit | beta_bit
+            mv ^= swap
+            e = tab[rv + alpha]
+            tab[rv + beta] = e
+            x = rv
+            while True:  # two steps a turn: e arrives as alpha, then nxt as beta
+                x ^= ends[e]
+                nxt = tab[x + beta]
+                if nxt is None:
+                    tab[x + alpha] = None
+                    tab[x + beta] = e
+                    used[x] ^= swap
+                    break
+                tab[x + beta] = e
+                tab[x + alpha] = nxt
+                x ^= ends[nxt]
+                e = tab[x + alpha]
+                if e is None:
+                    tab[x + beta] = None
+                    tab[x + alpha] = nxt
+                    used[x] ^= swap
+                    break
+                tab[x + alpha] = nxt
+                tab[x + beta] = e
+            c = alpha
+        used[ru] = mu | bit
+        used[rv] = mv | bit
+        tab[ru + c] = idx
+        tab[rv + c] = idx
+
+    for c in range(dmax):
+        for e in tab[c::dmax]:
+            if e is not None:
+                ends[e] = c
+    return ends
 
 
 def _invert_path(

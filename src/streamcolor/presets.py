@@ -378,11 +378,13 @@ class _StoreAll(_Pipeline):
 
     def feed(self, event):
         if type(event) is EdgeArrival:
-            pairs = [(event.u, event.v)]
+            self.edges.append((event.u, event.v))
+            self.meter.add("stored-graph", 2)
         else:
-            pairs = [(event.u, v) for v in event.neighbors]
-        self.edges.extend(pairs)
-        self.meter.add("stored-graph", 2 * len(pairs))
+            u = event.u
+            pairs = [(u, v) for v in event.neighbors]
+            self.edges.extend(pairs)
+            self.meter.add("stored-graph", 2 * len(pairs))
         return []
 
     def finalize(self):

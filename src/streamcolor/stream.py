@@ -243,13 +243,12 @@ def serialize_stream(header: StreamHeader, events: Iterable[StreamEvent]) -> str
 
 
 class AssignmentWriter:
-    """Streams `c` lines to a sink and tracks the set of colors used."""
+    """Streams `c` lines to a sink, then the `T` trailer."""
 
-    __slots__ = ("sink", "colors", "count")
+    __slots__ = ("sink", "count")
 
     def __init__(self, sink: TextIO):
         self.sink = sink
-        self.colors: set[int] = set()
         self.count = 0
 
     def emit(self, u: int, v: int, color: int) -> None:
@@ -259,20 +258,16 @@ class AssignmentWriter:
         or closes, and `streamcolor run` closes its output file on every exit
         path, so an aborted run still leaves every line it emitted.
         """
-        self.colors.add(color)
         self.count += 1
         try:
             self.sink.write(f"c {u} {v} {color}\n")
         except ValueError as exc:
             raise IoFailure("output sink is closed") from exc
 
-    @property
-    def colors_used(self) -> int:
-        return len(self.colors)
-
-    def trailer(self, peak_words: int) -> None:
+    def trailer(self, colors_used: int, peak_words: int) -> None:
+        """Write `T colors_used peak_words`; the run counts its own colors."""
         try:
-            self.sink.write(f"T {self.colors_used} {peak_words}\n")
+            self.sink.write(f"T {colors_used} {peak_words}\n")
         except ValueError as exc:
             raise IoFailure("output sink is closed") from exc
 

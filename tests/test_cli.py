@@ -201,6 +201,32 @@ def test_bench_config_missing_a_run_key_exits_three(tmp_path, capsys, missing):
     assert "preset," not in captured.out
 
 
+def test_bench_config_that_cannot_be_opened_exits_three(tmp_path, capsys):
+    missing = tmp_path / "no-such.cfg"
+    assert run_cli("bench", "--config", str(missing)) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: cannot read config: ")
+    assert captured.err.count("\n") == 1 and str(missing) in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('n = "abc"', "config run block 1: key 'n': 'abc' is not an integer"),
+        ("s = [1, 1.5]", "config run block 1: key 's': 1.5 is not an integer"),
+    ],
+)
+def test_bench_config_with_a_non_integer_grid_value_exits_three(tmp_path, capsys, line, message):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text('[run]\npreset = "one-sided"\nmode = "vertex-one-sided"\n'
+                   f"n = 16\ndelta = 4\n{line}\n")
+    assert run_cli("bench", "--config", str(cfg)) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: {message}\n"
+    assert "preset," not in captured.out
+
+
 def test_run_rejects_vertex_ids_outside_the_header_range(tmp_path, capsys):
     stream = tmp_path / "s.txt"
     stream.write_text("H 2 2 2 edge 0 1\ne 0 1\ne 0 999999\n")

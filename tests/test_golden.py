@@ -45,6 +45,12 @@ CASES = [
      "8d3c8f6a4258509411f611d51cc688e310b857c903f0bcad97a95c6dc3b79522"),
     ("offline-exact", "regular-bipartite", "vertex-one-sided", 32, 0, "offline-exact", (),
      "7a8ddbe72cd320404fb4aba139124b7119b99d776d3a58282e7da8590cb200a4"),
+    # every vertex has degree 32: the exact colorer's flat per-vertex rows
+    ("offline-exact-regular", "adversarial-frontload", "edge", 32, 0, "offline-exact", (),
+     "f44c06acee29d657e099ce7b9709104e5a8248e1130648a8e68da0862f4f2277"),
+    # 4,472 edges on 512 vertices, not regular: its per-vertex dicts
+    ("offline-exact-irregular", "random-bipartite", "edge", 32, 0, "offline-exact", (),
+     "c045e3a380da1d608b271929af261b7fcd6601f6230bd4aec9e15c1cf5c6edb6"),
     ("offline-greedy", "regular-general", "edge", 32, 0, "offline-greedy", (),
      "987e8196905c7fe4adde429c89791fb3156159c8eeed0f6b7bf3e759232dcb8a"),
 ]

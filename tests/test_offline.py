@@ -3,11 +3,14 @@ import random
 
 import pytest
 
+from streamcolor import offline
 from streamcolor.errors import NotBipartite
 from streamcolor.harness import GenSpec, build_edges
 from streamcolor.meter import SpaceMeter
 from streamcolor.offline import (
     OfflineGraph,
+    _exact_dicts,
+    _exact_rows,
     color_bipartite_exact,
     color_general,
     color_greedy,
@@ -153,8 +156,11 @@ def test_one_walk_flip_matches_the_two_phase_reference_on_small_graphs():
     flipped = 0
     for _ in range(4000):
         edges, sides = random_bipartite(rng, max_edges=12)
-        colors = color_bipartite_exact(OfflineGraph(edges, sides))
+        graph = OfflineGraph(edges, sides)
+        colors = color_bipartite_exact(graph)
         assert colors == two_phase_bipartite_exact(OfflineGraph(edges, sides))
+        assert _exact_rows(edges, graph.max_degree) == colors  # either table layout
+        assert _exact_dicts(edges, graph.max_degree) == colors
         flipped += colors != color_greedy(OfflineGraph(edges))
     assert flipped > 0  # lowest shared color alone was not enough somewhere
 
@@ -182,6 +188,7 @@ def test_exact_colorer_on_a_star_with_a_pendant_matching():
     colors = color_bipartite_exact(OfflineGraph(edges))
     assert max(color_greedy(OfflineGraph(edges))) == 70  # greedy needs one more
     assert colors == two_phase_bipartite_exact(OfflineGraph(edges))
+    assert _exact_rows(edges, 70) == colors == _exact_dicts(edges, 70)
     assert is_proper(edges, colors) and sorted(colors[70:]) == list(range(70))
     for seed in range(5):
         random.Random(seed).shuffle(edges)
@@ -200,6 +207,7 @@ def test_exact_colorer_matches_the_reference_and_charges_its_masks(delta):
     meter = SpaceMeter()
     colors = color_bipartite_exact(graph, meter)
     assert colors == two_phase_bipartite_exact(OfflineGraph(edges))
+    assert _exact_rows(edges, delta) == colors == _exact_dicts(edges, delta)
     assert is_proper(edges, colors) and max(colors) == delta - 1
     assert meter.peak_words == 3 * len(edges) + 320 * -(-delta // 64)
     assert meter.current_words == 0 and meter.consistent()
@@ -218,6 +226,55 @@ def test_exact_colorer_finds_its_own_witness():
     colors = color_bipartite_exact(OfflineGraph(edges))
     assert is_proper(edges, colors)
     assert max(colors) < 2
+
+
+# --- the two table layouts of the exact bipartite colorer ---
+
+
+def regular_multigraph(n, delta, seed):
+    """delta random perfect matchings between 0..n-1 and n..2n-1, the first
+    one twice: delta-regular, with parallel edges, in shuffled order."""
+    rng = random.Random(seed)
+    matchings = []
+    for _ in range(delta - 1):
+        right = list(range(n, 2 * n))
+        rng.shuffle(right)
+        matchings.append(list(zip(range(n), right)))
+    edges = [e for matching in [matchings[0], *matchings] for e in matching]
+    rng.shuffle(edges)
+    return edges
+
+
+def test_both_layouts_match_the_reference_on_a_regular_multigraph():
+    edges = regular_multigraph(64, 9, seed=5)
+    assert len(set(edges)) < len(edges)  # parallel edges
+    graph = OfflineGraph(edges)
+    assert graph.vertex_count * graph.max_degree == 2 * len(edges)
+    expected = two_phase_bipartite_exact(OfflineGraph(edges))
+    assert _exact_rows(edges, 9) == expected == _exact_dicts(edges, 9)
+    assert is_proper(edges, expected) and max(expected) == 8
+    assert expected != color_greedy(OfflineGraph(edges))  # some path was flipped
+
+
+def test_exact_colorer_charges_the_same_words_in_either_layout(monkeypatch):
+    taken = []
+    for name in ("_exact_rows", "_exact_dicts"):
+        real = getattr(offline, name)
+        monkeypatch.setattr(
+            offline, name, lambda *args, real=real, name=name: taken.append(name) or real(*args)
+        )
+    edges = build_edges(GenSpec("regular-bipartite", 80, 70, "edge", seed=3))
+    random.Random(3).shuffle(edges)
+    # 70-regular, then one edge short of it: two mask words per vertex both times
+    for block, layout in ((edges, "_exact_rows"), (edges[:-1], "_exact_dicts")):
+        graph = OfflineGraph(block)
+        assert graph.vertex_count == 160 and graph.max_degree == 70
+        meter = SpaceMeter()
+        colors = color_bipartite_exact(graph, meter)
+        assert taken.pop() == layout
+        assert meter.peak_words == 3 * len(block) + 160 * 2
+        assert meter.current_words == 0 and meter.consistent()
+        assert colors == two_phase_bipartite_exact(OfflineGraph(block))
 
 
 # --- fan-rotation colorer ---

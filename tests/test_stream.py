@@ -157,8 +157,8 @@ def test_writer_tracks_distinct_colors_and_trailer():
     w.emit(0, 5, 3)
     w.emit(1, 6, 3)
     w.emit(2, 7, 4)
-    w.trailer(peak_words=99)
-    assert w.colors_used == 2
+    w.trailer(colors_used=2, peak_words=99)
+    assert w.count == 3
     assert sink.getvalue().endswith("T 2 99\n")
 
 
