@@ -14,8 +14,11 @@ vertex ids out of range, malformed lines, a non-integer STREAMCOLOR_SEED);
 4 internal randomized-bound violation, or any other internal error of a run
 (for example a shift period too small); 5 parse errors while verifying. A
 bench config that cannot be read, is malformed, lacks `preset`, `mode`,
-`n` or `delta` in a run block, or gives a non-integer where a grid value
-or `jobs` must be an integer exits 3 with one `input error:` line.
+`n` or `delta` in a run block, names an unknown preset or one that cannot
+run on the block's mode, or gives a non-integer where a grid value or
+`jobs` must be an integer exits 3 with one `input error:` line; a grid
+value the generators reject (say `n = -3`) exits 2 with one
+`infeasible spec:` line. Both are found before any row runs.
 The environment variable STREAMCOLOR_SEED overrides any --seed flag.
 """
 
@@ -95,7 +98,7 @@ def cmd_run(args) -> int:
     sink = open(out_path, "w") if out_path else sys.stdout
     try:
         header, events = parse_stream(infile)
-        check_mode(header, args.alg)
+        check_mode(header.mode, args.alg)
         if args.alg == "edge-general" and clamp_s(header, args.s) != args.s:
             print(
                 f"warning: s={args.s} clamped to {clamp_s(header, args.s)} "
@@ -241,6 +244,10 @@ def expand_bench_config(text: str) -> tuple[list[harness.RunRequest], dict]:
                 raise MalformedLine(f"config run block {number}: missing key {key!r}")
         preset = merged["preset"]
         mode = merged["mode"]
+        try:
+            check_mode(mode, preset)
+        except (ValueError, ModeMismatch) as exc:  # unknown preset, or not on this mode
+            raise MalformedLine(f"config run block {number}: {exc}") from None
         force = bool(merged.get("force_stream", False))
         seeds = merged.get("seeds", 1)
         if isinstance(seeds, (list, tuple)):
@@ -263,6 +270,7 @@ def expand_bench_config(text: str) -> tuple[list[harness.RunRequest], dict]:
                                 seed=seed,
                                 batch_size=batch_size,
                             )
+                            harness.check_spec(spec)
                             requests.append(
                                 harness.RunRequest(preset, spec, s=s, force_stream=force)
                             )
@@ -282,6 +290,9 @@ def cmd_bench(args) -> int:
     except MalformedLine as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
+    except InfeasibleSpec as exc:
+        print(f"infeasible spec: {exc}", file=sys.stderr)
+        return 2
     for key in sorted(top):
         print(f"# {key}={top[key]}")
     print(harness.CSV_HEADER)

@@ -71,8 +71,6 @@ class GenSpec:
 def _bipartite_regular_edges(n: int, delta: int, rng) -> list[tuple[int, int]]:
     # union of delta disjoint matchings: left x joins right perm[(x + shift) % n],
     # with distinct shifts, then both sides relabeled at random
-    if delta > n:
-        raise InfeasibleSpec(f"regular bipartite needs delta <= n, got {delta} > {n}")
     shifts = list(range(n))
     rng.shuffle(shifts)
     shifts = shifts[:delta]
@@ -106,10 +104,6 @@ def _bipartite_random_edges(n: int, delta: int, rng) -> list[tuple[int, int]]:
 
 def _general_regular_edges(n: int, delta: int, rng) -> list[tuple[int, int]]:
     # circulant construction, then a random relabeling
-    if delta >= n:
-        raise InfeasibleSpec(f"regular general graph needs delta < n, got {delta} >= {n}")
-    if delta % 2 == 1 and n % 2 == 1:
-        raise InfeasibleSpec("odd delta needs an even vertex count")
     label = list(range(n))
     rng.shuffle(label)
     edges = []
@@ -126,29 +120,57 @@ def _general_regular_edges(n: int, delta: int, rng) -> list[tuple[int, int]]:
     return edges
 
 
+def _check_graph(spec: GenSpec) -> None:
+    """Raise InfeasibleSpec unless the family can build this graph."""
+    n, delta = spec.n, spec.delta
+    if delta < 1:
+        raise InfeasibleSpec("delta must be at least 1")
+    if n < 1:
+        raise InfeasibleSpec("n must be at least 1")
+    if spec.family in ("regular-bipartite", "adversarial-frontload"):
+        if delta > n:
+            raise InfeasibleSpec(f"regular bipartite needs delta <= n, got {delta} > {n}")
+    elif spec.family == "regular-general":
+        if delta >= n:
+            raise InfeasibleSpec(f"regular general graph needs delta < n, got {delta} >= {n}")
+        if delta % 2 == 1 and n % 2 == 1:
+            raise InfeasibleSpec("odd delta needs an even vertex count")
+    elif spec.family != "random-bipartite":
+        raise InfeasibleSpec(f"unknown family {spec.family!r}")
+
+
+def check_spec(spec: GenSpec) -> None:
+    """Raise InfeasibleSpec unless `generate` can render the spec; builds nothing."""
+    if spec.mode not in (MODE_EDGE, MODE_VERTEX_ONE_SIDED, MODE_VERTEX_TWO_SIDED, MODE_BATCH):
+        raise InfeasibleSpec(f"unknown mode {spec.mode!r}")
+    if spec.family == "regular-general" and spec.mode in (MODE_VERTEX_ONE_SIDED, MODE_BATCH):
+        raise InfeasibleSpec(f"{spec.family} cannot be presented {spec.mode}")
+    _check_graph(spec)
+    if spec.mode == MODE_BATCH:
+        k = spec.batch_size if spec.batch_size else _ceil_sqrt(spec.delta)
+        if spec.family not in ("regular-bipartite", "adversarial-frontload"):
+            raise InfeasibleSpec("batch streams need a regular bipartite family")
+        if spec.delta % k != 0:
+            raise InfeasibleSpec(
+                f"batch mode needs batch_size | delta, got {k} and {spec.delta}"
+            )
+
+
 def build_edges(spec: GenSpec) -> list[tuple[int, int]]:
     """The underlying edge set of a family, before arrival ordering."""
-    if spec.delta < 1:
-        raise InfeasibleSpec("delta must be at least 1")
-    if spec.n < 1:
-        raise InfeasibleSpec("n must be at least 1")
+    _check_graph(spec)
     rng = child_rng(spec.seed, 0xED6E)
     if spec.family in ("regular-bipartite", "adversarial-frontload"):
         return _bipartite_regular_edges(spec.n, spec.delta, rng)
     if spec.family == "random-bipartite":
         return _bipartite_random_edges(spec.n, spec.delta, rng)
-    if spec.family == "regular-general":
-        return _general_regular_edges(spec.n, spec.delta, rng)
-    raise InfeasibleSpec(f"unknown family {spec.family!r}")
+    return _general_regular_edges(spec.n, spec.delta, rng)
 
 
 def generate(spec: GenSpec) -> str:
     """Render a stream file for the spec; deterministic in the seed."""
-    if spec.mode not in (MODE_EDGE, MODE_VERTEX_ONE_SIDED, MODE_VERTEX_TWO_SIDED, MODE_BATCH):
-        raise InfeasibleSpec(f"unknown mode {spec.mode!r}")
+    check_spec(spec)
     bipartite = spec.family != "regular-general"
-    if not bipartite and spec.mode in (MODE_VERTEX_ONE_SIDED, MODE_BATCH):
-        raise InfeasibleSpec(f"{spec.family} cannot be presented {spec.mode}")
     edges = build_edges(spec)
     rng = child_rng(spec.seed, 0x08DE8)
     frontload = spec.family == "adversarial-frontload"
@@ -200,12 +222,6 @@ def generate(spec: GenSpec) -> str:
             lines.append(f"V {v} " + " ".join(map(str, nbrs)) if nbrs else f"V {v}")
     else:  # batch mode
         k = spec.batch_size if spec.batch_size else _ceil_sqrt(spec.delta)
-        if spec.family not in ("regular-bipartite", "adversarial-frontload"):
-            raise InfeasibleSpec("batch streams need a regular bipartite family")
-        if spec.delta % k != 0:
-            raise InfeasibleSpec(
-                f"batch mode needs batch_size | delta, got {k} and {spec.delta}"
-            )
         batch_size = k
         byu = {u: [] for u in range(n_online)}
         for a, b in edges:

@@ -16,17 +16,22 @@ Three colorers, all proper by construction:
   color -> edge dict per vertex (2m entries) otherwise.
 * `color_general` colors any simple graph with at most D + 1 colors.
   Each edge takes the lowest color in [0, D + 1) free at both
-  endpoints; only when there is none does it run the fan-rotation step
-  (Misra & Gries 1992): build a maximal fan, invert one two-colored
-  path in a single walk, rotate a fan prefix.
+  endpoints, read off per-vertex used-color bitmasks; only when there is
+  none does it run the fan-rotation step (Misra & Gries 1992): build a
+  maximal fan, invert one two-colored path in a single walk, rotate a
+  fan prefix. The fan grows by one mask step per vertex: its next vertex
+  sits behind the lowest color used at the center, free at the tip and
+  not yet taken into the fan. The path inversion changes the masks of
+  the path's two ends only, the rotation those of the fan vertices whose
+  edge to the center changes color.
 * `color_greedy` gives each edge the lowest color unused at either
   endpoint, never exceeding 2D - 1.
 
 Edges are processed in input order and color searches are lowest-first,
 so results are deterministic. Scratch tables are charged to the passed
-meter (2 table entries plus 1 result word per edge, and for the exact
-bipartite colorer ceil(D / 64) mask words per vertex) and released on
-exit.
+meter (2 table entries plus 1 result word per edge, plus ceil(D / 64)
+mask words per vertex for the exact bipartite colorer and
+ceil((D + 1) / 64) for `color_general`) and released on exit.
 """
 
 from __future__ import annotations
@@ -108,13 +113,6 @@ class OfflineGraph:
 
 def _scratch_words(m: int) -> int:
     return 3 * m  # two color-table entries plus one result word per edge
-
-
-def _lowest_free(used: dict[int, int], limit: int) -> int:
-    for c in range(limit):
-        if c not in used:
-            return c
-    raise AssertionError(f"no free color below {limit}")
 
 
 def color_bipartite_exact(graph: OfflineGraph, meter: SpaceMeter | None = None) -> list[int]:
@@ -271,12 +269,21 @@ def _exact_rows(edges: list[Edge], dmax: int) -> list[int]:
 
 
 def _invert_path(
-    table: dict[int, dict[int, int]], colors: dict[Edge, int], x: int, c: int, d: int
+    table: dict[int, dict[int, int]],
+    used: dict[int, int],
+    colors: dict[Edge, int],
+    x: int,
+    c: int,
+    d: int,
 ) -> None:
     """Swap c and d on the maximal path from x (which misses c) that alternates d, c.
 
     One walk: at each vertex passed the two table entries trade places.
+    Both colors stay present at every inner vertex, so only the masks of
+    the path's two ends change.
     """
+    swap = (1 << c) | (1 << d)
+    used[x] ^= swap
     want, other = d, c
     while True:
         tx = table[x]
@@ -285,6 +292,7 @@ def _invert_path(
         if back is not None:
             tx[want] = back
         if y is None:
+            used[x] ^= swap
             return
         tx[other] = y
         colors[(x, y) if x < y else (y, x)] = other
@@ -293,60 +301,68 @@ def _invert_path(
 
 
 def _fan_insert(
-    table: dict[int, dict[int, int]], colors: dict[Edge, int], u: int, v: int, palette: int
+    table: dict[int, dict[int, int]], used: dict[int, int], colors: dict[Edge, int], u: int, v: int
 ) -> None:
-    """Color (u, v) when no color below `palette` is free at both ends.
+    """Color (u, v) when no color of the palette is free at both ends.
 
     Misra & Gries 1992: grow a maximal fan at u from v, free the tip's
     lowest free color d at u by inverting one c/d path, then rotate the
     shortest fan prefix whose tip misses d.
     """
     tu = table[u]
+    mu = used[u]
     fan = [v]
-    in_fan = {v}
-    # colored edges at u, lowest color first; fixed while the fan grows
-    candidates = sorted(tu.items())
-    tip = table[v]
-    while True:  # extend to a maximal fan
-        for c, w in candidates:
-            if c not in tip and w not in in_fan:
-                fan.append(w)
-                in_fan.add(w)
-                tip = table[w]
-                break
-        else:
+    # Each fan vertex after v is reached through exactly one color at u,
+    # so leaving out the colors taken so far leaves out the fan's vertices:
+    # the next vertex is the one behind the lowest color used at u, free
+    # at the tip and not yet taken, and a fan costs one step per vertex.
+    rest = mu  # colors at u not taken into the fan
+    tip = v
+    while True:
+        avail = rest & ~used[tip]
+        if not avail:
             break
+        bit = avail & -avail
+        rest ^= bit
+        tip = tu[bit.bit_length() - 1]
+        fan.append(tip)
 
-    c = _lowest_free(tu, palette)
-    d = _lowest_free(tip, palette)
-    if d in tu:
-        _invert_path(table, colors, u, c, d)  # afterwards d is free at u
+    c = (~mu & (mu + 1)).bit_length() - 1  # lowest free at u
+    mt = used[tip]
+    dbit = ~mt & (mt + 1)  # lowest free at the tip
+    d = dbit.bit_length() - 1
+    if mu & dbit:
+        _invert_path(table, used, colors, u, c, d)  # afterwards d is free at u
         if d in tu:
             raise AssertionError("path inversion failed to free the fan color")
 
     # the first fan vertex missing d, provided the fan chain (the color of
     # (u, fan[i+1]) is free at fan[i]) still holds up to it
     target = 0
-    while d in table[fan[target]]:
+    while used[fan[target]] & dbit:
         if target + 1 == len(fan):
             raise AssertionError("no rotatable fan prefix")
         nxt = fan[target + 1]
-        if colors[(u, nxt) if u < nxt else (nxt, u)] in table[fan[target]]:
+        if used[fan[target]] >> colors[(u, nxt) if u < nxt else (nxt, u)] & 1:
             raise AssertionError("fan chain broken before a vertex missing d")
         target += 1
 
     # rotate the prefix: each fan edge takes the color of its successor,
-    # the tip takes d
+    # the tip takes d; u keeps its colors and gains d
     for i in range(target):
         w, nxt = fan[i], fan[i + 1]
         c = colors[(u, nxt) if u < nxt else (nxt, u)]
         del table[nxt][c]
+        used[nxt] ^= 1 << c
         table[w][c] = u
+        used[w] |= 1 << c
         tu[c] = w
         colors[(u, w) if u < w else (w, u)] = c
     w = fan[target]
     table[w][d] = u
+    used[w] |= dbit
     tu[d] = w
+    used[u] |= dbit
     colors[(u, w) if u < w else (w, u)] = d
 
 
@@ -356,31 +372,34 @@ def color_general(graph: OfflineGraph, meter: SpaceMeter | None = None) -> list[
     if not edges:
         return []
     palette = graph.max_degree + 1
-    words = _scratch_words(len(edges))
+    # plus one used-color bitmask of ceil((D + 1) / 64) words per vertex
+    words = _scratch_words(len(edges)) + graph.vertex_count * -(-palette // 64)
     if meter:
         meter.add("offline-scratch", words)
 
-    table: dict[int, dict[int, int]] = {}  # vertex -> color -> neighbor
+    table: defaultdict[int, dict[int, int]] = defaultdict(dict)  # vertex -> color -> neighbor
+    # bit c of used[x] is set exactly when c is a key of table[x]
+    used: defaultdict[int, int] = defaultdict(int)
     colors: dict[Edge, int] = {}  # (low end, high end) -> color
+    full = (1 << palette) - 1
 
     for u, v in edges:
         e = (u, v) if u < v else (v, u)
         if e in colors:
             continue
-        tu = table.get(u)
-        if tu is None:
-            tu = table[u] = {}
-        tv = table.get(v)
-        if tv is None:
-            tv = table[v] = {}
-        for c in range(palette):
-            if c not in tu and c not in tv:
-                colors[e] = c
-                tu[c] = v
-                tv[c] = u
-                break
+        mu = used[u]
+        mv = used[v]
+        free = full & ~(mu | mv)
+        if free:
+            bit = free & -free
+            c = bit.bit_length() - 1
+            colors[e] = c
+            used[u] = mu | bit
+            used[v] = mv | bit
+            table[u][c] = v
+            table[v][c] = u
         else:
-            _fan_insert(table, colors, u, v, palette)
+            _fan_insert(table, used, colors, u, v)
 
     out = [colors[(a, b) if a < b else (b, a)] for a, b in edges]
     if meter:

@@ -264,12 +264,12 @@ class _GeneralVertex(_Pipeline):
         self.arrived: set[int] = set()
 
     def feed(self, event):
-        u = event.u
-        for v in event.neighbors:
-            if v not in self.arrived:
-                raise ModeMismatch(f"neighbor {v} of {u} has not arrived yet")
+        u, neighbors = event
+        if not self.arrived.issuperset(neighbors):
+            v = next(v for v in neighbors if v not in self.arrived)
+            raise ModeMismatch(f"neighbor {v} of {u} has not arrived yet")
         self.arrived.add(u)
-        return self.tree.on_vertex(u, list(event.neighbors))
+        return self.tree.on_vertex(u, neighbors)
 
     def finalize(self):
         return self.tree.finalize()
@@ -432,11 +432,11 @@ _MODE_FOR_ALG = {
 }
 
 
-def check_mode(header: StreamHeader, alg: str) -> None:
+def check_mode(mode: str, alg: str) -> None:
     if alg not in PRESETS:
         raise ValueError(f"unknown preset {alg!r}")
-    if header.mode not in _MODE_FOR_ALG[alg]:
-        raise ModeMismatch(f"preset {alg} cannot run on a {header.mode} stream")
+    if mode not in _MODE_FOR_ALG[alg]:
+        raise ModeMismatch(f"preset {alg} cannot run on a {mode} stream")
 
 
 def build_pipeline(
@@ -449,7 +449,7 @@ def build_pipeline(
     meter: SpaceMeter | None = None,
     allocator: ColorAllocator | None = None,
 ) -> tuple[_Pipeline, SpaceMeter, ColorAllocator]:
-    check_mode(header, alg)
+    check_mode(header.mode, alg)
     meter = meter if meter is not None else SpaceMeter()
     alloc = allocator if allocator is not None else ColorAllocator()
     seed = header.seed if seed is None else seed

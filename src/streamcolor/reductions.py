@@ -13,7 +13,9 @@ slack; the recursion stops once the declared bound drops below
 max(10 * log2 n, 16), and everything deeper lands in a base store that is
 colored offline at the end (exactly if it happens to be bipartite, with
 one extra color otherwise). Exceeding a declared level bound is a hard
-error: the run stops rather than risking a conflict.
+error: the run stops rather than risking a conflict. A vertex arrival is
+routed in one pass over its neighbors (`VertexBipartization.on_vertex`);
+an edge arrival goes through `route` (`EdgeBipartization.on_edge`).
 """
 
 from __future__ import annotations
@@ -151,11 +153,16 @@ class Bipartization:
             self.meter.add(self._dkey, 1)
         d += amount
         if d > self.bounds[level]:
-            raise BoundViolation(
-                f"{self.name}: vertex {v} reached degree {d} at level {level}, "
-                f"declared bound {self.bounds[level]}"
-            )
+            self._level_breach(v, d, level, 0)
         degs[v] = d
+
+    def _level_breach(self, v: int, d: int, level: int, fresh: int) -> None:
+        """Charge the `fresh` degree entries counted so far, then stop the run."""
+        self.meter.add(self._dkey, fresh)
+        raise BoundViolation(
+            f"{self.name}: vertex {v} reached degree {d} at level {level}, "
+            f"declared bound {self.bounds[level]}"
+        )
 
     def _store_base(self, u: int, v: int) -> None:
         self.base_edges.append((u, v))
@@ -197,21 +204,75 @@ class VertexBipartization(Bipartization):
     Levels are `TwoSidedSplit` instances.
     """
 
-    def on_vertex(self, u: int, neighbors: list[int]) -> list[ColorAssignment]:
-        out: list[ColorAssignment] = []
-        groups: dict[int, list[int]] = {}
+    def on_vertex(self, u: int, neighbors) -> list[ColorAssignment]:
+        """Route a whole arrival in one pass, as `route` per edge would.
+
+        Bit vectors are drawn on first sight in `route`'s order (u just
+        before its first neighbor), the level is the lowest set bit of the
+        xor, and the meter takes one charge per key and arrival where
+        `route` took one per edge: the neighbors' new bit vectors, the
+        base edges, and each level's new degree entries. All of these are
+        additions with nothing released between them, so the ledger and
+        the peak are the per-edge ones.
+        """
+        if not neighbors:
+            return []
+        bits = self.bits
+        meter = self.meter
+        k = self.num_levels
+        getrandbits = self.rng.getrandbits
+        bu = self.bit_vector(u)
+        drawn = 0
+        base = self.base_edges
+        stored = len(base)
+        groups: dict[int, list[int]] = {}  # lowest differing bit -> neighbors
         for v in neighbors:
-            level = self.route(u, v)
-            if level < 0:
-                self._store_base(u, v)
+            try:
+                diff = bu ^ bits[v]
+            except KeyError:
+                bv = bits[v] = getrandbits(k) if k else 0
+                drawn += 1
+                diff = bu ^ bv
+            if diff:
+                low = diff & -diff
+                group = groups.get(low)
+                if group is None:
+                    groups[low] = [v]
+                else:
+                    group.append(v)
             else:
-                groups.setdefault(level, []).append(v)
-        for level, group in groups.items():
-            self._bump_level_degree(u, level, len(group))
+                base.append((u, v))
+        if drawn:
+            meter.add(self._bitkey, drawn)
+        if len(base) > stored:
+            meter.add(self._basekey, 2 * (len(base) - stored))
+
+        out: list[ColorAssignment] = []
+        for low, group in groups.items():
+            level = low.bit_length() - 1
+            degs = self.level_degrees[level]
+            bound = self.bounds[level]
+            fresh = 0
+            try:
+                d = degs[u] + len(group)
+            except KeyError:
+                d = len(group)
+                fresh = 1
+            if d > bound:
+                self._level_breach(u, d, level, fresh)
+            degs[u] = d
             for v in group:
-                self._bump_level_degree(v, level, 1)
-            side = self.side_of(u, level)
-            out.extend(self.levels[level].on_arrival(u, group, side))
+                try:
+                    d = degs[v] + 1
+                except KeyError:
+                    d = 1
+                    fresh += 1
+                if d > bound:
+                    self._level_breach(v, d, level, fresh)
+                degs[v] = d
+            if fresh:
+                meter.add(self._dkey, fresh)
+            out.extend(self.levels[level].on_arrival(u, group, (bu >> level) & 1))
         return out
 
     def finalize(self) -> list[ColorAssignment]:

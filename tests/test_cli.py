@@ -227,6 +227,35 @@ def test_bench_config_with_a_non_integer_grid_value_exits_three(tmp_path, capsys
     assert "preset," not in captured.out
 
 
+
+@pytest.mark.parametrize(
+    "preset, mode, message",
+    [
+        ("no-such", "vertex-one-sided", "config run block 1: unknown preset 'no-such'"),
+        ("one-sided", "edge",
+         "config run block 1: preset one-sided cannot run on a edge stream"),
+    ],
+)
+def test_bench_config_with_a_preset_that_cannot_run_exits_three(
+    tmp_path, capsys, preset, mode, message
+):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f'[run]\npreset = "{preset}"\nmode = "{mode}"\nn = 16\ndelta = 4\n')
+    assert run_cli("bench", "--config", str(cfg)) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: {message}\n"
+    assert captured.out == ""
+
+
+def test_bench_config_with_an_infeasible_grid_value_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text('[run]\npreset = "one-sided"\nmode = "vertex-one-sided"\n'
+                   "n = [16, -3]\ndelta = 4\n")
+    assert run_cli("bench", "--config", str(cfg)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "infeasible spec: n must be at least 1\n"
+    assert captured.out == ""
+
 def test_run_rejects_vertex_ids_outside_the_header_range(tmp_path, capsys):
     stream = tmp_path / "s.txt"
     stream.write_text("H 2 2 2 edge 0 1\ne 0 1\ne 0 999999\n")

@@ -24,10 +24,11 @@ CASES = [
     ("vertex-general-bipartite", "regular-bipartite", "vertex-two-sided", 32, 0,
      "vertex-general", (),
      "a924925fa7ad9c5a3bb1d3231fc6a96949feedfe83b52db9ee30da61e5baf34a"),
-    # Δ=64 at n=256 builds one bipartization level (plan_levels gives [96])
+    # Δ=64 at n=256 builds one bipartization level (plan_levels gives [96]);
+    # the base store's color_general charges one mask word per vertex (256)
     ("vertex-general-general", "regular-general", "vertex-two-sided", 64, 0,
      "vertex-general", (),
-     "ff60c790e234e6f7212ae9da247d930c78126cba6e8c2c3860748f1761617a83"),
+     "76f6f1d0eacec898db3a44bcd40fff1e9ec685284fee83e6e6b4923755506e75"),
     ("edge-sqrt-forced", "regular-bipartite", "edge", 32, 0, "edge-sqrt", ("--force-stream",),
      "ccb473c10abca9f018d3c1f3c6544ee9b2961b039a652ee93d6ac5dcce6a0a38"),
     ("edge-sqrt-fallback", "regular-bipartite", "edge", 32, 0, "edge-sqrt", (),
@@ -39,10 +40,11 @@ CASES = [
     ("edge-general-s1-forced", "regular-bipartite", "edge", 32, 0, "edge-general",
      ("--s", "1", "--force-stream"),
      "d8105a8079268d6334c8146a303540041a77b615c7b2f712770c81fd704faf2a"),
-    # one EdgeBipartization level over grouped dispatchers sharing one meter
+    # one EdgeBipartization level over grouped dispatchers sharing one meter;
+    # 256 mask words in the base store's color_general, as above
     ("edge-general-general", "regular-general", "edge", 64, 0, "edge-general",
      ("--s", "2", "--force-stream"),
-     "8d3c8f6a4258509411f611d51cc688e310b857c903f0bcad97a95c6dc3b79522"),
+     "72d5e25ef4320673851884efe659f01caaf65600462a1fe604b0c73f087d4793"),
     ("offline-exact", "regular-bipartite", "vertex-one-sided", 32, 0, "offline-exact", (),
      "7a8ddbe72cd320404fb4aba139124b7119b99d776d3a58282e7da8590cb200a4"),
     # every vertex has degree 32: the exact colorer's flat per-vertex rows

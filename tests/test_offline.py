@@ -120,6 +120,80 @@ def two_phase_bipartite_exact(graph):
     return colors
 
 
+def rescanning_fan_general(graph):
+    """Reference fan-rotation colorer: scans each vertex's color dict from 0
+    for free colors, and rebuilds the fan by rescanning u's colored edges
+    from the lowest color after every extension."""
+    edges = graph.edges
+    if not edges:
+        return []
+    palette = graph.max_degree + 1
+    table = {}  # vertex -> color -> neighbor
+    colors = {}  # (low end, high end) -> color
+
+    def key(a, b):
+        return (a, b) if a < b else (b, a)
+
+    def lowest_free(used):
+        return next(c for c in range(palette) if c not in used)
+
+    def invert_path(x, c, d):
+        want, other = d, c
+        while True:
+            tx = table[x]
+            y = tx.pop(want, None)
+            back = tx.pop(other, None)
+            if back is not None:
+                tx[want] = back
+            if y is None:
+                return
+            tx[other] = y
+            colors[key(x, y)] = other
+            x = y
+            want, other = other, want
+
+    def fan_insert(u, v):
+        tu = table[u]
+        fan = [v]
+        candidates = sorted(tu.items())
+        while True:
+            tip = table[fan[-1]]
+            nxt = next((w for c, w in candidates if c not in tip and w not in fan), None)
+            if nxt is None:
+                break
+            fan.append(nxt)
+        c = lowest_free(tu)
+        d = lowest_free(table[fan[-1]])
+        if d in tu:
+            invert_path(u, c, d)
+        target = next(i for i, w in enumerate(fan) if d not in table[w])
+        for i in range(target):
+            w, nxt = fan[i], fan[i + 1]
+            c = colors[key(u, nxt)]
+            del table[nxt][c]
+            table[w][c] = u
+            tu[c] = w
+            colors[key(u, w)] = c
+        w = fan[target]
+        table[w][d] = u
+        tu[d] = w
+        colors[key(u, w)] = d
+
+    for u, v in edges:
+        if key(u, v) in colors:
+            continue
+        tu = table.setdefault(u, {})
+        tv = table.setdefault(v, {})
+        shared = next((c for c in range(palette) if c not in tu and c not in tv), -1)
+        if shared < 0:
+            fan_insert(u, v)
+        else:
+            colors[key(u, v)] = shared
+            tu[shared] = v
+            tv[shared] = u
+    return [colors[key(a, b)] for a, b in edges]
+
+
 # --- exact bipartite colorer ---
 
 
@@ -312,6 +386,49 @@ def test_fan_rotation_proper_and_within_bound_on_random_graphs():
         colors = color_general(graph)
         assert is_proper(edges, colors)
         assert max(colors) <= graph.max_degree  # palette is [0, dmax + 1)
+        assert colors == rescanning_fan_general(OfflineGraph(list(edges)))
+
+
+def dense_simple_graph(delta, seed):
+    """A random simple graph on 2 * delta + 10 vertices with max degree
+    delta: all vertex pairs in shuffled order, each kept while both ends
+    are below delta."""
+    rng = random.Random(seed)
+    n = 2 * delta + 10
+    pool = list(itertools.combinations(range(n), 2))
+    rng.shuffle(pool)
+    deg = [0] * n
+    edges = []
+    for a, b in pool:
+        if deg[a] < delta and deg[b] < delta:
+            edges.append((a, b))
+            deg[a] += 1
+            deg[b] += 1
+    return edges
+
+
+@pytest.mark.parametrize("delta", [63, 64, 70, 130])
+def test_fan_rotation_matches_the_reference_across_mask_words(delta, monkeypatch):
+    # palettes of 64, 65, 71 and 131 colors: one, two and three mask words
+    calls = {"_fan_insert": 0, "_invert_path": 0}
+    for name in calls:
+        real = getattr(offline, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(offline, name, counted)
+    edges = dense_simple_graph(delta, seed=delta)
+    graph = OfflineGraph(edges)
+    assert graph.max_degree == delta
+    meter = SpaceMeter()
+    colors = color_general(graph, meter)
+    assert colors == rescanning_fan_general(OfflineGraph(edges))
+    assert is_proper(edges, colors) and max(colors) <= delta
+    assert calls["_fan_insert"] > 0 and calls["_invert_path"] > 0
+    assert meter.peak_words == 3 * len(edges) + graph.vertex_count * -(-(delta + 1) // 64)
+    assert meter.current_words == 0 and meter.consistent()
 
 
 def test_fan_step_runs_when_no_common_color_is_free():
@@ -376,7 +493,7 @@ def test_meter_scratch_is_released():
     edges = [(0, 1), (1, 2), (2, 3)]
     color_general(OfflineGraph(edges), meter)
     assert meter.current_words == 0
-    assert meter.peak_words == 3 * len(edges)
+    assert meter.peak_words == 3 * len(edges) + 4  # one mask word per vertex
     color_greedy(OfflineGraph(edges), meter)
     color_bipartite_exact(OfflineGraph(edges, {0: 0, 1: 1, 2: 0, 3: 1}), meter)
     assert meter.current_words == 0

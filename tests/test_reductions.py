@@ -46,10 +46,37 @@ def split_factory(meter, alloc):
     return factory
 
 
-def make_tree(n, delta, seed=0):
+def make_tree(n, delta, seed=0, cls=VertexBipartization):
     meter, alloc = SpaceMeter(), ColorAllocator()
-    tree = VertexBipartization(n, delta, seed, meter, alloc, split_factory(meter, alloc))
+    tree = cls(n, delta, seed, meter, alloc, split_factory(meter, alloc))
     return tree, meter, alloc
+
+
+class PerEdgeRouter(VertexBipartization):
+    """Reference router: `route` and one meter charge per edge, then one
+    `_bump_level_degree` per vertex and level."""
+
+    def on_vertex(self, u, neighbors):
+        out = []
+        groups = {}
+        for v in neighbors:
+            level = self.route(u, v)
+            if level < 0:
+                self._store_base(u, v)
+            else:
+                groups.setdefault(level, []).append(v)
+        for level, group in groups.items():
+            self._bump_level_degree(u, level, len(group))
+            for v in group:
+                self._bump_level_degree(v, level, 1)
+            side = self.side_of(u, level)
+            out.extend(self.levels[level].on_arrival(u, group, side))
+        return out
+
+
+def router_state(tree, meter):
+    return (tree.bits, tree.level_degrees, tree.base_edges, meter.ledger,
+            meter.current_words, meter.peak_words)
 
 
 def test_route_picks_first_differing_bit():
@@ -176,3 +203,51 @@ def test_two_sided_split_blocks_are_disjoint():
     colors_side1 = {x.color for x in b}
     colors_side0 = {x.color for x in c}
     assert colors_side0.isdisjoint(colors_side1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_pass_router_matches_the_per_edge_reference(seed):
+    assert plan_levels(16, 128) == [192, 96, 48]
+    fast, fast_meter, fast_alloc = make_tree(16, 128, seed=seed)
+    slow, slow_meter, slow_alloc = make_tree(16, 128, seed=seed, cls=PerEdgeRouter)
+    rng = random.Random(seed)
+    order = list(range(300))
+    rng.shuffle(order)
+    arrived = []
+    degree = dict.fromkeys(order, 0)
+    empty = 0
+    for u in order:
+        # about one arrival in five has no neighbors; the rest pick up to
+        # 30 arrived vertices, keeping every degree at most 60
+        room = [v for v in arrived if degree[v] < 60]
+        want = 0 if rng.random() < 0.2 else rng.randrange(0, min(30, len(room)) + 1)
+        neighbors = rng.sample(room, want)
+        empty += not neighbors
+        for v in neighbors:
+            degree[v] += 1
+        degree[u] = want
+        got = fast.on_vertex(u, tuple(neighbors))
+        assert got == slow.on_vertex(u, list(neighbors))
+        assert router_state(fast, fast_meter) == router_state(slow, slow_meter)
+        arrived.append(u)
+    assert empty > 20
+    assert all(fast.level_degrees[level] for level in range(3))  # every level used
+    assert fast.finalize() == slow.finalize()
+    assert router_state(fast, fast_meter) == router_state(slow, slow_meter)
+    assert fast_alloc.total == slow_alloc.total
+
+
+def test_one_pass_router_breach_matches_the_per_edge_reference():
+    states = []
+    for cls in (VertexBipartization, PerEdgeRouter):
+        tree, meter, _ = make_tree(16, 128, cls=cls)
+        # bit vectors 0b100 against 0b000 put an edge on level 2, bound 48
+        tree.bits.update({v: 0b000 for v in range(48)})
+        tree.bits.update({99: 0b100, 200: 0b000, 300: 0b100, 301: 0b100, 302: 0b100})
+        assert len(tree.on_vertex(99, list(range(48)))) == 48  # 99 at the bound
+        # 200, 300 and 301 get new degree entries before 99 goes past it
+        with pytest.raises(BoundViolation) as err:
+            tree.on_vertex(200, [300, 301, 99, 302])
+        states.append((str(err.value), *router_state(tree, meter)))
+    assert states[0] == states[1]
+    assert states[0][0] == "bipart: vertex 99 reached degree 49 at level 2, declared bound 48"
