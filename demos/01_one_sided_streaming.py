@@ -8,7 +8,7 @@ so you can see where the palette comes from.
 
 import io
 
-from streamcolor import GenSpec, generate, parse_stream, run_stream, verify
+from streamcolor import GenSpec, build_pipeline, generate, parse_stream, run_stream, verify
 from streamcolor.palette import period_for
 
 N, DELTA, SEED = 200, 12, 7
@@ -27,11 +27,10 @@ print(f"spilled edges (if any) get fresh colors after that, at most {DELTA} more
 print(f"worst case total: 3P + delta = {3 * period + DELTA}")
 
 header, events = parse_stream(io.StringIO(stream_text))
+pipeline = build_pipeline(header, "one-sided")
+print(f"declared budget read off the built pipeline: {pipeline.budget}")
 out = io.StringIO()
-stats = run_stream(
-    header, events, "one-sided",
-    emit=lambda u, v, c: out.write(f"c {u} {v} {c}\n"),
-)
+stats = run_stream(pipeline, events, emit=lambda u, v, c: out.write(f"c {u} {v} {c}\n"))
 
 print(f"\ncolors actually used: {stats.colors_used}")
 print(f"spilled arrivals:     {stats.spilled_vertices} ({stats.spilled_edges} edges)")

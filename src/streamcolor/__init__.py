@@ -13,18 +13,16 @@ independent output verifier make the guarantees checkable per run.
 from .core import OneSidedColorer, SpillReport
 from .errors import StreamColorError
 from .harness import GenSpec, KoutResult, RunRequest, VerifyReport, generate, run_kout_experiment, verify
-from .matching import ColorGraph, brute_force_match, kout_trial, perfect_match
+from .matching import brute_force_match, kout_trial
 from .meter import SpaceMeter
 from .offline import OfflineGraph, color_bipartite_exact, color_general, color_greedy
 from .palette import (
     ColorAllocator,
-    FlatPalette,
     OfflineState,
     PaletteParams,
     draw_offline_state,
-    propose_colors,
 )
-from .presets import PRESETS, RunStats, declared_budget, run_stream
+from .presets import PRESETS, RunStats, build_pipeline, declared_budget, run_stream
 from .stream import (
     AssignmentWriter,
     BatchArrival,
@@ -44,9 +42,7 @@ __all__ = [
     "BatchArrival",
     "ColorAllocator",
     "ColorAssignment",
-    "ColorGraph",
     "EdgeArrival",
-    "FlatPalette",
     "GenSpec",
     "KoutResult",
     "OfflineGraph",
@@ -63,6 +59,7 @@ __all__ = [
     "VertexArrival",
     "VerifyReport",
     "brute_force_match",
+    "build_pipeline",
     "color_bipartite_exact",
     "color_general",
     "color_greedy",
@@ -72,8 +69,6 @@ __all__ = [
     "kout_trial",
     "parse_output",
     "parse_stream",
-    "perfect_match",
-    "propose_colors",
     "run_kout_experiment",
     "run_stream",
     "serialize_stream",

@@ -47,7 +47,7 @@ from .errors import (
     TooManyBatches,
     TooManySlots,
 )
-from .presets import PRESETS, check_mode, clamp_s, declared_budget, run_stream
+from .presets import PRESETS, build_pipeline, check_mode, run_stream
 from .stream import AssignmentWriter, parse_stream
 
 _INPUT_ERRORS = (
@@ -98,25 +98,18 @@ def cmd_run(args) -> int:
     sink = open(out_path, "w") if out_path else sys.stdout
     try:
         header, events = parse_stream(infile)
-        check_mode(header.mode, args.alg)
-        if args.alg == "edge-general" and clamp_s(header, args.s) != args.s:
+        pipeline = build_pipeline(
+            header, args.alg, s=args.s, force_stream=args.force_stream, seed=args.seed
+        )
+        if args.alg == "edge-general" and pipeline.s != args.s:
             print(
-                f"warning: s={args.s} clamped to {clamp_s(header, args.s)} "
+                f"warning: s={args.s} clamped to {pipeline.s} "
                 f"(beyond ceil(sqrt(delta)) extra space buys nothing)",
                 file=sys.stderr,
             )
-        budget = declared_budget(header, args.alg, args.s, args.force_stream)
-        print(f"declared color budget: {budget}", file=sys.stderr)
+        print(f"declared color budget: {pipeline.budget}", file=sys.stderr)
         writer = AssignmentWriter(sink)
-        stats = run_stream(
-            header,
-            events,
-            args.alg,
-            s=args.s,
-            force_stream=args.force_stream,
-            seed=args.seed,
-            emit=writer.emit,
-        )
+        stats = run_stream(pipeline, events, emit=writer.emit)
         writer.trailer(stats.colors_used, stats.peak_words)
         print(
             f"colors used: {stats.colors_used}  peak words: {stats.peak_words}  "

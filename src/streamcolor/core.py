@@ -8,6 +8,10 @@ streams the banded colors out. Arrivals whose color graph has no perfect
 matching (rare by the k-out analysis) are parked in a spill set and
 colored at the end with a fresh block via the exact bipartite colorer.
 
+`color_block` is the one way any layer colors a stored block offline:
+the spill set here, the dispatchers' flushes and leftovers, the
+bipartization's base store and the store-and-color presets.
+
 Color layout within this colorer's block of the global space:
 
     vertex mode   [0, 3P)                 then a fresh spill block
@@ -21,11 +25,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
-from .errors import BatchSizeMismatch, BoundViolation, TooManyBatches, TooManySlots
+from .errors import BatchSizeMismatch, BoundViolation, NotBipartite, TooManyBatches, TooManySlots
 from .matching import maximum_matching
 from .meter import SpaceMeter
-from .offline import OfflineGraph, color_bipartite_exact
+from .offline import OfflineGraph, color_bipartite_exact, color_general, color_greedy
 from .palette import ColorAllocator, OfflineState, PaletteParams, draw_offline_state
 from .stream import ColorAssignment
 
@@ -34,6 +39,52 @@ from .stream import ColorAssignment
 class SpillReport:
     spilled_vertices: int  # arrivals whose edges went to the spill set
     spilled_edges: int
+
+    @classmethod
+    def total(cls, parts: Iterable) -> "SpillReport":
+        """The sum of the reports of `parts`, each with a `spill_report()`."""
+        reports = [p.spill_report() for p in parts]
+        return cls(
+            sum(r.spilled_vertices for r in reports), sum(r.spilled_edges for r in reports)
+        )
+
+
+def color_block(
+    edges: list[tuple[int, int]],
+    side_of: Callable[[int], int] | None,
+    label: str,
+    meter: SpaceMeter,
+    allocator: ColorAllocator,
+    flavor: str = "exact",
+) -> list[ColorAssignment]:
+    """Color a stored edge list offline in one fresh block of the color space.
+
+    Flavors: "exact" uses max-degree colors and needs a bipartite graph;
+    "auto" does that when the graph is bipartite and uses max degree + 1
+    colors otherwise; "greedy" uses at most 2 * max degree - 1. The
+    bipartition is checked against `side_of` (vertex -> side) when given,
+    else found by search. Only the colorer's scratch is charged here: the
+    caller releases the words of its edge list, before or after this call.
+    """
+    if not edges:
+        return []
+    sides = None if side_of is None else {v: side_of(v) for e in edges for v in e}
+    graph = OfflineGraph(edges, sides)
+    dmax = graph.max_degree
+    if flavor == "auto":
+        try:
+            graph.bipartition()
+            flavor = "exact"
+        except NotBipartite:
+            flavor = "general"
+    if flavor == "exact":
+        width, colorer = dmax, color_bipartite_exact
+    elif flavor == "general":
+        width, colorer = dmax + 1, color_general
+    else:
+        width, colorer = max(2 * dmax - 1, 1), color_greedy
+    base = allocator.reserve(width, label)
+    return [ColorAssignment(a, b, base + c) for (a, b), c in zip(edges, colorer(graph, meter))]
 
 
 class OneSidedColorer:
@@ -85,6 +136,8 @@ class OneSidedColorer:
         else:
             self.block_width = 3 * p * self.max_batches
             self.block = allocator.reserve(self.block_width, f"{name}:stream")
+        # the stream block plus a spill block of at most delta colors
+        self.budget = self.block_width + delta
         self.allocator = allocator
         self.states: dict[int, OfflineState] = {}
         self.batch_counters: dict[int, int] = {}
@@ -178,16 +231,8 @@ class OneSidedColorer:
         if not self.spill:
             return []
         edges = self.spill
-        meter = self.meter
-        meter.release(self._skey, 2 * len(edges))
-        sides = {}
-        for a, b in edges:  # spill edges are stored (online, offline)
-            sides[a] = 0
-            sides[b] = 1
-        graph = OfflineGraph(edges, sides)
-        fresh = self.allocator.reserve(graph.max_degree, f"{self.name}:spill")
-        colors = color_bipartite_exact(graph, meter)
-        out = [ColorAssignment(a, b, fresh + c) for (a, b), c in zip(edges, colors)]
+        self.meter.release(self._skey, 2 * len(edges))
+        out = color_block(edges, None, f"{self.name}:spill", self.meter, self.allocator)
         self.spill = []
         return out
 

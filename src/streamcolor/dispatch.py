@@ -35,10 +35,9 @@ from collections import deque
 from itertools import islice
 from typing import Callable
 
-from .core import OneSidedColorer, SpillReport
+from .core import OneSidedColorer, SpillReport, color_block
 from .errors import BoundViolation, FlushBudgetExceeded
 from .meter import SpaceMeter
-from .offline import OfflineGraph, color_bipartite_exact
 from .palette import ColorAllocator
 from .rng import child_rng
 from .stream import ColorAssignment
@@ -81,6 +80,7 @@ class BatchIndexDispatcher:
             )
             for i in range(self.k)
         ]
+        self.budget = sum(sub.budget for sub in self.subs) + delta  # plus the leftover block
         self.allocator = allocator
         self.buffers: dict[int, deque[int]] = {}
         self.batch_count: dict[int, int] = {}
@@ -116,19 +116,9 @@ class BatchIndexDispatcher:
         return self.subs[x].on_online_vertex(u, batch)
 
     def finalize(self) -> list[ColorAssignment]:
-        out: list[ColorAssignment] = []
-        leftover: list[tuple[int, int]] = []
-        for u, buf in self.buffers.items():
-            leftover.extend((u, v) for v in buf)
+        leftover = [(u, v) for u, buf in self.buffers.items() for v in buf]
+        out = color_block(leftover, None, f"{self.name}:leftover", self.meter, self.allocator)
         if leftover:
-            sides = {}
-            for a, b in leftover:
-                sides[a] = 0
-                sides[b] = 1
-            graph = OfflineGraph(leftover, sides)
-            fresh = self.allocator.reserve(graph.max_degree, f"{self.name}:leftover")
-            for (a, b), c in zip(leftover, color_bipartite_exact(graph, self.meter)):
-                out.append(ColorAssignment(a, b, fresh + c))
             self.meter.release(self._bkey, 2 * len(leftover))
             self.buffered = 0
             self.buffers.clear()
@@ -137,10 +127,7 @@ class BatchIndexDispatcher:
         return out
 
     def spill_report(self) -> SpillReport:
-        return SpillReport(
-            sum(s.spilled_vertices for s in self.subs),
-            sum(s.spilled_edges_total for s in self.subs),
-        )
+        return SpillReport.total(self.subs)
 
 
 class GroupedBatchDispatcher:
@@ -189,6 +176,12 @@ class GroupedBatchDispatcher:
             ]
             for side in (0, 1)
         ]
+        # plus flush blocks of under k colors each and the leftover block
+        self.budget = (
+            sum(sub.budget for side in self.arrays for sub in side)
+            + flush_bound * self.k
+            + delta
+        )
 
         # adj[x] maps each buffered edge id at x to its other endpoint, in
         # arrival order; len(adj[x]) is x's buffered count. A vertex keeps its
@@ -307,34 +300,20 @@ class GroupedBatchDispatcher:
                 f"{self.name}: {self.flushes} flushes exceed the bound {self.flush_bound}"
             )
         edges = self._collect_live()
-        if not edges:
-            return []
-        sides = {v: self.side_of(v) for e in edges for v in e}
-        graph = OfflineGraph(edges, sides)
-        dmax = graph.max_degree
-        if dmax >= self.k:
+        out = color_block(
+            edges, self.side_of, f"{self.name}:flush{self.flushes}", self.meter, self.allocator
+        )
+        if out and self.allocator.blocks[-1][2] >= self.k:
             raise AssertionError("flush with a full batch still buffered")
-        fresh = self.allocator.reserve(dmax, f"{self.name}:flush{self.flushes}")
-        colors = color_bipartite_exact(graph, self.meter)
-        return [ColorAssignment(a, b, fresh + c) for (a, b), c in zip(edges, colors)]
+        return out
 
     def finalize(self) -> list[ColorAssignment]:
-        out: list[ColorAssignment] = []
         edges = self._collect_live()
-        if edges:
-            sides = {v: self.side_of(v) for e in edges for v in e}
-            graph = OfflineGraph(edges, sides)
-            fresh = self.allocator.reserve(graph.max_degree, f"{self.name}:leftover")
-            for (a, b), c in zip(edges, color_bipartite_exact(graph, self.meter)):
-                out.append(ColorAssignment(a, b, fresh + c))
+        out = color_block(edges, self.side_of, f"{self.name}:leftover", self.meter, self.allocator)
         for side in (0, 1):
             for sub in self.arrays[side]:
                 out.extend(sub.finalize())
         return out
 
     def spill_report(self) -> SpillReport:
-        subs = [s for side in self.arrays for s in side]
-        return SpillReport(
-            sum(s.spilled_vertices for s in subs),
-            sum(s.spilled_edges_total for s in subs),
-        )
+        return SpillReport.total(self.arrays[0] + self.arrays[1])

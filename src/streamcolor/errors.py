@@ -43,21 +43,17 @@ class PeriodTooSmall(StreamColorError):
     """The shift period is too small to draw three distinct shifts."""
 
 
-class ComponentOutOfRange(StreamColorError):
-    """A composite color component exceeds its declared width."""
-
-
 # --- matching ---
-
-class TooManySlots(StreamColorError):
-    """A color graph was requested with more edge slots than the degree bound."""
-
 
 class InstanceTooLarge(StreamColorError):
     """The exhaustive matcher only accepts small instances."""
 
 
 # --- streaming colorers and dispatch ---
+
+class TooManySlots(StreamColorError):
+    """An arrival brought more edges than the colorer's degree bound."""
+
 
 class BatchSizeMismatch(StreamColorError):
     """A batch did not contain exactly the declared number of edges."""

@@ -29,7 +29,7 @@ from typing import Iterable
 
 from .errors import BoundViolation, FlushBudgetExceeded, InfeasibleSpec, MalformedLine
 from .matching import kout_trial
-from .presets import run_stream
+from .presets import build_pipeline, run_stream
 from .rng import child_rng
 from .stream import (
     MODE_BATCH,
@@ -441,14 +441,8 @@ def execute_run(req: RunRequest) -> dict:
     breach = None
     stats = None
     try:
-        stats = run_stream(
-            header,
-            tee(events),
-            req.preset,
-            s=req.s,
-            force_stream=req.force_stream,
-            emit=emit,
-        )
+        pipeline = build_pipeline(header, req.preset, s=req.s, force_stream=req.force_stream)
+        stats = run_stream(pipeline, tee(events), emit=emit)
     except (BoundViolation, FlushBudgetExceeded) as exc:
         breach = str(exc)
     millis = int((time.perf_counter() - started) * 1000)

@@ -1,4 +1,4 @@
-"""Color graphs and perfect matchings between edge slots and base colors.
+"""Perfect matchings between edge slots and base colors.
 
 When an online vertex arrives, each of its edges becomes a slot adjacent
 to the three base colors currently proposed by its offline endpoint. A
@@ -6,17 +6,16 @@ perfect matching of slots to base colors yields a conflict-free color
 choice for the whole arrival: matched base colors are pairwise distinct,
 and re-adding each slot's band offset keeps them distinct.
 
-`maximum_matching` (and `perfect_match` on top of it) runs Hopcroft-Karp
-with the right side stored sparsely (only colors actually proposed), so
-one call costs O(slots) space and can be discarded before the next
-arrival. Its first phase, where every slot is free, is exactly a greedy
-pass (each slot in index order takes its lowest free color) and runs as
-a plain loop; on proposal slots it usually matches every slot, and the
-call ends there. Otherwise the BFS/DFS phases continue from the greedy
-state, with each DFS walking its augmenting path on an explicit stack, so
-no path length can exhaust the interpreter's recursion limit. All
-tie-breaks are fixed (lowest color id first, then lowest slot id), making
-runs reproducible.
+`maximum_matching` runs Hopcroft-Karp with the right side stored sparsely
+(only colors actually proposed), so one call costs O(slots) space and can
+be discarded before the next arrival. Its first phase, where every slot
+is free, is exactly a greedy pass (each slot in index order takes its
+lowest free color) and runs as a plain loop; on proposal slots it usually
+matches every slot, and the call ends there. Otherwise the BFS/DFS phases
+continue from the greedy state, with each DFS walking its augmenting path
+on an explicit stack, so no path length can exhaust the interpreter's
+recursion limit. All tie-breaks are fixed (lowest color id first, then
+lowest slot id), making runs reproducible.
 
 `brute_force_match` is the independent oracle used by the tests, and
 `kout_trial` samples the random k-out model that the spill analysis rests
@@ -29,27 +28,7 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from .errors import InstanceTooLarge, TooManySlots
-from .palette import OfflineState, PaletteParams, propose_bases
-
-
-class ColorGraph:
-    """Left: edge slots, each with a few distinct base colors. Right: implicit."""
-
-    __slots__ = ("slots",)
-
-    def __init__(self, slots: list[tuple[int, ...]]):
-        self.slots = slots
-
-    def __len__(self) -> int:
-        return len(self.slots)
-
-
-def build_color_graph(states: list[OfflineState], params: PaletteParams) -> ColorGraph:
-    """One slot per arriving edge, adjacent to its three current proposals."""
-    if len(states) > params.delta:
-        raise TooManySlots(f"{len(states)} slots exceed delta={params.delta}")
-    return ColorGraph([propose_bases(st, params) for st in states])
+from .errors import InstanceTooLarge
 
 
 def maximum_matching(slots: list[tuple[int, ...]]) -> list[int]:
@@ -145,26 +124,14 @@ def _augment(root, adj, dist, match_slot, match_color) -> None:
             nxt.pop()
 
 
-def perfect_match(graph: ColorGraph) -> list[tuple[int, int]] | None:
-    """A perfect matching saturating every slot, or None.
+def brute_force_match(slots: list[tuple[int, ...]]) -> list[tuple[int, int]] | None:
+    """Exhaustive per-slot choice search; the test oracle for `maximum_matching`.
 
-    Each entry is (base color, band index), the band being the position of
-    the chosen color in the slot's proposal tuple.
+    Returns one (color, position in the slot) pair per slot, or None when
+    no choice saturates every slot. Tries colors in ascending order per
+    slot, so the first assignment found is lexicographically least.
+    Rejects instances with more than 12 slots.
     """
-    slots = graph.slots
-    match_slot = maximum_matching(slots)
-    if any(c == -1 for c in match_slot):
-        return None
-    return [(c, slots[i].index(c)) for i, c in enumerate(match_slot)]
-
-
-def brute_force_match(graph: ColorGraph) -> list[tuple[int, int]] | None:
-    """Exhaustive per-slot choice search; the test oracle for `perfect_match`.
-
-    Tries colors in ascending order per slot, so the first assignment found
-    is lexicographically least. Rejects instances with more than 12 slots.
-    """
-    slots = graph.slots
     n = len(slots)
     if n > 12:
         raise InstanceTooLarge(f"{n} slots exceed the exhaustive limit of 12")

@@ -1,4 +1,4 @@
-"""Shifted color proposals and flat encodings of composite palettes.
+"""Shifted color proposals and the blocks of the final color space.
 
 Each offline vertex stores three distinct random shifts in [0, P) plus a
 running degree counter, where the period P = ceil(2.72 * delta). Its i-th
@@ -13,9 +13,8 @@ computed with integer arithmetic only, so runs are bit-for-bit reproducible
 across platforms.
 
 Layered algorithms give each internal colorer its own contiguous block of
-the final color space. `FlatPalette` maps composite colors (for example
-batch index plus base color) to dense integers via mixed-radix encoding,
-and `ColorAllocator` hands out disjoint blocks.
+the final color space: `ColorAllocator` hands out disjoint blocks and,
+given the run's declared budget, refuses any block that would pass it.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import ComponentOutOfRange, PeriodTooSmall
+from .errors import BoundViolation, PeriodTooSmall
 
 C_NUM = 272
 C_DEN = 100
@@ -81,85 +80,30 @@ def draw_offline_state(rng: random.Random, params: PaletteParams) -> OfflineStat
     return OfflineState(r1, r2, r3)
 
 
-def propose_colors(state: OfflineState, params: PaletteParams) -> tuple[int, int, int]:
-    """The three banded colors offered to this vertex's next edge.
-
-    Pure: the caller increments `deg` exactly once per consumed edge,
-    which lets batch layers interleave proposals for several edges.
-    """
-    p = params.period
-    d = state.deg
-    return (
-        (state.r1 + d) % p,
-        (state.r2 + d) % p + p,
-        (state.r3 + d) % p + 2 * p,
-    )
-
-
-def propose_bases(state: OfflineState, params: PaletteParams) -> tuple[int, int, int]:
-    """The same three proposals reduced mod P (band offsets dropped)."""
-    p = params.period
-    d = state.deg
-    return ((state.r1 + d) % p, (state.r2 + d) % p, (state.r3 + d) % p)
-
-
-class FlatPalette:
-    """Mixed-radix encoding of composite colors onto [0, total).
-
-    The layout lists (label, width) pairs, most significant first; the
-    component ranges tile the flat range exactly.
-    """
-
-    __slots__ = ("layout", "total", "_strides")
-
-    def __init__(self, layout: list[tuple[str, int]]):
-        if not layout or any(w < 1 for _, w in layout):
-            raise ValueError("layout needs positive widths")
-        self.layout = list(layout)
-        strides = [1] * len(layout)
-        for i in range(len(layout) - 2, -1, -1):
-            strides[i] = strides[i + 1] * layout[i + 1][1]
-        self._strides = strides
-        self.total = strides[0] * layout[0][1]
-
-    def flatten(self, components: tuple[int, ...]) -> int:
-        if len(components) != len(self.layout):
-            raise ComponentOutOfRange("component count does not match layout")
-        flat = 0
-        for value, (label, width), stride in zip(components, self.layout, self._strides):
-            if not 0 <= value < width:
-                raise ComponentOutOfRange(f"{label}={value} outside [0, {width})")
-            flat += value * stride
-        return flat
-
-    def unflatten(self, flat: int) -> tuple[int, ...]:
-        if not 0 <= flat < self.total:
-            raise ComponentOutOfRange(f"flat id {flat} outside [0, {self.total})")
-        out = []
-        for stride in self._strides:
-            out.append(flat // stride)
-            flat %= stride
-        return tuple(out)
-
-
 class ColorAllocator:
     """Hands out disjoint contiguous blocks of the final color space.
 
     Static blocks are reserved when a run is wired up; dynamic blocks
     (buffer flushes, spill sets, leftovers) are grabbed as needed. The
-    high-water mark is the run's true palette footprint.
+    high-water mark is the run's true palette footprint. Once `budget` is
+    set, a block that would end past it raises BoundViolation instead.
     """
 
-    __slots__ = ("next_free", "blocks")
+    __slots__ = ("next_free", "blocks", "budget")
 
     def __init__(self) -> None:
         self.next_free = 0
         self.blocks: list[tuple[str, int, int]] = []
+        self.budget: int | None = None
 
     def reserve(self, width: int, label: str = "") -> int:
         if width < 0:
             raise ValueError("block width must be non-negative")
         base = self.next_free
+        if self.budget is not None and base + width > self.budget:
+            raise BoundViolation(
+                f"block {label} of {width} colors at {base} passes the budget {self.budget}"
+            )
         self.next_free += width
         self.blocks.append((label, base, width))
         return base

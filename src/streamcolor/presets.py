@@ -10,9 +10,13 @@ Available presets and the stream modes they accept:
     offline-exact  any mode; store everything, exact bipartite coloring
     offline-greedy any mode; store everything, greedy coloring
 
-Every preset draws all randomness from one seed, reserves disjoint color
-blocks from a single allocator, and reports a declared color budget that
-upper-bounds every id it can ever emit. The edge presets fall back to
+`build_pipeline` wires a preset to one stream and `run_stream` drives it.
+Every preset draws all randomness from one seed and reserves disjoint
+color blocks from a single allocator. Its declared color budget, which
+upper-bounds every id it can ever emit, is the sum of what the built
+components can reserve: each reports its static blocks plus a bound on
+its dynamic ones (spill, flush, leftover, base store), and the allocator
+refuses any block past that sum. The edge presets fall back to
 store-and-color when the degree bound is too small for the concentration
 arguments behind their routing (below c * log^2 n); `force_stream`
 bypasses the fallback so the streaming path can be exercised at small
@@ -26,17 +30,15 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .core import OneSidedColorer, SpillReport
+from .core import OneSidedColorer, SpillReport, color_block
 from .dispatch import BatchIndexDispatcher, GroupedBatchDispatcher, ceil_sqrt
-from .errors import ModeMismatch, NotBipartite
+from .errors import ModeMismatch
 from .meter import SpaceMeter
-from .offline import OfflineGraph, color_bipartite_exact, color_general, color_greedy
-from .palette import ColorAllocator, period_for
+from .palette import ColorAllocator
 from .reductions import (
     EdgeBipartization,
     TwoSidedSplit,
     VertexBipartization,
-    plan_levels,
 )
 from .rng import split_seed
 from .stream import (
@@ -94,82 +96,37 @@ def clamp_s(header: StreamHeader, s: int) -> int:
 
 def declared_budget(header: StreamHeader, alg: str, s: int = 1, force_stream: bool = False) -> int:
     """An upper bound on every color id the preset can emit on this stream."""
-    delta = header.delta
-    if delta == 1 and alg not in ("offline-exact", "offline-greedy"):
-        return 1
-    if alg == "one-sided":
-        p = period_for(delta)
-        if header.mode == MODE_BATCH:
-            batches = -(-delta // header.batch_size)
-            return batches * 3 * p + delta
-        return 3 * p + delta
-    if alg == "vertex-general":
-        if header.bipartite:
-            return 2 * (3 * period_for(delta) + delta)
-        total = delta + 1  # base store
-        for bound in plan_levels(header.n_total, delta):
-            total += 2 * (3 * period_for(bound) + bound)
-        return total
-    if alg in ("edge-sqrt", "edge-general"):
-        if uses_fallback(header, alg, force_stream):
-            return delta if header.bipartite else delta + 1
-        if alg == "edge-sqrt":
-            if header.bipartite:
-                return _sqrt_core_budget(delta)
-            total = delta + 1
-            for bound in plan_levels(header.n_total, delta):
-                total += _sqrt_core_budget(bound)
-            return total
-        s = clamp_s(header, s)
-        if header.bipartite:
-            return _general_core_budget(header.n_total, delta, s)
-        total = delta + 1
-        for bound in plan_levels(header.n_total, delta):
-            total += _general_core_budget(header.n_total, bound, s)
-        return total
-    if alg == "offline-exact":
-        return delta
-    if alg == "offline-greedy":
-        return max(2 * delta - 1, 1)
-    raise ValueError(f"unknown preset {alg!r}")
-
-
-def _sqrt_core_budget(delta: int) -> int:
-    if delta == 1:
-        return 1
-    k = ceil_sqrt(delta)
-    return k * (3 * period_for(2 * k) + 2 * k) + delta
-
-
-def _general_core_budget(n_total: int, delta: int, s: int) -> int:
-    if delta == 1:
-        return 1
-    k = ceil_sqrt(delta)
-    s = max(1, min(s, k))
-    gw = -(-k // s)
-    sub_delta = max(-(-2 * delta // s), min(gw * k, delta))
-    flush_bound = (n_total * delta // 2) // max(n_total * s, 1) + 1
-    streaming = 2 * s * gw * 3 * period_for(sub_delta)
-    spills = 2 * s * sub_delta
-    return streaming + spills + flush_bound * k + delta
+    return build_pipeline(header, alg, s=s, force_stream=force_stream).budget
 
 
 # --- pipelines ---
 
 
 class _Pipeline:
+    """A preset wired to one stream: `feed` per event, then `finalize` once.
+
+    Each pipeline sets `budget` from what its components reserve; most
+    drive one component, `inner`. `build_pipeline` adds the run's `meter`,
+    `allocator`, `preset` name and reported `s`.
+    """
+
+    inner = None
+    budget: int
+
     def feed(self, event: StreamEvent) -> list[ColorAssignment]:
         raise NotImplementedError
 
     def finalize(self) -> list[ColorAssignment]:
-        raise NotImplementedError
+        return self.inner.finalize()
 
     def spill_report(self) -> SpillReport:
-        return SpillReport(0, 0)
+        return SpillReport(0, 0) if self.inner is None else self.inner.spill_report()
 
 
 class _Trivial(_Pipeline):
     """Degree bound 1: the graph is a matching, one color covers it."""
+
+    budget = 1
 
     def __init__(self, allocator: ColorAllocator):
         self.color = allocator.reserve(1, "trivial")
@@ -187,13 +144,14 @@ class _OneSided(_Pipeline):
     def __init__(self, header: StreamHeader, seed: int, meter: SpaceMeter, alloc: ColorAllocator):
         self.n_online = header.n_online
         self.n_total = header.n_total
-        self.colorer = OneSidedColorer(
+        self.inner = OneSidedColorer(
             header.delta,
             random.Random(split_seed(seed, 1)),
             meter,
             alloc,
             batch_size=header.batch_size if header.mode == MODE_BATCH else None,
         )
+        self.budget = self.inner.budget
 
     def feed(self, event):
         u, neighbors = event
@@ -204,14 +162,8 @@ class _OneSided(_Pipeline):
             v = next(v for v in neighbors if not n_online <= v < self.n_total)
             raise ModeMismatch(f"neighbor {v} is not an offline id")
         if type(event) is BatchArrival:
-            return self.colorer.on_batch(u, list(neighbors))
-        return self.colorer.on_online_vertex(u, list(neighbors))
-
-    def finalize(self):
-        return self.colorer.finalize()
-
-    def spill_report(self):
-        return self.colorer.spill_report()
+            return self.inner.on_batch(u, list(neighbors))
+        return self.inner.on_online_vertex(u, list(neighbors))
 
 
 class _TwoSidedVertex(_Pipeline):
@@ -219,7 +171,8 @@ class _TwoSidedVertex(_Pipeline):
 
     def __init__(self, header: StreamHeader, seed: int, meter: SpaceMeter, alloc: ColorAllocator):
         self.header = header
-        self.split = TwoSidedSplit(header.delta, split_seed(seed, 1), meter, alloc)
+        self.inner = TwoSidedSplit(header.delta, split_seed(seed, 1), meter, alloc)
+        self.budget = self.inner.budget
         self.arrived: set[int] = set()
 
     def feed(self, event):
@@ -233,21 +186,13 @@ class _TwoSidedVertex(_Pipeline):
             if v not in self.arrived:
                 raise ModeMismatch(f"neighbor {v} of {u} has not arrived yet")
         self.arrived.add(u)
-        return self.split.on_arrival(u, list(event.neighbors), side)
-
-    def finalize(self):
-        return self.split.finalize()
-
-    def spill_report(self):
-        return self.split.spill_report()
+        return self.inner.on_arrival(u, list(event.neighbors), side)
 
 
 class _GeneralVertex(_Pipeline):
     """General-graph vertex arrivals through bipartization."""
 
     def __init__(self, header: StreamHeader, seed: int, meter: SpaceMeter, alloc: ColorAllocator):
-        self.header = header
-
         def factory(level: int, bound: int) -> TwoSidedSplit:
             return TwoSidedSplit(
                 bound,
@@ -258,9 +203,10 @@ class _GeneralVertex(_Pipeline):
                 offline_cap=bound,
             )
 
-        self.tree = VertexBipartization(
+        self.inner = VertexBipartization(
             header.n_total, header.delta, split_seed(seed, 1), meter, alloc, factory
         )
+        self.budget = self.inner.budget
         self.arrived: set[int] = set()
 
     def feed(self, event):
@@ -269,13 +215,23 @@ class _GeneralVertex(_Pipeline):
             v = next(v for v in neighbors if v not in self.arrived)
             raise ModeMismatch(f"neighbor {v} of {u} has not arrived yet")
         self.arrived.add(u)
-        return self.tree.on_vertex(u, neighbors)
+        return self.inner.on_vertex(u, neighbors)
 
-    def finalize(self):
-        return self.tree.finalize()
 
-    def spill_report(self):
-        return self.tree.spill_report()
+def _grouped_dispatcher(n, bound, s, side_of, seed, meter, alloc, name="general"):
+    """A grouped dispatcher with an n*s edge buffer, allowed one flush per
+    n*s of the at most n*bound/2 edges it can be fed, plus one."""
+    return GroupedBatchDispatcher(
+        bound,
+        s,
+        n * s,
+        side_of,
+        seed,
+        meter,
+        alloc,
+        flush_bound=(n * bound // 2) // max(n * s, 1) + 1,
+        name=name,
+    )
 
 
 class _EdgeBipartite(_Pipeline):
@@ -283,25 +239,21 @@ class _EdgeBipartite(_Pipeline):
 
     def __init__(self, header, seed, meter, alloc, alg, s):
         self.n_online = header.n_online
-        n = header.n_total
         if alg == "edge-sqrt":
-            self.dispatcher = BatchIndexDispatcher(
-                header.delta, split_seed(seed, 1), meter, alloc
-            )
+            self.inner = BatchIndexDispatcher(header.delta, split_seed(seed, 1), meter, alloc)
             self._grouped = False
         else:
-            s = clamp_s(header, s)
-            self.dispatcher = GroupedBatchDispatcher(
+            self.inner = _grouped_dispatcher(
+                header.n_total,
                 header.delta,
-                s,
-                n * s,
+                clamp_s(header, s),
                 lambda v: 0 if v < header.n_online else 1,
                 split_seed(seed, 1),
                 meter,
                 alloc,
-                flush_bound=(n * header.delta // 2) // max(n * s, 1) + 1,
             )
             self._grouped = True
+        self.budget = self.inner.budget
 
     def feed(self, event):
         a, b = event
@@ -309,14 +261,8 @@ class _EdgeBipartite(_Pipeline):
         if a_online == (b < self.n_online):
             raise ModeMismatch(f"edge ({a}, {b}) does not cross the declared sides")
         if self._grouped or a_online:
-            return self.dispatcher.feed_edge(a, b)
-        return self.dispatcher.feed_edge(b, a)  # online endpoint owns the buffer slot
-
-    def finalize(self):
-        return self.dispatcher.finalize()
-
-    def spill_report(self):
-        return self.dispatcher.spill_report()
+            return self.inner.feed_edge(a, b)
+        return self.inner.feed_edge(b, a)  # online endpoint owns the buffer slot
 
 
 class _EdgeGeneral(_Pipeline):
@@ -324,7 +270,6 @@ class _EdgeGeneral(_Pipeline):
 
     def __init__(self, header, seed, meter, alloc, alg, s):
         n = header.n_total
-        self.tree: EdgeBipartization | None = None
 
         if alg == "edge-sqrt":
             def factory(level: int, bound: int) -> BatchIndexDispatcher:
@@ -335,45 +280,43 @@ class _EdgeGeneral(_Pipeline):
             s = clamp_s(header, s)
 
             def factory(level: int, bound: int) -> GroupedBatchDispatcher:
-                # side lookup goes through self.tree lazily: the tree only
+                # side lookup goes through self.inner lazily: the tree only
                 # exists once all level dispatchers are built
-                return GroupedBatchDispatcher(
+                return _grouped_dispatcher(
+                    n,
                     bound,
                     s,
-                    n * s,
-                    lambda v, lvl=level: self.tree.side_of(v, lvl),
+                    lambda v, lvl=level: self.inner.side_of(v, lvl),
                     split_seed(seed, 100 + level),
                     meter,
                     alloc,
-                    flush_bound=(n * bound // 2) // max(n * s, 1) + 1,
                     name=f"L{level}",
                 )
 
         def feeder(lvl, u, v, level):
             return lvl.feed_edge(u, v)
 
-        self.tree = EdgeBipartization(
+        self.inner = EdgeBipartization(
             n, header.delta, split_seed(seed, 1), meter, alloc, factory, feeder=feeder
         )
+        self.budget = self.inner.budget
 
     def feed(self, event):
-        return self.tree.on_edge(event.u, event.v)
-
-    def finalize(self):
-        return self.tree.finalize()
-
-    def spill_report(self):
-        return self.tree.spill_report()
+        return self.inner.on_edge(event.u, event.v)
 
 
 class _StoreAll(_Pipeline):
     """Baselines and the small-degree fallback: buffer, then color offline."""
 
     def __init__(self, header, meter, alloc, flavor: str):
-        self.header = header
         self.meter = meter
-        self.alloc = alloc
+        self.allocator = alloc
         self.flavor = flavor  # exact | greedy | auto
+        # a declared-bipartite stream witnesses its own sides
+        self.side_of = (lambda v: 0 if v < header.n_online else 1) if header.bipartite else None
+        d = header.delta
+        auto = d if header.bipartite else d + 1
+        self.budget = {"exact": d, "greedy": max(2 * d - 1, 1), "auto": auto}[flavor]
         self.edges: list[tuple[int, int]] = []
 
     def feed(self, event):
@@ -391,32 +334,9 @@ class _StoreAll(_Pipeline):
         edges = self.edges
         if not edges:
             return []
-        h = self.header
-        sides = None
-        if h.bipartite:
-            sides = {}
-            for a, b in edges:
-                sides[a] = 0 if a < h.n_online else 1
-                sides[b] = 0 if b < h.n_online else 1
-        graph = OfflineGraph(edges, sides)
-        flavor = self.flavor
-        if flavor == "auto":
-            try:
-                graph.bipartition()
-                flavor = "exact"
-            except NotBipartite:
-                flavor = "general"
-        if flavor == "exact":
-            colors = color_bipartite_exact(graph, self.meter)
-            width = graph.max_degree
-        elif flavor == "general":
-            colors = color_general(graph, self.meter)
-            width = graph.max_degree + 1
-        else:
-            colors = color_greedy(graph, self.meter)
-            width = max(2 * graph.max_degree - 1, 1)
-        base = self.alloc.reserve(width, "stored-graph")
-        out = [ColorAssignment(a, b, base + c) for (a, b), c in zip(edges, colors)]
+        out = color_block(
+            edges, self.side_of, "stored-graph", self.meter, self.allocator, self.flavor
+        )
         self.meter.release("stored-graph", 2 * len(edges))
         self.edges = []
         return out
@@ -446,48 +366,51 @@ def build_pipeline(
     s: int = 1,
     force_stream: bool = False,
     seed: int | None = None,
-    meter: SpaceMeter | None = None,
-    allocator: ColorAllocator | None = None,
-) -> tuple[_Pipeline, SpaceMeter, ColorAllocator]:
+) -> _Pipeline:
+    """Wire a preset to this stream, with a fresh meter and allocator.
+
+    The pipeline's `budget` is read off its components, and the allocator
+    refuses any block that would pass it.
+    """
     check_mode(header.mode, alg)
-    meter = meter if meter is not None else SpaceMeter()
-    alloc = allocator if allocator is not None else ColorAllocator()
+    meter = SpaceMeter()
+    alloc = ColorAllocator()
     seed = header.seed if seed is None else seed
 
     if alg == "offline-exact":
-        return _StoreAll(header, meter, alloc, "exact"), meter, alloc
-    if alg == "offline-greedy":
-        return _StoreAll(header, meter, alloc, "greedy"), meter, alloc
-    if header.delta == 1:
-        return _Trivial(alloc), meter, alloc
-    if alg == "one-sided":
-        return _OneSided(header, seed, meter, alloc), meter, alloc
-    if alg == "vertex-general":
-        if header.bipartite:
-            return _TwoSidedVertex(header, seed, meter, alloc), meter, alloc
-        return _GeneralVertex(header, seed, meter, alloc), meter, alloc
-    # edge presets
-    if uses_fallback(header, alg, force_stream):
-        return _StoreAll(header, meter, alloc, "auto"), meter, alloc
-    if header.bipartite:
-        return _EdgeBipartite(header, seed, meter, alloc, alg, s), meter, alloc
-    return _EdgeGeneral(header, seed, meter, alloc, alg, s), meter, alloc
+        pipeline = _StoreAll(header, meter, alloc, "exact")
+    elif alg == "offline-greedy":
+        pipeline = _StoreAll(header, meter, alloc, "greedy")
+    elif header.delta == 1:
+        pipeline = _Trivial(alloc)
+    elif alg == "one-sided":
+        pipeline = _OneSided(header, seed, meter, alloc)
+    elif alg == "vertex-general":
+        vertex = _TwoSidedVertex if header.bipartite else _GeneralVertex
+        pipeline = vertex(header, seed, meter, alloc)
+    elif uses_fallback(header, alg, force_stream):
+        pipeline = _StoreAll(header, meter, alloc, "auto")
+    else:
+        edge = _EdgeBipartite if header.bipartite else _EdgeGeneral
+        pipeline = edge(header, seed, meter, alloc, alg, s)
+    pipeline.meter = meter
+    pipeline.allocator = alloc
+    pipeline.preset = alg
+    if alg == "edge-general":
+        pipeline.s = clamp_s(header, s)
+    else:
+        pipeline.s = ceil_sqrt(header.delta) if alg == "edge-sqrt" else 0
+    alloc.budget = pipeline.budget
+    return pipeline
 
 
 def run_stream(
-    header: StreamHeader,
+    pipeline: _Pipeline,
     events: Iterable[StreamEvent],
-    alg: str,
     *,
-    s: int = 1,
-    force_stream: bool = False,
-    seed: int | None = None,
     emit: Callable[[int, int, int], None],
 ) -> RunStats:
-    """Drive a full stream through a preset, emitting assignments as found."""
-    pipeline, meter, alloc = build_pipeline(
-        header, alg, s=s, force_stream=force_stream, seed=seed
-    )
+    """Drive a full stream through a built pipeline, emitting assignments as found."""
     colors: set[int] = set()
     emitted = 0
     for event in events:
@@ -502,19 +425,13 @@ def run_stream(
         emit(u, v, c)
     emitted += len(out)
     report = pipeline.spill_report()
-    if alg == "edge-general":
-        s_out = clamp_s(header, s)
-    elif alg == "edge-sqrt":
-        s_out = ceil_sqrt(header.delta)
-    else:
-        s_out = 0
     return RunStats(
-        preset=alg,
-        s=s_out,
-        declared_budget=declared_budget(header, alg, s, force_stream),
-        palette_used=alloc.total,
+        preset=pipeline.preset,
+        s=pipeline.s,
+        declared_budget=pipeline.budget,
+        palette_used=pipeline.allocator.total,
         colors_used=len(colors),
-        peak_words=meter.peak_words,
+        peak_words=pipeline.meter.peak_words,
         spilled_vertices=report.spilled_vertices,
         spilled_edges=report.spilled_edges,
         edges_emitted=emitted,

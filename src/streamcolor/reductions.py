@@ -23,10 +23,9 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .core import OneSidedColorer, SpillReport
-from .errors import BoundViolation, NotBipartite
+from .core import OneSidedColorer, SpillReport, color_block
+from .errors import BoundViolation
 from .meter import SpaceMeter
-from .offline import OfflineGraph, color_bipartite_exact, color_general
 from .palette import ColorAllocator
 from .rng import child_rng
 from .stream import ColorAssignment
@@ -55,6 +54,7 @@ class TwoSidedSplit:
             )
             for side in (0, 1)
         ]
+        self.budget = sum(c.budget for c in self.colorers)
 
     def on_arrival(self, u: int, neighbors: list[int], side: int) -> list[ColorAssignment]:
         return self.colorers[side].on_online_vertex(u, neighbors)
@@ -63,10 +63,7 @@ class TwoSidedSplit:
         return self.colorers[0].finalize() + self.colorers[1].finalize()
 
     def spill_report(self) -> SpillReport:
-        return SpillReport(
-            sum(c.spilled_vertices for c in self.colorers),
-            sum(c.spilled_edges_total for c in self.colorers),
-        )
+        return SpillReport.total(self.colorers)
 
 
 def stop_threshold(n: int) -> float:
@@ -98,8 +95,8 @@ class Bipartization:
 
     The per-level algorithm is supplied by `level_factory(level, bound)`,
     which must return an object exposing the part of the level interface
-    the caller drives (vertex arrivals or edge feeds) plus `finalize()`
-    and `spill_report()`.
+    the caller drives (vertex arrivals or edge feeds) plus `finalize()`,
+    `spill_report()` and its color `budget`.
     """
 
     def __init__(
@@ -119,6 +116,7 @@ class Bipartization:
         self.bounds = plan_levels(n, delta)
         self.levels = [level_factory(i, d) for i, d in enumerate(self.bounds)]
         self.num_levels = len(self.levels)
+        self.budget = sum(lvl.budget for lvl in self.levels) + delta + 1  # plus the base store
         self.rng = child_rng(seed, 0xB1)
         self.bits: dict[int, int] = {}
         self.level_degrees: list[dict[int, int]] = [{} for _ in self.bounds]
@@ -168,32 +166,20 @@ class Bipartization:
         self.base_edges.append((u, v))
         self.meter.add(self._basekey, 2)
 
-    def _color_base(self) -> list[ColorAssignment]:
+    def finalize(self) -> list[ColorAssignment]:
+        out: list[ColorAssignment] = []
+        for lvl in self.levels:
+            out.extend(lvl.finalize())
         edges = self.base_edges
-        if not edges:
-            return []
-        graph = OfflineGraph(edges)
-        try:
-            graph.bipartition()
-            width = graph.max_degree
-            colors = None
-        except NotBipartite:
-            width = graph.max_degree + 1
-            colors = color_general(graph, self.meter)
-        fresh = self.allocator.reserve(width, f"{self.name}:base")
-        if colors is None:
-            colors = color_bipartite_exact(graph, self.meter)
-        out = [ColorAssignment(a, b, fresh + c) for (a, b), c in zip(edges, colors)]
-        self.meter.release(self._basekey, 2 * len(edges))
-        self.base_edges = []
+        if edges:
+            label = f"{self.name}:base"
+            out += color_block(edges, None, label, self.meter, self.allocator, "auto")
+            self.meter.release(self._basekey, 2 * len(edges))
+            self.base_edges = []
         return out
 
     def spill_report(self) -> SpillReport:
-        reports = [lvl.spill_report() for lvl in self.levels]
-        return SpillReport(
-            sum(r.spilled_vertices for r in reports),
-            sum(r.spilled_edges for r in reports),
-        )
+        return SpillReport.total(self.levels)
 
 
 class VertexBipartization(Bipartization):
@@ -275,13 +261,6 @@ class VertexBipartization(Bipartization):
             out.extend(self.levels[level].on_arrival(u, group, (bu >> level) & 1))
         return out
 
-    def finalize(self) -> list[ColorAssignment]:
-        out: list[ColorAssignment] = []
-        for lvl in self.levels:
-            out.extend(lvl.finalize())
-        out.extend(self._color_base())
-        return out
-
 
 class EdgeBipartization(Bipartization):
     """Edge-arrival flavor: each edge feeds the dispatcher of its level.
@@ -304,10 +283,3 @@ class EdgeBipartization(Bipartization):
         # the bit-1 endpoint is the designated online side within a level
         u, v = (a, b) if self.side_of(a, level) == 1 else (b, a)
         return self.feeder(self.levels[level], u, v, level)
-
-    def finalize(self) -> list[ColorAssignment]:
-        out: list[ColorAssignment] = []
-        for lvl in self.levels:
-            out.extend(lvl.finalize())
-        out.extend(self._color_base())
-        return out

@@ -20,7 +20,7 @@ from streamcolor.harness import (
     run_kout_experiment,
     row_to_csv,
 )
-from streamcolor.matching import ColorGraph, brute_force_match, perfect_match, sample_distinct
+from streamcolor.matching import brute_force_match, maximum_matching, sample_distinct
 from streamcolor.offline import OfflineGraph, color_bipartite_exact, color_general
 from streamcolor.palette import period_for
 
@@ -198,10 +198,11 @@ def test_c08_matcher_equals_exhaustive_oracle():
         n = rng.randrange(0, 11)
         palette = rng.randrange(3, 14)
         slots = [tuple(sample_distinct(rng, palette, 3)) for _ in range(n)]
-        g = ColorGraph(slots)
-        fast = perfect_match(g)
-        slow = brute_force_match(g)
-        assert (fast is None) == (slow is None), slots
+        fast = maximum_matching(slots)
+        slow = brute_force_match(slots)
+        assert (-1 in fast) == (slow is None), slots
+        if slow is not None:
+            assert len(set(fast)) == n and all(c in slot for c, slot in zip(fast, slots))
         agreements += 1
     _line(f"C8 matcher vs exhaustive search: PASS ({agreements} instances agree)")
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from streamcolor.core import OneSidedColorer
-from streamcolor.errors import BatchSizeMismatch, BoundViolation, TooManyBatches
+from streamcolor.errors import BatchSizeMismatch, BoundViolation, TooManyBatches, TooManySlots
 from streamcolor.meter import SpaceMeter
 from streamcolor.palette import ColorAllocator, OfflineState, period_for
 
@@ -111,6 +111,12 @@ def test_batch_count_is_capped():
     inst.on_batch(0, [100, 101, 102, 103])
     with pytest.raises(TooManyBatches):
         inst.on_batch(0, [100, 101, 102, 103])
+
+
+def test_arrival_beyond_the_degree_bound_raises_too_many_slots():
+    inst, _, _ = make(2)
+    with pytest.raises(TooManySlots):
+        inst.on_online_vertex(0, [10, 11, 12])
 
 
 def test_offline_cap_is_a_hard_error():

@@ -1,11 +1,12 @@
-"""Golden output hashes: `streamcolor run` output is pinned byte for byte.
+"""Golden output hashes and declared budgets, pinned value for value.
 
-Each case generates a small stream (n=256) with a fixed seed, runs one
-preset through the CLI and compares the SHA-256 of the output file, `c`
-lines and `T` trailer, with the recorded value. A change meant to keep
-every color (a refactor or a speed-up) must leave these hashes as they
-are; a change that moves colors on purpose records the new hashes and
-says why.
+Each hash case generates a small stream (n=256) with a fixed seed, runs
+one preset through the CLI and compares the SHA-256 of the output file,
+`c` lines and `T` trailer, with the recorded value. A change meant to
+keep every color (a refactor or a speed-up) must leave these hashes as
+they are; a change that moves colors on purpose records the new hashes
+and says why. The budget table pins `declared_budget` per header in the
+same way.
 """
 
 import hashlib
@@ -14,6 +15,8 @@ import pytest
 
 from streamcolor.cli import main
 from streamcolor.harness import GenSpec, generate
+from streamcolor.presets import declared_budget
+from streamcolor.stream import StreamHeader
 
 # (id, family, mode, delta, batch_size, preset, extra run arguments, sha256)
 CASES = [
@@ -73,3 +76,58 @@ def test_run_output_matches_its_golden_hash(case, tmp_path, monkeypatch):
     monkeypatch.delenv("STREAMCOLOR_SEED", raising=False)
     _, family, mode, delta, batch_size, preset, extra, expected = case
     assert output_sha256(tmp_path, family, mode, delta, batch_size, preset, extra) == expected
+
+
+# (id, n_online, n_offline, delta, mode, batch_size, preset, s, force_stream, budget)
+BUDGETS = [
+    ("one-sided-vertex", 256, 256, 32, "vertex-one-sided", 0, "one-sided", 1, False, 296),
+    ("one-sided-batch", 256, 256, 32, "batch", 4, "one-sided", 1, False, 2_144),
+    ("one-sided-delta1", 256, 256, 1, "vertex-one-sided", 0, "one-sided", 1, False, 1),
+    ("vertex-general-bipartite", 256, 256, 32, "vertex-two-sided", 0, "vertex-general", 1,
+     False, 592),
+    ("vertex-general-0-levels", 256, 0, 16, "vertex-two-sided", 0, "vertex-general", 1,
+     False, 17),
+    ("vertex-general-1-level", 256, 0, 64, "vertex-two-sided", 0, "vertex-general", 1,
+     False, 1_829),
+    ("vertex-general-4-levels", 1024, 0, 1024, "vertex-two-sided", 0, "vertex-general", 1,
+     False, 53_795),
+    ("edge-sqrt-forced", 256, 256, 32, "edge", 0, "edge-sqrt", 1, True, 698),
+    ("edge-sqrt-fallback", 256, 256, 32, "edge", 0, "edge-sqrt", 1, False, 32),
+    ("edge-sqrt-fallback-general", 256, 0, 32, "edge", 0, "edge-sqrt", 1, False, 33),
+    ("edge-sqrt-1-level", 256, 0, 64, "edge", 0, "edge-sqrt", 1, True, 2_011),
+    ("edge-sqrt-4-levels", 1024, 0, 1024, "edge", 0, "edge-sqrt", 1, True, 58_651),
+    ("edge-sqrt-delta1", 256, 256, 1, "edge", 0, "edge-sqrt", 1, True, 1),
+    ("edge-general-s1", 256, 256, 64, "edge", 0, "edge-general", 1, True, 17_336),
+    ("edge-general-s2", 256, 256, 64, "edge", 0, "edge-general", 2, True, 8_856),
+    ("edge-general-s-sqrt", 256, 256, 64, "edge", 0, "edge-general", 8, True, 2_472),
+    ("edge-general-s-clamped", 256, 256, 64, "edge", 0, "edge-general", 100, True, 2_472),
+    ("edge-general-fallback", 256, 256, 64, "edge", 0, "edge-general", 2, False, 64),
+    ("edge-general-0-levels", 256, 0, 16, "edge", 0, "edge-general", 2, True, 17),
+    ("edge-general-1-level", 256, 0, 64, "edge", 0, "edge-general", 2, True, 16_515),
+    ("edge-general-4-levels", 1024, 0, 1024, "edge", 0, "edge-general", 1, True, 3_107_987),
+    ("edge-general-delta1", 256, 256, 1, "edge", 0, "edge-general", 1, True, 1),
+    ("offline-exact", 256, 256, 32, "edge", 0, "offline-exact", 1, False, 32),
+    ("offline-exact-delta1", 256, 256, 1, "vertex-one-sided", 0, "offline-exact", 1, False, 1),
+    ("offline-greedy", 256, 0, 32, "edge", 0, "offline-greedy", 1, False, 63),
+    ("offline-greedy-delta1", 256, 0, 1, "edge", 0, "offline-greedy", 1, False, 1),
+    # s above a deeper level's ceil(sqrt(bound)): each level's buffer cap and
+    # flush bound use the header-clamped s, and so does its budget
+    ("edge-general-deep-s16", 256, 0, 256, "edge", 0, "edge-general", 16, True, 38_967),
+    ("edge-general-deep-s32", 256, 0, 256, "edge", 0, "edge-general", 32, True, 38_967),
+    ("edge-general-deep-s64", 256, 0, 256, "edge", 0, "edge-general", 64, True, 38_967),
+    ("edge-general-deep-n1024-s32", 1024, 0, 1024, "edge", 0, "edge-general", 32, True,
+     162_149),
+    ("edge-general-deep-n1024-s64", 1024, 0, 1024, "edge", 0, "edge-general", 64, True,
+     162_149),
+    ("edge-general-deep-n4096-s32", 4096, 0, 1024, "edge", 0, "edge-general", 32, True,
+     162_149),
+    ("edge-general-deep-n4096-s64", 4096, 0, 1024, "edge", 0, "edge-general", 64, True,
+     162_149),
+]
+
+
+@pytest.mark.parametrize("case", BUDGETS, ids=[c[0] for c in BUDGETS])
+def test_declared_budget_matches_its_golden_value(case):
+    _, n_online, n_offline, delta, mode, batch_size, preset, s, force, expected = case
+    header = StreamHeader(n_online, n_offline, delta, mode, batch_size, 0)
+    assert declared_budget(header, preset, s, force) == expected

@@ -153,9 +153,9 @@ def test_grid_row_with_a_color_over_the_budget_is_not_proper(monkeypatch):
 
     real = harness.run_stream
 
-    def shifted(header, events, alg, *, emit, **kwargs):
+    def shifted(pipeline, events, *, emit):
         # every color moved past the budget: still proper and complete
-        return real(header, events, alg, emit=lambda u, v, c: emit(u, v, c + 10**6), **kwargs)
+        return real(pipeline, events, emit=lambda u, v, c: emit(u, v, c + 10**6))
 
     monkeypatch.setattr(harness, "run_stream", shifted)
     row = execute_run(RunRequest("one-sided", GenSpec("regular-bipartite", 32, 4, "vertex-one-sided", seed=1)))

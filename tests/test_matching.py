@@ -5,101 +5,70 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcolor.errors import InstanceTooLarge, TooManySlots
-from streamcolor.matching import (
-    ColorGraph,
-    brute_force_match,
-    build_color_graph,
-    kout_trial,
-    maximum_matching,
-    perfect_match,
-    sample_distinct,
-)
-from streamcolor.palette import OfflineState, PaletteParams, period_for
+from streamcolor.errors import InstanceTooLarge
+from streamcolor.matching import brute_force_match, kout_trial, maximum_matching, sample_distinct
+from streamcolor.palette import period_for
 
 
-def valid(graph, result):
-    assert len(result) == len(graph.slots)
-    chosen = [c for c, _ in result]
-    assert len(set(chosen)) == len(chosen)
-    for (c, band), slot in zip(result, graph.slots):
-        assert slot[band] == c
+def valid(slots, result):
+    """A perfect matching: one distinct color per slot, each in its slot."""
+    assert len(result) == len(slots)
+    assert -1 not in result
+    assert len(set(result)) == len(result)
+    for c, slot in zip(result, slots):
+        assert c in slot
 
 
 def test_identical_triples_up_to_three_slots_match():
-    g = ColorGraph([(3, 7, 9)] * 3)
-    m = perfect_match(g)
-    assert m is not None
-    valid(g, m)
-    assert sorted(c for c, _ in m) == [3, 7, 9]
+    slots = [(3, 7, 9)] * 3
+    m = maximum_matching(slots)
+    valid(slots, m)
+    assert sorted(m) == [3, 7, 9]
 
 
 def test_four_slots_over_three_colors_fail():
-    g = ColorGraph([(3, 7, 9)] * 4)
-    assert perfect_match(g) is None
-    assert brute_force_match(g) is None
+    slots = [(3, 7, 9)] * 4
+    assert -1 in maximum_matching(slots)
+    assert brute_force_match(slots) is None
 
 
 def test_empty_graph_matches_trivially():
-    assert perfect_match(ColorGraph([])) == []
-    assert brute_force_match(ColorGraph([])) == []
+    assert maximum_matching([]) == []
+    assert brute_force_match([]) == []
 
 
 def test_single_slot_takes_lowest_color():
-    assert perfect_match(ColorGraph([(0, 1, 2)])) == [(0, 0)]
-    assert brute_force_match(ColorGraph([(2, 1, 0)])) == [(0, 2)]
-
-
-def test_build_color_graph_drops_band_offsets():
-    pp = PaletteParams.for_delta(10)
-    g = build_color_graph([OfflineState(5, 11, 20, deg=3)], pp)
-    assert g.slots == [(8, 14, 23)]
-
-
-def test_build_color_graph_identity_at_degree_zero():
-    pp = PaletteParams.for_delta(10)
-    states = [OfflineState(3, 7, 9) for _ in range(3)]
-    g = build_color_graph(states, pp)
-    assert g.slots == [(3, 7, 9)] * 3
-
-
-def test_build_color_graph_rejects_too_many_slots():
-    pp = PaletteParams.for_delta(2)
-    states = [OfflineState(0, 1, 2) for _ in range(3)]
-    with pytest.raises(TooManySlots):
-        build_color_graph(states, pp)
+    assert maximum_matching([(0, 1, 2)]) == [0]
+    assert brute_force_match([(2, 1, 0)]) == [(0, 2)]
 
 
 def test_brute_force_rejects_large_instances():
     with pytest.raises(InstanceTooLarge):
-        brute_force_match(ColorGraph([(0, 1, 2)] * 13))
+        brute_force_match([(0, 1, 2)] * 13)
 
 
-def random_graph(rng, max_slots=10, palette=12):
+def random_slots(rng, max_slots=10, palette=12):
     n = rng.randrange(0, max_slots + 1)
-    slots = []
-    for _ in range(n):
-        slots.append(tuple(sample_distinct(rng, palette, 3)))
-    return ColorGraph(slots)
+    return [tuple(sample_distinct(rng, palette, 3)) for _ in range(n)]
 
 
 def test_matcher_agrees_with_exhaustive_oracle():
     rng = random.Random(2024)
     for _ in range(2000):
-        g = random_graph(rng)
-        fast = perfect_match(g)
-        slow = brute_force_match(g)
-        assert (fast is None) == (slow is None)
-        if fast is not None:
-            valid(g, fast)
+        slots = random_slots(rng)
+        fast = maximum_matching(slots)
+        slow = brute_force_match(slots)
+        assert (-1 in fast) == (slow is None)
+        if slow is not None:
+            valid(slots, fast)
 
 
 def test_matching_is_deterministic():
     rng = random.Random(5)
-    g = random_graph(rng, max_slots=8)
-    first = perfect_match(g)
+    slots = random_slots(rng, max_slots=8)
+    first = maximum_matching(slots)
     for _ in range(5):
-        assert perfect_match(g) == first
+        assert maximum_matching(slots) == first
 
 
 def test_three_or_fewer_slots_always_match():
@@ -108,8 +77,8 @@ def test_three_or_fewer_slots_always_match():
     rng = random.Random(11)
     for _ in range(2000):
         n = rng.randrange(0, 4)
-        g = ColorGraph([tuple(sample_distinct(rng, 9, 3)) for _ in range(n)])
-        assert perfect_match(g) is not None
+        slots = [tuple(sample_distinct(rng, 9, 3)) for _ in range(n)]
+        assert -1 not in maximum_matching(slots)
 
 
 @settings(max_examples=150, deadline=None)
@@ -117,14 +86,13 @@ def test_three_or_fewer_slots_always_match():
 def test_adding_a_neighbor_never_breaks_a_matching(data):
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     slots = [tuple(sample_distinct(rng, 10, 3)) for _ in range(rng.randrange(1, 9))]
-    before = perfect_match(ColorGraph(list(slots)))
-    if before is None:
+    if -1 in maximum_matching(slots):
         return
     i = rng.randrange(len(slots))
     extra = rng.randrange(10, 14)
     bigger = list(slots)
     bigger[i] = slots[i] + (extra,)
-    assert perfect_match(ColorGraph(bigger)) is not None
+    assert -1 not in maximum_matching(bigger)
 
 
 def test_sample_distinct_is_uniform_enough():

@@ -1,20 +1,19 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from streamcolor.errors import ComponentOutOfRange, PeriodTooSmall
+from streamcolor.core import OneSidedColorer
+from streamcolor.errors import BoundViolation, PeriodTooSmall
+from streamcolor.meter import SpaceMeter
 from streamcolor.palette import (
     ColorAllocator,
-    FlatPalette,
     OfflineState,
     PaletteParams,
     draw_offline_state,
     period_for,
-    propose_bases,
-    propose_colors,
 )
+from streamcolor.presets import build_pipeline
+from streamcolor.stream import StreamHeader
 
 
 def test_period_is_exact_integer_ceiling():
@@ -25,18 +24,29 @@ def test_period_is_exact_integer_ceiling():
     assert period_for(100) == 272
 
 
+def one_edge_color(delta, state):
+    """The color, within its colorer's block, that a one-edge arrival takes
+    from an offline vertex holding `state`: the lowest of the three bases
+    (shift + degree) mod P, in its own band."""
+    inst = OneSidedColorer(delta, random.Random(0), SpaceMeter(), ColorAllocator())
+    inst.states[1] = state
+    [assignment] = inst.on_online_vertex(0, [1])
+    return assignment.color - inst.block
+
+
 def test_proposals_match_hand_evaluation():
-    pp = PaletteParams.for_delta(10)
-    assert propose_colors(OfflineState(5, 11, 20, deg=3), pp) == (8, 42, 79)
-    assert propose_colors(OfflineState(26, 0, 1, deg=5), pp) == (3, 33, 62)
+    p = period_for(10)  # 28
+    assert one_edge_color(10, OfflineState(5, 11, 20, deg=3)) == 8  # bases 8, 14, 23
+    assert one_edge_color(10, OfflineState(26, 0, 1, deg=5)) == 3  # bases 3, 5, 6
+    assert one_edge_color(10, OfflineState(20, 0, 9, deg=7)) == p + 7  # bases 27, 7, 16
+    assert one_edge_color(10, OfflineState(5, 11, 20, deg=10)) == 2 * p + 2  # bases 15, 21, 2
 
 
 def test_proposals_at_degree_zero_are_the_shifts():
-    pp = PaletteParams.for_delta(7)
-    p = pp.period
-    for r1, r2, r3 in [(0, 1, 2), (5, 9, 13), (p - 1, 0, 1)]:
-        st_ = OfflineState(r1, r2, r3)
-        assert propose_colors(st_, pp) == (r1, r2 + p, r3 + 2 * p)
+    p = period_for(7)
+    for shifts in [(0, 1, 2), (5, 9, 13), (p - 1, 0, 1)]:
+        band = shifts.index(min(shifts))
+        assert one_edge_color(7, OfflineState(*shifts)) == band * p + min(shifts)
 
 
 def test_bands_tile_disjoint_ranges():
@@ -46,11 +56,10 @@ def test_bands_tile_disjoint_ranges():
         p = pp.period
         for _ in range(50):
             state = draw_offline_state(rng, pp)
-            state.deg = rng.randrange(delta)
-            x1, x2, x3 = propose_colors(state, pp)
-            assert 0 <= x1 < p
-            assert p <= x2 < 2 * p
-            assert 2 * p <= x3 < 3 * p
+            deg = state.deg = rng.randrange(delta)
+            band, base = divmod(one_edge_color(delta, state), p)
+            assert band in (0, 1, 2)
+            assert base == (state.shifts()[band] + deg) % p
 
 
 def test_same_band_proposals_distinct_across_all_degree_pairs():
@@ -93,42 +102,6 @@ def test_first_shift_marginal_is_uniform():
         assert abs(c / n - 1 / 6) <= 3 * sigma
 
 
-def test_flatten_hand_values():
-    fp = FlatPalette([("batch", 4), ("base", 84)])
-    assert fp.flatten((2, 8)) == 176
-    assert fp.flatten((0, 0)) == 0
-    assert fp.total == 336
-    with pytest.raises(ComponentOutOfRange):
-        fp.flatten((4, 0))
-    with pytest.raises(ComponentOutOfRange):
-        fp.flatten((0, 84))
-
-
-def test_flatten_is_a_bijection_on_the_tuple_space():
-    fp = FlatPalette([("batch", 4), ("base", 84)])
-    seen = set()
-    for b in range(4):
-        for y in range(84):
-            flat = fp.flatten((b, y))
-            assert 0 <= flat < fp.total
-            assert fp.unflatten(flat) == (b, y)
-            seen.add(flat)
-    assert len(seen) == fp.total
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=4),
-    st.data(),
-)
-def test_flatten_unflatten_inverse(widths, data):
-    fp = FlatPalette([(f"w{i}", w) for i, w in enumerate(widths)])
-    tup = tuple(data.draw(st.integers(min_value=0, max_value=w - 1)) for w in widths)
-    assert fp.unflatten(fp.flatten(tup)) == tup
-    flat = data.draw(st.integers(min_value=0, max_value=fp.total - 1))
-    assert fp.flatten(fp.unflatten(flat)) == flat
-
-
 def test_allocator_blocks_are_disjoint_and_tile():
     alloc = ColorAllocator()
     a = alloc.reserve(10, "a")
@@ -137,3 +110,14 @@ def test_allocator_blocks_are_disjoint_and_tile():
     d = alloc.reserve(7, "d")
     assert (a, b, c, d) == (0, 10, 15, 15)
     assert alloc.total == 22
+
+
+def test_allocator_refuses_a_block_past_the_pipeline_budget():
+    header = StreamHeader(16, 16, 4, "vertex-one-sided", 0, 0)
+    pipeline = build_pipeline(header, "one-sided")
+    alloc = pipeline.allocator
+    assert alloc.budget == pipeline.budget == 3 * period_for(4) + 4
+    alloc.reserve(pipeline.budget - alloc.total, "up to the budget")
+    with pytest.raises(BoundViolation):
+        alloc.reserve(1, "past the budget")
+    assert alloc.total == pipeline.budget
