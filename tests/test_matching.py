@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamcolor.core import OneSidedColorer
 from streamcolor.errors import InstanceTooLarge
 from streamcolor.matching import brute_force_match, kout_trial, maximum_matching, sample_distinct
-from streamcolor.palette import period_for
+from streamcolor.meter import SpaceMeter
+from streamcolor.palette import ColorAllocator, OfflineState, period_for
 
 
 def valid(slots, result):
@@ -40,6 +42,28 @@ def test_empty_graph_matches_trivially():
 def test_single_slot_takes_lowest_color():
     assert maximum_matching([(0, 1, 2)]) == [0]
     assert brute_force_match([(2, 1, 0)]) == [(0, 2)]
+
+
+def arrival_colors(delta, states):
+    """Block-relative colors an arrival takes from offline vertices holding
+    `states`, split as (band, base) with base < P."""
+    inst = OneSidedColorer(delta, random.Random(0), SpaceMeter(), ColorAllocator())
+    p = inst.params.period
+    neighbors = list(range(1, len(states) + 1))
+    inst.states.update(zip(neighbors, states))
+    return [divmod(a.color - inst.block, p) for a in inst.on_online_vertex(0, neighbors)]
+
+
+def test_build_color_graph_drops_band_offsets():
+    # three neighbors with slot (8, 14, 23): bases are (shift + deg) mod P,
+    # with no band offset; the band is added only to the output color
+    states = [OfflineState(5, 11, 20, deg=3) for _ in range(3)]
+    assert sorted(arrival_colors(10, states)) == [(0, 8), (1, 14), (2, 23)]
+
+
+def test_build_color_graph_identity_at_degree_zero():
+    states = [OfflineState(3, 7, 9) for _ in range(3)]
+    assert sorted(arrival_colors(10, states)) == [(0, 3), (1, 7), (2, 9)]
 
 
 def test_brute_force_rejects_large_instances():
