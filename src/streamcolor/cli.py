@@ -10,9 +10,10 @@ Subcommands:
 
 Exit codes: 0 success; 1 verification found a bad output; 2 infeasible
 generator spec; 3 input/stream errors (mode mismatch, degree violations,
-vertex ids out of range, malformed lines, a non-integer STREAMCOLOR_SEED);
-4 internal randomized-bound violation, or any other internal error of a run
-(for example a shift period too small); 5 parse errors while verifying. A
+vertex ids out of range, malformed lines, a stream that is not UTF-8 text,
+a non-integer STREAMCOLOR_SEED); 4 internal randomized-bound violation, or
+any other internal error of a run (for example a shift period too small);
+5 parse errors while verifying, a file that is not UTF-8 text included. A
 bench config that cannot be read, is malformed, lacks `preset`, `mode`,
 `n` or `delta` in a run block, names an unknown preset or one that cannot
 run on the block's mode, or gives a non-integer where a grid value or
@@ -58,6 +59,7 @@ _INPUT_ERRORS = (
     DuplicateEdge,
     IoFailure,
     NotBipartite,
+    UnicodeDecodeError,  # a stream file that is not UTF-8 text
 )
 _BOUND_ERRORS = (
     BoundViolation,
@@ -139,7 +141,7 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         print(f"cannot open file: {exc}", file=sys.stderr)
         return 5
-    except StreamColorError as exc:
+    except (StreamColorError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 5
     print(f"proper: {'true' if report.proper else 'false'}")

@@ -129,13 +129,8 @@ class OneSidedColorer:
         else:
             self.max_batches = 1
         self.offline_cap = offline_cap if offline_cap is not None else p
-        if delta == 1:
-            # a degree-1 graph is a matching; one color covers everything
-            self.block = allocator.reserve(1, f"{name}:stream")
-            self.block_width = 1
-        else:
-            self.block_width = 3 * p * self.max_batches
-            self.block = allocator.reserve(self.block_width, f"{name}:stream")
+        self.block_width = 3 * p * self.max_batches
+        self.block = allocator.reserve(self.block_width, f"{name}:stream")
         # the stream block plus a spill block of at most delta colors
         self.budget = self.block_width + delta
         self.allocator = allocator
@@ -200,9 +195,6 @@ class OneSidedColorer:
         # degree from before this arrival; spilled edges count too
         for st in states:
             st.deg += 1
-
-        if self.delta == 1:
-            return [ColorAssignment(u, neighbors[0], self.block)]
 
         scratch = 6 * d  # proposals plus matcher state, released below
         meter.add(self._tkey, scratch)

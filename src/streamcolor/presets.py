@@ -3,14 +3,20 @@
 Available presets and the stream modes they accept:
 
     one-sided      vertex-one-sided or batch; the plain one-sided colorer
-    vertex-general vertex-two-sided; side split for declared-bipartite
-                   streams, bipartization for general graphs
-    edge-sqrt      edge; buffered exact batches over ceil(sqrt(D)) colorers
-    edge-general   edge; space knob s, grouped batch colorers plus flushes
+    vertex-general vertex-two-sided; side splits behind the bipartization
+                   router
+    edge-sqrt      edge; buffered exact batches over ceil(sqrt(D)) colorers,
+                   behind the router
+    edge-general   edge; space knob s, grouped batch colorers plus flushes,
+                   behind the router
     offline-exact  any mode; store everything, exact bipartite coloring
     offline-greedy any mode; store everything, greedy coloring
 
 `build_pipeline` wires a preset to one stream and `run_stream` drives it.
+Every two-sided stream, vertex or edge, goes through one router
+(`reductions.Bipartization`): a general graph gets random levels plus a
+base store, a declared-bipartite header one level whose sides are the
+header's, so each arrival kind has one pipeline.
 Every preset draws all randomness from one seed and reserves disjoint
 color blocks from a single allocator. Its declared color budget, which
 upper-bounds every id it can ever emit, is the sum of what the built
@@ -166,31 +172,8 @@ class _OneSided(_Pipeline):
         return self.inner.on_online_vertex(u, list(neighbors))
 
 
-class _TwoSidedVertex(_Pipeline):
-    """Declared-bipartite two-sided vertex arrivals through the side split."""
-
-    def __init__(self, header: StreamHeader, seed: int, meter: SpaceMeter, alloc: ColorAllocator):
-        self.header = header
-        self.inner = TwoSidedSplit(header.delta, split_seed(seed, 1), meter, alloc)
-        self.budget = self.inner.budget
-        self.arrived: set[int] = set()
-
-    def feed(self, event):
-        h = self.header
-        u = event.u
-        side = 0 if u < h.n_online else 1
-        for v in event.neighbors:
-            vside = 0 if v < h.n_online else 1
-            if vside == side:
-                raise ModeMismatch(f"edge ({u}, {v}) does not cross the declared sides")
-            if v not in self.arrived:
-                raise ModeMismatch(f"neighbor {v} of {u} has not arrived yet")
-        self.arrived.add(u)
-        return self.inner.on_arrival(u, list(event.neighbors), side)
-
-
-class _GeneralVertex(_Pipeline):
-    """General-graph vertex arrivals through bipartization."""
+class _Vertex(_Pipeline):
+    """Two-sided vertex arrivals through the bipartization router."""
 
     def __init__(self, header: StreamHeader, seed: int, meter: SpaceMeter, alloc: ColorAllocator):
         def factory(level: int, bound: int) -> TwoSidedSplit:
@@ -203,8 +186,9 @@ class _GeneralVertex(_Pipeline):
                 offline_cap=bound,
             )
 
+        sides = header.n_online if header.bipartite else None  # None: random levels
         self.inner = VertexBipartization(
-            header.n_total, header.delta, split_seed(seed, 1), meter, alloc, factory
+            header.n_total, header.delta, split_seed(seed, 1), meter, alloc, factory, n_online=sides
         )
         self.budget = self.inner.budget
         self.arrived: set[int] = set()
@@ -218,55 +202,8 @@ class _GeneralVertex(_Pipeline):
         return self.inner.on_vertex(u, neighbors)
 
 
-def _grouped_dispatcher(n, bound, s, side_of, seed, meter, alloc, name="general"):
-    """A grouped dispatcher with an n*s edge buffer, allowed one flush per
-    n*s of the at most n*bound/2 edges it can be fed, plus one."""
-    return GroupedBatchDispatcher(
-        bound,
-        s,
-        n * s,
-        side_of,
-        seed,
-        meter,
-        alloc,
-        flush_bound=(n * bound // 2) // max(n * s, 1) + 1,
-        name=name,
-    )
-
-
-class _EdgeBipartite(_Pipeline):
-    """Edge arrivals on a declared-bipartite graph (no bipartization)."""
-
-    def __init__(self, header, seed, meter, alloc, alg, s):
-        self.n_online = header.n_online
-        if alg == "edge-sqrt":
-            self.inner = BatchIndexDispatcher(header.delta, split_seed(seed, 1), meter, alloc)
-            self._grouped = False
-        else:
-            self.inner = _grouped_dispatcher(
-                header.n_total,
-                header.delta,
-                clamp_s(header, s),
-                lambda v: 0 if v < header.n_online else 1,
-                split_seed(seed, 1),
-                meter,
-                alloc,
-            )
-            self._grouped = True
-        self.budget = self.inner.budget
-
-    def feed(self, event):
-        a, b = event
-        a_online = a < self.n_online
-        if a_online == (b < self.n_online):
-            raise ModeMismatch(f"edge ({a}, {b}) does not cross the declared sides")
-        if self._grouped or a_online:
-            return self.inner.feed_edge(a, b)
-        return self.inner.feed_edge(b, a)  # online endpoint owns the buffer slot
-
-
-class _EdgeGeneral(_Pipeline):
-    """Edge arrivals on a general graph: bipartization over dispatchers."""
+class _Edge(_Pipeline):
+    """Edge arrivals through the bipartization router over dispatchers."""
 
     def __init__(self, header, seed, meter, alloc, alg, s):
         n = header.n_total
@@ -280,24 +217,25 @@ class _EdgeGeneral(_Pipeline):
             s = clamp_s(header, s)
 
             def factory(level: int, bound: int) -> GroupedBatchDispatcher:
-                # side lookup goes through self.inner lazily: the tree only
-                # exists once all level dispatchers are built
-                return _grouped_dispatcher(
-                    n,
+                # an n*s edge buffer, allowed one flush per n*s of the at most
+                # n*bound/2 edges it can be fed, plus one; side lookup goes
+                # through self.inner lazily: the tree only exists once all
+                # level dispatchers are built
+                return GroupedBatchDispatcher(
                     bound,
                     s,
+                    n * s,
                     lambda v, lvl=level: self.inner.side_of(v, lvl),
                     split_seed(seed, 100 + level),
                     meter,
                     alloc,
+                    flush_bound=(n * bound // 2) // max(n * s, 1) + 1,
                     name=f"L{level}",
                 )
 
-        def feeder(lvl, u, v, level):
-            return lvl.feed_edge(u, v)
-
+        sides = header.n_online if header.bipartite else None  # None: random levels
         self.inner = EdgeBipartization(
-            n, header.delta, split_seed(seed, 1), meter, alloc, factory, feeder=feeder
+            n, header.delta, split_seed(seed, 1), meter, alloc, factory, n_online=sides
         )
         self.budget = self.inner.budget
 
@@ -386,13 +324,11 @@ def build_pipeline(
     elif alg == "one-sided":
         pipeline = _OneSided(header, seed, meter, alloc)
     elif alg == "vertex-general":
-        vertex = _TwoSidedVertex if header.bipartite else _GeneralVertex
-        pipeline = vertex(header, seed, meter, alloc)
+        pipeline = _Vertex(header, seed, meter, alloc)
     elif uses_fallback(header, alg, force_stream):
         pipeline = _StoreAll(header, meter, alloc, "auto")
     else:
-        edge = _EdgeBipartite if header.bipartite else _EdgeGeneral
-        pipeline = edge(header, seed, meter, alloc, alg, s)
+        pipeline = _Edge(header, seed, meter, alloc, alg, s)
     pipeline.meter = meter
     pipeline.allocator = alloc
     pipeline.preset = alg

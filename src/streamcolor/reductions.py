@@ -5,17 +5,25 @@ edges are owned by whichever endpoint arrives with them, so the stream
 splits into two one-sided substreams, one per side, colored by two
 independent colorers with disjoint blocks.
 
-`Bipartization` handles general graphs. Every vertex draws one random bit
-per level; an edge belongs to the first level where its endpoints' bits
-differ, which makes each level a bipartite graph (sides = bit value).
-Declared level degree bounds shrink geometrically with a 1.5x safety
-slack; the recursion stops once the declared bound drops below
-max(10 * log2 n, 16), and everything deeper lands in a base store that is
-colored offline at the end (exactly if it happens to be bipartite, with
-one extra color otherwise). Exceeding a declared level bound is a hard
-error: the run stops rather than risking a conflict. A vertex arrival is
-routed in one pass over its neighbors (`VertexBipartization.on_vertex`);
-an edge arrival goes through `route` (`EdgeBipartization.on_edge`).
+`Bipartization` is the one router of every two-sided stream. On a general
+graph every vertex draws one random bit per level; an edge belongs to the
+first level where its endpoints' bits differ, which makes each level a
+bipartite graph (sides = bit value). Declared level degree bounds shrink
+geometrically with a 1.5x safety slack; the recursion stops once the
+declared bound drops below max(10 * log2 n, 16), and everything deeper
+lands in a base store that is colored offline at the end (exactly if it
+happens to be bipartite, with one extra color otherwise). A
+declared-bipartite header is the case of one level whose sides are known:
+its bound is delta, a vertex's bit is its header side (online ids have
+bit 1), no bit is drawn or stored, there is no base store, and an edge
+inside one side is an input error.
+
+Level degrees are counted only at levels whose bound is below delta: the
+stream parser already holds every vertex to delta, so a counter at any
+other level could never trip. Passing a counted bound is a hard error:
+the run stops rather than risking a conflict. A vertex arrival is routed
+in one pass over its neighbors (`VertexBipartization.on_vertex`); an edge
+arrival goes through `route` (`EdgeBipartization.on_edge`).
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import math
 from typing import Callable
 
 from .core import OneSidedColorer, SpillReport, color_block
-from .errors import BoundViolation
+from .errors import BoundViolation, ModeMismatch
 from .meter import SpaceMeter
 from .palette import ColorAllocator
 from .rng import child_rng
@@ -96,7 +104,9 @@ class Bipartization:
     The per-level algorithm is supplied by `level_factory(level, bound)`,
     which must return an object exposing the part of the level interface
     the caller drives (vertex arrivals or edge feeds) plus `finalize()`,
-    `spill_report()` and its color `budget`.
+    `spill_report()` and its color `budget`. `n_online`, given for a
+    declared-bipartite header, replaces the random levels with the one
+    level of the header's sides.
     """
 
     def __init__(
@@ -108,18 +118,27 @@ class Bipartization:
         allocator: ColorAllocator,
         level_factory: Callable[[int, int], object],
         name: str = "bipart",
+        n_online: int | None = None,
     ):
         self.delta = delta
         self.meter = meter
         self.allocator = allocator
         self.name = name
-        self.bounds = plan_levels(n, delta)
+        self.header_sides = n_online is not None
+        self.bounds = [delta] if self.header_sides else plan_levels(n, delta)
         self.levels = [level_factory(i, d) for i, d in enumerate(self.bounds)]
         self.num_levels = len(self.levels)
-        self.budget = sum(lvl.budget for lvl in self.levels) + delta + 1  # plus the base store
+        self.budget = sum(lvl.budget for lvl in self.levels)
+        if self.header_sides:
+            self.bit_vector = n_online.__gt__  # online ids have bit 1; nothing stored
+        else:
+            self.budget += delta + 1  # the base store
         self.rng = child_rng(seed, 0xB1)
         self.bits: dict[int, int] = {}
-        self.level_degrees: list[dict[int, int]] = [{} for _ in self.bounds]
+        # None marks a level with no counters: its bound is at least delta
+        self.level_degrees: list[dict[int, int] | None] = [
+            {} if d < delta else None for d in self.bounds
+        ]
         self.base_edges: list[tuple[int, int]] = []
         self._bitkey = f"{name}:bits"
         self._dkey = f"{name}:level-degrees"
@@ -145,6 +164,8 @@ class Bipartization:
 
     def _bump_level_degree(self, v: int, level: int, amount: int) -> None:
         degs = self.level_degrees[level]
+        if degs is None:
+            return
         d = degs.get(v)
         if d is None:
             d = 0
@@ -163,6 +184,9 @@ class Bipartization:
         )
 
     def _store_base(self, u: int, v: int) -> None:
+        """Keep an edge no level takes; under header sides it is an input error."""
+        if self.header_sides:
+            raise ModeMismatch(f"edge ({u}, {v}) does not cross the declared sides")
         self.base_edges.append((u, v))
         self.meter.add(self._basekey, 2)
 
@@ -203,6 +227,12 @@ class VertexBipartization(Bipartization):
         """
         if not neighbors:
             return []
+        if self.header_sides:  # one level; every edge must cross the sides
+            side = self.bit_vector(u)
+            for v in neighbors:
+                if self.bit_vector(v) == side:
+                    self._store_base(u, v)  # raises
+            return self.levels[0].on_arrival(u, neighbors, int(side))
         bits = self.bits
         meter = self.meter
         k = self.num_levels
@@ -237,49 +267,50 @@ class VertexBipartization(Bipartization):
         for low, group in groups.items():
             level = low.bit_length() - 1
             degs = self.level_degrees[level]
-            bound = self.bounds[level]
-            fresh = 0
-            try:
-                d = degs[u] + len(group)
-            except KeyError:
-                d = len(group)
-                fresh = 1
-            if d > bound:
-                self._level_breach(u, d, level, fresh)
-            degs[u] = d
-            for v in group:
+            if degs is not None:
+                bound = self.bounds[level]
+                fresh = 0
                 try:
-                    d = degs[v] + 1
+                    d = degs[u] + len(group)
                 except KeyError:
-                    d = 1
-                    fresh += 1
+                    d = len(group)
+                    fresh = 1
                 if d > bound:
-                    self._level_breach(v, d, level, fresh)
-                degs[v] = d
-            if fresh:
-                meter.add(self._dkey, fresh)
+                    self._level_breach(u, d, level, fresh)
+                degs[u] = d
+                for v in group:
+                    try:
+                        d = degs[v] + 1
+                    except KeyError:
+                        d = 1
+                        fresh += 1
+                    if d > bound:
+                        self._level_breach(v, d, level, fresh)
+                    degs[v] = d
+                if fresh:
+                    meter.add(self._dkey, fresh)
             out.extend(self.levels[level].on_arrival(u, group, (bu >> level) & 1))
         return out
 
 
 class EdgeBipartization(Bipartization):
-    """Edge-arrival flavor: each edge feeds the dispatcher of its level.
-
-    `feeder(level_obj, online_endpoint, other, level)` adapts the call to
-    whatever per-level dispatcher the factory produced.
-    """
-
-    def __init__(self, *args, feeder=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.feeder = feeder
+    """Edge-arrival flavor: each edge feeds the dispatcher of its level,
+    `feed_edge(online_endpoint, other)`."""
 
     def on_edge(self, a: int, b: int) -> list[ColorAssignment]:
-        level = self.route(a, b)
-        if level < 0:
+        """Route one edge as `route` would, reading each bit vector once."""
+        bit_vector = self.bit_vector
+        ba = bit_vector(a)
+        diff = ba ^ bit_vector(b)
+        if not diff:
             self._store_base(a, b)
             return []
-        self._bump_level_degree(a, level, 1)
-        self._bump_level_degree(b, level, 1)
+        low = diff & -diff
+        level = low.bit_length() - 1
+        if self.level_degrees[level] is not None:
+            self._bump_level_degree(a, level, 1)
+            self._bump_level_degree(b, level, 1)
         # the bit-1 endpoint is the designated online side within a level
-        u, v = (a, b) if self.side_of(a, level) == 1 else (b, a)
-        return self.feeder(self.levels[level], u, v, level)
+        if ba & low:
+            return self.levels[level].feed_edge(a, b)
+        return self.levels[level].feed_edge(b, a)

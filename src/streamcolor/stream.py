@@ -293,7 +293,10 @@ def parse_output(lines: Iterable[str]) -> tuple[list[ColorAssignment], tuple[int
         elif parts[0] == "T":
             if len(parts) != 3:
                 raise MalformedLine(f"output line {lineno}: bad trailer")
-            trailer = (int(parts[1]), int(parts[2]))
+            try:
+                trailer = (int(parts[1]), int(parts[2]))
+            except ValueError as exc:
+                raise MalformedLine(f"output line {lineno}: non-integer field in trailer") from exc
         else:
             raise MalformedLine(f"output line {lineno}: unknown record {parts[0]!r}")
     return assignments, trailer

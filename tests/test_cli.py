@@ -333,3 +333,49 @@ def test_aborted_run_keeps_its_emitted_prefix(tmp_path, monkeypatch):
     _header, events = parse_stream(stream.read_text().splitlines())
     report = check_assignments(collect_edges(events), assignments)
     assert report.proper and not report.duplicates and not report.unknown
+
+
+@pytest.mark.parametrize(
+    "mode, body, alg, message",
+    [
+        ("vertex-two-sided", "V 2\nV 0 2\nV 1 0\n", ("vertex-general",), "edge (1, 0)"),
+        ("edge", "e 0 2\ne 1 0\n", ("edge-sqrt", "--force-stream"), "edge (1, 0)"),
+        ("edge", "e 0 2\ne 3 2\n", ("edge-general", "--s", "2", "--force-stream"),
+         "edge (3, 2)"),
+    ],
+)
+def test_declared_sides_reject_a_same_side_edge(tmp_path, capsys, mode, body, alg, message):
+    stream = tmp_path / "s.txt"
+    stream.write_text(f"H 2 2 2 {mode} 0 1\n{body}")
+    assert run_cli("run", str(stream), "--alg", *alg, "-o", str(tmp_path / "o.txt")) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("input error:")] == [
+        f"input error: {message} does not cross the declared sides"
+    ]
+
+
+def test_verify_with_a_non_integer_trailer_field_exits_five(tmp_path, capsys):
+    stream, out = tmp_path / "s.txt", tmp_path / "o.txt"
+    stream.write_text("H 2 2 2 edge 0 1\ne 0 2\n")
+    out.write_text("c 0 2 0\nT 1 x\n")
+    assert run_cli("verify", str(stream), str(out)) == 5
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == ["parse error: output line 2: non-integer field in trailer"]
+
+
+@pytest.mark.parametrize("command, code, prefix", [("run", 3, "input"), ("verify", 5, "parse")])
+def test_a_stream_that_is_not_utf8_exits_without_a_traceback(tmp_path, capsys, command, code,
+                                                             prefix):
+    stream, out = tmp_path / "s.txt", tmp_path / "o.txt"
+    stream.write_bytes(b"H 2 2 2 edge 0 1\ne 0 2 \xff\xfe\n")
+    out.write_text("c 0 2 0\n")
+    argv = ["run", str(stream), "--alg", "edge-sqrt", "-o", str(tmp_path / "r.txt")]
+    if command == "verify":
+        argv = ["verify", str(stream), str(out)]
+    assert run_cli(*argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if line.endswith("invalid start byte")]
+    assert len(lines) == 1 and lines[0].startswith(f"{prefix} error: ")

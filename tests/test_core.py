@@ -159,14 +159,6 @@ def test_spilled_path_needs_at_most_two_fresh_colors():
     properly_colored(out)
 
 
-def test_degree_one_instance_uses_single_color():
-    inst, _, alloc = make(1)
-    out = inst.on_online_vertex(0, [100])
-    out += inst.on_online_vertex(1, [101])
-    assert [a.color for a in out] == [0, 0]
-    assert alloc.total == 1
-
-
 def run_regular_stream(delta, n, seed):
     inst, meter, alloc = make(delta, seed)
     rng = random.Random(seed + 1)

@@ -24,30 +24,35 @@ CASES = [
      "4f68ebb1c97b8a49dac4e00c923e1002bcde631eb1cca9b647d49f9c11ec5fd0"),
     ("one-sided-batch", "regular-bipartite", "batch", 32, 4, "one-sided", (),
      "be40f9f55fd08a957010e443c83a83adcb823b8f677ec9048d97cc1e59568c68"),
+    # a declared-bipartite stream is the router's one header-sides level,
+    # seeded as level 0 (split_seed(seed, 100)); so are the three bipartite
+    # forced edge cases below
     ("vertex-general-bipartite", "regular-bipartite", "vertex-two-sided", 32, 0,
      "vertex-general", (),
-     "a924925fa7ad9c5a3bb1d3231fc6a96949feedfe83b52db9ee30da61e5baf34a"),
+     "a2bc901e25b85c402ff5d86c848ab2ecbf43df6964dde3b53c7fa5621ed2c23d"),
     # Δ=64 at n=256 builds one bipartization level (plan_levels gives [96]);
-    # the base store's color_general charges one mask word per vertex (256)
+    # the base store's color_general charges one mask word per vertex (256);
+    # level 0's bound 96 is not below Δ, so it keeps no degree counters
     ("vertex-general-general", "regular-general", "vertex-two-sided", 64, 0,
      "vertex-general", (),
-     "76f6f1d0eacec898db3a44bcd40fff1e9ec685284fee83e6e6b4923755506e75"),
+     "ff60c790e234e6f7212ae9da247d930c78126cba6e8c2c3860748f1761617a83"),
     ("edge-sqrt-forced", "regular-bipartite", "edge", 32, 0, "edge-sqrt", ("--force-stream",),
-     "ccb473c10abca9f018d3c1f3c6544ee9b2961b039a652ee93d6ac5dcce6a0a38"),
+     "ee0eb0679ce5ccf2ce36e301cbc6a5dfdea92b50db12f09c2106c903cb671924"),
     ("edge-sqrt-fallback", "regular-bipartite", "edge", 32, 0, "edge-sqrt", (),
      "ec96048f63dda992a0854f161f2e13c462d500ac54d00c8302cd48a368a360f7"),
     ("edge-general-s2-forced", "regular-bipartite", "edge", 32, 0, "edge-general",
      ("--s", "2", "--force-stream"),
-     "fc84e8bb296a5412150d53a3579e8df5b92a739a9370e1ece9d1d7017df549d4"),
+     "c5fa34dd19ec7dd7437067e51909b99d6da2144b2d612d4e4f9d8a3cc2556585"),
     # s=1 caps the grouped buffer at n edges: 14 flushes at this seed
     ("edge-general-s1-forced", "regular-bipartite", "edge", 32, 0, "edge-general",
      ("--s", "1", "--force-stream"),
-     "d8105a8079268d6334c8146a303540041a77b615c7b2f712770c81fd704faf2a"),
+     "36d23bc8938e5019a7c4cad7b1c1e4aad2b9d25b7b2d39f87562164c48e94ea8"),
     # one EdgeBipartization level over grouped dispatchers sharing one meter;
-    # 256 mask words in the base store's color_general, as above
+    # 256 mask words in the base store's color_general and no level-0
+    # degree counters, as above
     ("edge-general-general", "regular-general", "edge", 64, 0, "edge-general",
      ("--s", "2", "--force-stream"),
-     "72d5e25ef4320673851884efe659f01caaf65600462a1fe604b0c73f087d4793"),
+     "8d3c8f6a4258509411f611d51cc688e310b857c903f0bcad97a95c6dc3b79522"),
     ("offline-exact", "regular-bipartite", "vertex-one-sided", 32, 0, "offline-exact", (),
      "7a8ddbe72cd320404fb4aba139124b7119b99d776d3a58282e7da8590cb200a4"),
     # every vertex has degree 32: the exact colorer's flat per-vertex rows

@@ -3,8 +3,11 @@ import random
 import pytest
 
 from streamcolor.errors import BoundViolation
+from streamcolor.harness import GenSpec, generate
 from streamcolor.meter import SpaceMeter
 from streamcolor.palette import ColorAllocator
+from streamcolor.presets import build_pipeline, run_stream
+from streamcolor.stream import parse_stream
 from streamcolor.reductions import (
     TwoSidedSplit,
     VertexBipartization,
@@ -173,9 +176,9 @@ def test_general_vertex_arrivals_end_to_end():
 
 def test_level_degree_breach_is_fatal():
     tree, _, _ = make_tree(256, 128)
-    bound = tree.bounds[0]
+    bound = tree.bounds[1]  # 96: level 1 is the first bound below delta, so counted
     with pytest.raises(BoundViolation):
-        tree._bump_level_degree(7, 0, bound + 1)
+        tree._bump_level_degree(7, 1, bound + 1)
 
 
 def test_two_sided_split_routes_both_sides():
@@ -216,6 +219,7 @@ def test_one_pass_router_matches_the_per_edge_reference(seed):
     arrived = []
     degree = dict.fromkeys(order, 0)
     empty = 0
+    colors = set()
     for u in order:
         # about one arrival in five has no neighbors; the rest pick up to
         # 30 arrived vertices, keeping every degree at most 60
@@ -228,10 +232,15 @@ def test_one_pass_router_matches_the_per_edge_reference(seed):
         degree[u] = want
         got = fast.on_vertex(u, tuple(neighbors))
         assert got == slow.on_vertex(u, list(neighbors))
+        colors.update(a.color for a in got)
         assert router_state(fast, fast_meter) == router_state(slow, slow_meter)
         arrived.append(u)
     assert empty > 20
-    assert all(fast.level_degrees[level] for level in range(3))  # every level used
+    # every level used: each one emitted a color from one of its stream blocks
+    for level in fast.levels:
+        assert any(
+            c.block <= color < c.block + c.block_width for c in level.colorers for color in colors
+        )
     assert fast.finalize() == slow.finalize()
     assert router_state(fast, fast_meter) == router_state(slow, slow_meter)
     assert fast_alloc.total == slow_alloc.total
@@ -251,3 +260,32 @@ def test_one_pass_router_breach_matches_the_per_edge_reference():
         states.append((str(err.value), *router_state(tree, meter)))
     assert states[0] == states[1]
     assert states[0][0] == "bipart: vertex 99 reached degree 49 at level 2, declared bound 48"
+
+
+def run_preset(family, mode, n, delta, alg, **kwargs):
+    header, events = parse_stream(generate(GenSpec(family, n, delta, mode, 5)).splitlines())
+    pipeline = build_pipeline(header, alg, **kwargs)
+    stats = run_stream(pipeline, events, emit=lambda u, v, c: None)
+    assert stats.edges_emitted == n * delta // (1 if header.bipartite else 2)
+    return pipeline
+
+
+@pytest.mark.parametrize(
+    "mode, alg, kwargs",
+    [("vertex-two-sided", "vertex-general", {}),
+     ("edge", "edge-general", {"s": 2, "force_stream": True})],
+)
+def test_header_sides_draw_no_bits_and_count_no_level_degrees(mode, alg, kwargs):
+    pipeline = run_preset("regular-bipartite", mode, 64, 16, alg, **kwargs)
+    assert pipeline.inner.header_sides and pipeline.inner.bounds == [16]
+    assert pipeline.inner.bits == {} and pipeline.inner.level_degrees == [None]
+    keys = [k for k in pipeline.meter.ledger if k.endswith((":bits", ":level-degrees"))]
+    assert keys == []
+
+
+def test_general_router_counts_no_level_degrees_at_level_zero():
+    pipeline = run_preset("regular-general", "vertex-two-sided", 256, 128, "vertex-general")
+    tree = pipeline.inner
+    assert tree.bounds == [192, 96]  # only level 1 is below delta
+    assert tree.level_degrees[0] is None and tree.level_degrees[1]
+    assert pipeline.meter.ledger["bipart:level-degrees"] == len(tree.level_degrees[1])
