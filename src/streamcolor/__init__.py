@@ -27,7 +27,7 @@ from .stream import (
     AssignmentWriter,
     BatchArrival,
     ColorAssignment,
-    EdgeArrival,
+    EdgeBlock,
     StreamHeader,
     VertexArrival,
     parse_output,
@@ -42,7 +42,7 @@ __all__ = [
     "BatchArrival",
     "ColorAllocator",
     "ColorAssignment",
-    "EdgeArrival",
+    "EdgeBlock",
     "GenSpec",
     "KoutResult",
     "OfflineGraph",

@@ -11,15 +11,16 @@ Subcommands:
 Exit codes: 0 success; 1 verification found a bad output; 2 infeasible
 generator spec; 3 input/stream errors (mode mismatch, degree violations,
 vertex ids out of range, malformed lines, a stream that is not UTF-8 text,
-a non-integer STREAMCOLOR_SEED); 4 internal randomized-bound violation, or
-any other internal error of a run (for example a shift period too small);
-5 parse errors while verifying, a file that is not UTF-8 text included. A
-bench config that cannot be read, is malformed, lacks `preset`, `mode`,
-`n` or `delta` in a run block, names an unknown preset or one that cannot
-run on the block's mode, or gives a non-integer where a grid value or
-`jobs` must be an integer exits 3 with one `input error:` line; a grid
-value the generators reject (say `n = -3`) exits 2 with one
-`infeasible spec:` line. Both are found before any row runs.
+an -o path that cannot be written, a non-integer STREAMCOLOR_SEED); 4
+internal randomized-bound violation, or any other internal error of a run
+(for example a shift period too small); 5 parse errors while verifying, a
+file that is not UTF-8 text included. A bench config that cannot be read,
+is malformed, lacks `preset`, `mode`, `n` or `delta` in a run block, names
+an unknown preset or one that cannot run on the block's mode, or gives a
+non-integer where a grid value or `jobs` must be an integer exits 3 with
+one `input error:` line; a grid value the generators reject (say `n = -3`)
+exits 2 with one `infeasible spec:` line. Both are found before any row
+runs.
 The environment variable STREAMCOLOR_SEED overrides any --seed flag.
 """
 
@@ -84,8 +85,12 @@ def cmd_gen(args) -> int:
     except InfeasibleSpec as exc:
         print(f"infeasible spec: {exc}", file=sys.stderr)
         return 2
-    with open(args.output, "w") as fh:
-        fh.write(text)
+    try:
+        with open(args.output, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"input error: cannot write output: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 
@@ -96,8 +101,13 @@ def cmd_run(args) -> int:
         print(f"cannot open input: {exc}", file=sys.stderr)
         return 3
     out_path = args.output
-    # block-buffered; closed (so flushed) on every exit path below
-    sink = open(out_path, "w") if out_path else sys.stdout
+    try:
+        # block-buffered; closed (so flushed) on every exit path below
+        sink = open(out_path, "w") if out_path else sys.stdout
+    except OSError as exc:
+        infile.close()
+        print(f"input error: cannot open output: {exc}", file=sys.stderr)
+        return 3
     try:
         header, events = parse_stream(infile)
         pipeline = build_pipeline(

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable
 
 from .errors import BatchSizeMismatch, BoundViolation, NotBipartite, TooManyBatches, TooManySlots
@@ -32,7 +33,7 @@ from .matching import maximum_matching
 from .meter import SpaceMeter
 from .offline import OfflineGraph, color_bipartite_exact, color_general, color_greedy
 from .palette import ColorAllocator, OfflineState, PaletteParams, draw_offline_state
-from .stream import ColorAssignment
+from .stream import Assignment
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ def color_block(
     meter: SpaceMeter,
     allocator: ColorAllocator,
     flavor: str = "exact",
-) -> list[ColorAssignment]:
+) -> list[Assignment]:
     """Color a stored edge list offline in one fresh block of the color space.
 
     Flavors: "exact" uses max-degree colors and needs a bipartite graph;
@@ -68,8 +69,9 @@ def color_block(
     """
     if not edges:
         return []
-    sides = None if side_of is None else {v: side_of(v) for e in edges for v in e}
-    graph = OfflineGraph(edges, sides)
+    if side_of is not None:  # as a dict, one lookup per vertex in first-appearance order
+        side_of = {v: side_of(v) for v in dict.fromkeys(chain.from_iterable(edges))}
+    graph = OfflineGraph(edges, side_of)
     dmax = graph.max_degree
     if flavor == "auto":
         try:
@@ -84,7 +86,7 @@ def color_block(
     else:
         width, colorer = max(2 * dmax - 1, 1), color_greedy
     base = allocator.reserve(width, label)
-    return [ColorAssignment(a, b, base + c) for (a, b), c in zip(edges, colorer(graph, meter))]
+    return [(a, b, base + c) for (a, b), c in zip(edges, colorer(graph, meter))]
 
 
 class OneSidedColorer:
@@ -146,11 +148,11 @@ class OneSidedColorer:
 
     # -- arrival handling --
 
-    def on_online_vertex(self, u: int, neighbors: list[int]) -> list[ColorAssignment]:
+    def on_online_vertex(self, u: int, neighbors: list[int]) -> list[Assignment]:
         """Color all edges of a whole online arrival (or spill them)."""
         return self._color_arrival(u, neighbors, 0)
 
-    def on_batch(self, u: int, neighbors: list[int]) -> list[ColorAssignment]:
+    def on_batch(self, u: int, neighbors: list[int]) -> list[Assignment]:
         """Color one exact-size batch; colors carry the batch index."""
         if self.batch_size is None or len(neighbors) != self.batch_size:
             raise BatchSizeMismatch(
@@ -165,7 +167,7 @@ class OneSidedColorer:
         self.batch_counters[u] = seen + 1
         return self._color_arrival(u, neighbors, seen)
 
-    def _color_arrival(self, u: int, neighbors, batch_index: int) -> list[ColorAssignment]:
+    def _color_arrival(self, u: int, neighbors, batch_index: int) -> list[Assignment]:
         d = len(neighbors)
         if d == 0:
             return []
@@ -204,7 +206,7 @@ class OneSidedColorer:
         if -1 not in matched:
             base = self.block + batch_index * 3 * p
             return [
-                ColorAssignment(u, v, base + slot.index(y) * p + y)
+                (u, v, base + slot.index(y) * p + y)
                 for v, slot, y in zip(neighbors, slots, matched)
             ]
         self.spill.extend((u, v) for v in neighbors)
@@ -215,7 +217,7 @@ class OneSidedColorer:
 
     # -- end of stream --
 
-    def finalize(self) -> list[ColorAssignment]:
+    def finalize(self) -> list[Assignment]:
         """Color the spill set with a fresh block and empty it."""
         if self._finalized:
             return []

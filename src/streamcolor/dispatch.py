@@ -40,7 +40,7 @@ from .errors import BoundViolation, FlushBudgetExceeded
 from .meter import SpaceMeter
 from .palette import ColorAllocator
 from .rng import child_rng
-from .stream import ColorAssignment
+from .stream import Assignment
 
 
 def ceil_sqrt(n: int) -> int:
@@ -89,7 +89,7 @@ class BatchIndexDispatcher:
         self._bkey = f"{name}:buffer"
         self._ckey = f"{name}:counters"
 
-    def feed_edge(self, u: int, v: int) -> list[ColorAssignment]:
+    def feed_edge(self, u: int, v: int) -> list[Assignment]:
         """Insert one edge, oriented (designated online endpoint, other)."""
         buf = self.buffers.get(u)
         if buf is None:
@@ -115,7 +115,7 @@ class BatchIndexDispatcher:
         x = batch_route(count, self.batch_shift[u], self.k)
         return self.subs[x].on_online_vertex(u, batch)
 
-    def finalize(self) -> list[ColorAssignment]:
+    def finalize(self) -> list[Assignment]:
         leftover = [(u, v) for u, buf in self.buffers.items() for v in buf]
         out = color_block(leftover, None, f"{self.name}:leftover", self.meter, self.allocator)
         if leftover:
@@ -196,7 +196,7 @@ class GroupedBatchDispatcher:
         self._bkey = f"{name}:buffer"
         self._ckey = f"{name}:counters"
 
-    def feed_edge(self, a: int, b: int) -> list[ColorAssignment]:
+    def feed_edge(self, a: int, b: int) -> list[Assignment]:
         eid = self.next_eid
         self.next_eid = eid + 1
         adj = self.adj
@@ -227,9 +227,9 @@ class GroupedBatchDispatcher:
             return []
         return self._checkpoint()
 
-    def _checkpoint(self) -> list[ColorAssignment]:
+    def _checkpoint(self) -> list[Assignment]:
         # drain every vertex holding a full batch, then flush if still full
-        out: list[ColorAssignment] = []
+        out: list[Assignment] = []
         while True:
             u = self._pop_ready()
             if u is not None:
@@ -246,7 +246,7 @@ class GroupedBatchDispatcher:
                 return u
         return None
 
-    def _extract(self, u: int) -> list[ColorAssignment]:
+    def _extract(self, u: int) -> list[Assignment]:
         k = self.k
         adj = self.adj
         at = adj[u]
@@ -291,7 +291,7 @@ class GroupedBatchDispatcher:
         self.meter.release(self._bkey, 4 * released)
         return edges
 
-    def _flush(self) -> list[ColorAssignment]:
+    def _flush(self) -> list[Assignment]:
         # every vertex holds under k buffered edges here, so one block of
         # fewer than k fresh colors covers the whole buffer
         self.flushes += 1
@@ -307,7 +307,7 @@ class GroupedBatchDispatcher:
             raise AssertionError("flush with a full batch still buffered")
         return out
 
-    def finalize(self) -> list[ColorAssignment]:
+    def finalize(self) -> list[Assignment]:
         edges = self._collect_live()
         out = color_block(edges, self.side_of, f"{self.name}:leftover", self.meter, self.allocator)
         for side in (0, 1):

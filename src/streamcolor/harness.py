@@ -36,8 +36,8 @@ from .stream import (
     MODE_EDGE,
     MODE_VERTEX_ONE_SIDED,
     MODE_VERTEX_TWO_SIDED,
-    EdgeArrival,
     StreamHeader,
+    event_edges,
     parse_output,
     parse_stream,
 )
@@ -275,11 +275,7 @@ def collect_edges(events) -> dict[tuple[int, int], int]:
     """Canonical edge set of a stream, rejecting repeats."""
     expected: dict[tuple[int, int], int] = {}
     for ev in events:
-        if type(ev) is EdgeArrival:
-            pairs = ((ev.u, ev.v),)
-        else:
-            pairs = tuple((ev.u, v) for v in ev.neighbors)
-        for a, b in pairs:
+        for a, b in event_edges(ev):
             e = (a, b) if a < b else (b, a)
             if e in expected:
                 raise MalformedLine(f"stream repeats edge {e}")
@@ -429,13 +425,8 @@ def execute_run(req: RunRequest) -> dict:
         # collect the canonical edge set at parse level while streaming,
         # so verification never trusts the algorithm's own bookkeeping
         for ev in evs:
-            if type(ev) is EdgeArrival:
-                a, b = ev.u, ev.v
+            for a, b in event_edges(ev):
                 expected[(a, b) if a < b else (b, a)] = 0
-            else:
-                u = ev.u
-                for v in ev.neighbors:
-                    expected[(u, v) if u < v else (v, u)] = 0
             yield ev
 
     breach = None

@@ -36,7 +36,7 @@ ceil((D + 1) / 64) for `color_general`) and released on exit.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -70,10 +70,7 @@ class OfflineGraph:
 
     @cached_property
     def _degrees(self) -> tuple[int, int]:
-        deg: dict[int, int] = {}
-        for a, b in self.edges:
-            deg[a] = deg.get(a, 0) + 1
-            deg[b] = deg.get(b, 0) + 1
+        deg = Counter(chain.from_iterable(self.edges))
         return max(deg.values(), default=0), len(deg)
 
     def bipartition(self) -> dict[int, int]:

@@ -13,6 +13,9 @@ Available presets and the stream modes they accept:
     offline-greedy any mode; store everything, greedy coloring
 
 `build_pipeline` wires a preset to one stream and `run_stream` drives it.
+Edge lines arrive in blocks of up to 4,096, read ahead uncharged like the
+file buffer; each error still names its exact line, and a pipeline still
+consumes the edges one at a time, in stream order.
 Every two-sided stream, vertex or edge, goes through one router
 (`reductions.Bipartization`): a general graph gets random levels plus a
 base store, a declared-bipartite header one level whose sides are the
@@ -52,11 +55,11 @@ from .stream import (
     MODE_EDGE,
     MODE_VERTEX_ONE_SIDED,
     MODE_VERTEX_TWO_SIDED,
+    Assignment,
     BatchArrival,
-    ColorAssignment,
-    EdgeArrival,
     StreamEvent,
     StreamHeader,
+    event_edges,
 )
 
 PRESETS = (
@@ -111,6 +114,9 @@ def declared_budget(header: StreamHeader, alg: str, s: int = 1, force_stream: bo
 class _Pipeline:
     """A preset wired to one stream: `feed` per event, then `finalize` once.
 
+    `feed(event, out)` appends the event's assignments to `out`, which
+    holds those of a block's earlier edges if it raises partway.
+
     Each pipeline sets `budget` from what its components reserve; most
     drive one component, `inner`. `build_pipeline` adds the run's `meter`,
     `allocator`, `preset` name and reported `s`.
@@ -119,10 +125,10 @@ class _Pipeline:
     inner = None
     budget: int
 
-    def feed(self, event: StreamEvent) -> list[ColorAssignment]:
+    def feed(self, event: StreamEvent, out: list[Assignment]) -> None:
         raise NotImplementedError
 
-    def finalize(self) -> list[ColorAssignment]:
+    def finalize(self) -> list[Assignment]:
         return self.inner.finalize()
 
     def spill_report(self) -> SpillReport:
@@ -137,10 +143,8 @@ class _Trivial(_Pipeline):
     def __init__(self, allocator: ColorAllocator):
         self.color = allocator.reserve(1, "trivial")
 
-    def feed(self, event):
-        if type(event) is EdgeArrival:
-            return [ColorAssignment(event.u, event.v, self.color)]
-        return [ColorAssignment(event.u, v, self.color) for v in event.neighbors]
+    def feed(self, event, out):
+        out += [(u, v, self.color) for u, v in event_edges(event)]
 
     def finalize(self):
         return []
@@ -159,7 +163,7 @@ class _OneSided(_Pipeline):
         )
         self.budget = self.inner.budget
 
-    def feed(self, event):
+    def feed(self, event, out):
         u, neighbors = event
         n_online = self.n_online
         if not 0 <= u < n_online:
@@ -167,9 +171,8 @@ class _OneSided(_Pipeline):
         if neighbors and not n_online <= min(neighbors) <= max(neighbors) < self.n_total:
             v = next(v for v in neighbors if not n_online <= v < self.n_total)
             raise ModeMismatch(f"neighbor {v} is not an offline id")
-        if type(event) is BatchArrival:
-            return self.inner.on_batch(u, list(neighbors))
-        return self.inner.on_online_vertex(u, list(neighbors))
+        take = self.inner.on_batch if type(event) is BatchArrival else self.inner.on_online_vertex
+        out += take(u, list(neighbors))
 
 
 class _Vertex(_Pipeline):
@@ -193,13 +196,13 @@ class _Vertex(_Pipeline):
         self.budget = self.inner.budget
         self.arrived: set[int] = set()
 
-    def feed(self, event):
+    def feed(self, event, out):
         u, neighbors = event
         if not self.arrived.issuperset(neighbors):
             v = next(v for v in neighbors if v not in self.arrived)
             raise ModeMismatch(f"neighbor {v} of {u} has not arrived yet")
         self.arrived.add(u)
-        return self.inner.on_vertex(u, neighbors)
+        out += self.inner.on_vertex(u, neighbors)
 
 
 class _Edge(_Pipeline):
@@ -239,8 +242,10 @@ class _Edge(_Pipeline):
         )
         self.budget = self.inner.budget
 
-    def feed(self, event):
-        return self.inner.on_edge(event.u, event.v)
+    def feed(self, block, out):
+        on_edge = self.inner.on_edge
+        for u, v in zip(block.us, block.vs):
+            out += on_edge(u, v)
 
 
 class _StoreAll(_Pipeline):
@@ -257,16 +262,10 @@ class _StoreAll(_Pipeline):
         self.budget = {"exact": d, "greedy": max(2 * d - 1, 1), "auto": auto}[flavor]
         self.edges: list[tuple[int, int]] = []
 
-    def feed(self, event):
-        if type(event) is EdgeArrival:
-            self.edges.append((event.u, event.v))
-            self.meter.add("stored-graph", 2)
-        else:
-            u = event.u
-            pairs = [(u, v) for v in event.neighbors]
-            self.edges.extend(pairs)
-            self.meter.add("stored-graph", 2 * len(pairs))
-        return []
+    def feed(self, event, out):
+        pairs = list(event_edges(event))
+        self.edges += pairs
+        self.meter.add("stored-graph", 2 * len(pairs))
 
     def finalize(self):
         edges = self.edges
@@ -349,12 +348,16 @@ def run_stream(
     """Drive a full stream through a built pipeline, emitting assignments as found."""
     colors: set[int] = set()
     emitted = 0
+    out: list[Assignment] = []
     for event in events:
-        out = pipeline.feed(event)
-        for u, v, c in out:
-            colors.add(c)
-            emit(u, v, c)
-        emitted += len(out)
+        try:
+            pipeline.feed(event, out)
+        finally:  # a block that fails partway still emits what it colored
+            for u, v, c in out:
+                colors.add(c)
+                emit(u, v, c)
+            emitted += len(out)
+            out.clear()
     out = pipeline.finalize()
     for u, v, c in out:
         colors.add(c)

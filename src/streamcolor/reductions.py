@@ -36,7 +36,7 @@ from .errors import BoundViolation, ModeMismatch
 from .meter import SpaceMeter
 from .palette import ColorAllocator
 from .rng import child_rng
-from .stream import ColorAssignment
+from .stream import Assignment
 
 
 class TwoSidedSplit:
@@ -64,10 +64,10 @@ class TwoSidedSplit:
         ]
         self.budget = sum(c.budget for c in self.colorers)
 
-    def on_arrival(self, u: int, neighbors: list[int], side: int) -> list[ColorAssignment]:
+    def on_arrival(self, u: int, neighbors: list[int], side: int) -> list[Assignment]:
         return self.colorers[side].on_online_vertex(u, neighbors)
 
-    def finalize(self) -> list[ColorAssignment]:
+    def finalize(self) -> list[Assignment]:
         return self.colorers[0].finalize() + self.colorers[1].finalize()
 
     def spill_report(self) -> SpillReport:
@@ -190,8 +190,8 @@ class Bipartization:
         self.base_edges.append((u, v))
         self.meter.add(self._basekey, 2)
 
-    def finalize(self) -> list[ColorAssignment]:
-        out: list[ColorAssignment] = []
+    def finalize(self) -> list[Assignment]:
+        out: list[Assignment] = []
         for lvl in self.levels:
             out.extend(lvl.finalize())
         edges = self.base_edges
@@ -214,7 +214,7 @@ class VertexBipartization(Bipartization):
     Levels are `TwoSidedSplit` instances.
     """
 
-    def on_vertex(self, u: int, neighbors) -> list[ColorAssignment]:
+    def on_vertex(self, u: int, neighbors) -> list[Assignment]:
         """Route a whole arrival in one pass, as `route` per edge would.
 
         Bit vectors are drawn on first sight in `route`'s order (u just
@@ -263,7 +263,7 @@ class VertexBipartization(Bipartization):
         if len(base) > stored:
             meter.add(self._basekey, 2 * (len(base) - stored))
 
-        out: list[ColorAssignment] = []
+        out: list[Assignment] = []
         for low, group in groups.items():
             level = low.bit_length() - 1
             degs = self.level_degrees[level]
@@ -297,7 +297,7 @@ class EdgeBipartization(Bipartization):
     """Edge-arrival flavor: each edge feeds the dispatcher of its level,
     `feed_edge(online_endpoint, other)`."""
 
-    def on_edge(self, a: int, b: int) -> list[ColorAssignment]:
+    def on_edge(self, a: int, b: int) -> list[Assignment]:
         """Route one edge as `route` would, reading each bit vector once."""
         bit_vector = self.bit_vector
         ba = bit_vector(a)

@@ -20,14 +20,20 @@ emission order, then a trailer `T <colors_used> <peak_words>`.
 The parser is single pass and lazy: it yields events in file order and
 validates syntax, event-kind legality, vertex ids in [0, n_online +
 n_offline), self-loops, duplicate neighbors within one arrival, and the
-declared degree bound (detected at the exact violating event via
-per-vertex counters). Side-range semantics are left to the algorithm
-layer so that parsing stays a pure syntax concern.
+declared degree bound; each error names its exact line. Edge lines are
+read ahead (uncharged, like the file buffer) in blocks of up to
+BLOCK_LINES, checked in bulk when all are plain `e <digits> <digits>`
+lines and line by line otherwise; the algorithm still consumes the edges
+one at a time, in stream order. Side-range semantics are left to the
+algorithm layer.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import islice
+from operator import eq
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import (
@@ -37,6 +43,7 @@ from .errors import (
     MalformedLine,
     ModeMismatch,
     SelfLoop,
+    StreamColorError,
 )
 
 MODE_EDGE = "edge"
@@ -46,10 +53,14 @@ MODE_BATCH = "batch"
 
 MODES = (MODE_EDGE, MODE_VERTEX_ONE_SIDED, MODE_VERTEX_TWO_SIDED, MODE_BATCH)
 
+BLOCK_LINES = 4096  # edge lines read ahead per block
+# whole `e <id> <id>` lines, ids of at most 18 digits; only the last may lack its newline
+_EDGE_LINES = re.compile(r"(?:e [0-9]{1,18} [0-9]{1,18}\r?\n)*(?:e [0-9]{1,18} [0-9]{1,18})?")
 
-class EdgeArrival(NamedTuple):
-    u: int
-    v: int
+
+class EdgeBlock(NamedTuple):  # consecutive edge arrivals: edge i is (us[i], vs[i])
+    us: list[int]
+    vs: list[int]
 
 
 class VertexArrival(NamedTuple):
@@ -62,10 +73,12 @@ class BatchArrival(NamedTuple):
     neighbors: tuple[int, ...]
 
 
-StreamEvent = EdgeArrival | VertexArrival | BatchArrival
+StreamEvent = EdgeBlock | VertexArrival | BatchArrival
+
+Assignment = tuple[int, int, int]  # (u, v, color), as the pipelines emit them
 
 
-class ColorAssignment(NamedTuple):
+class ColorAssignment(NamedTuple):  # a `c` record, as `parse_output` reads it
     u: int
     v: int
     color: int
@@ -130,7 +143,7 @@ def parse_stream(lines: Iterable[str]) -> tuple[StreamHeader, Iterator[StreamEve
     """Read the header eagerly, then yield validated events lazily.
 
     `lines` may be an open file, a list, or any iterable of text lines.
-    Degree violations raise at the exact event that crosses the bound.
+    An error raises at its exact line, once the events before it are out.
     """
     it = iter(lines)
     header = None
@@ -146,14 +159,59 @@ def parse_stream(lines: Iterable[str]) -> tuple[StreamHeader, Iterator[StreamEve
 
 
 def _events(header: StreamHeader, it: Iterator[str]) -> Iterator[StreamEvent]:
+    degrees = [0] * header.n_total
+    if header.mode != MODE_EDGE:
+        yield from _line_events(header, it, 1, degrees)
+        return
+    lineno, error = 1, None  # the header's line
+    while error is None:
+        lines: list[str] = []
+        try:  # a read or decode error is raised once the lines before it are out
+            lines += islice(it, BLOCK_LINES)
+        except (OSError, ValueError) as exc:
+            error = exc
+        if not lines:
+            break
+        us, vs = _edge_block(lines, header, degrees)
+        try:  # the rest line by line: the edges before a bad line, then its error
+            for u, v in _line_events(header, lines[len(us):], lineno + len(us), degrees):
+                us.append(u)
+                vs.append(v)
+        except StreamColorError as exc:
+            error = exc
+        lineno += len(lines)
+        if us:
+            yield EdgeBlock(us, vs)
+    if error is not None:
+        raise error
+
+
+def _edge_block(lines: list[str], header: StreamHeader, degrees: list[int]):
+    """The block's leading edges, checked and counted: all, those before the
+    first to pass delta, or none when some line needs the per-line parser."""
+    text = "".join(lines)
+    tokens = text.split()
+    if len(tokens) != 3 * len(lines) or not _EDGE_LINES.fullmatch(text):
+        return [], []
+    us, vs = list(map(int, tokens[1::3])), list(map(int, tokens[2::3]))
+    n, delta = header.n_total, header.delta
+    if max(us) >= n or max(vs) >= n or any(map(eq, us, vs)):
+        return [], []
+    for i, (u, v) in enumerate(zip(us, vs)):
+        du, dv = degrees[u] + 1, degrees[v] + 1
+        if du > delta or dv > delta:
+            del us[i:], vs[i:]
+            break
+        degrees[u], degrees[v] = du, dv
+    return us, vs
+
+
+def _line_events(header: StreamHeader, lines: Iterable[str], lineno: int, degrees: list[int]):
+    """Events line by line, after line `lineno`: an edge as a `(u, v)` pair."""
     delta = header.delta
     mode = header.mode
     n = header.n_total
-    degrees: dict[int, int] = {}
-    degree = degrees.get
-    lineno = 1
-
-    for raw in it:
+    for raw in lines:
         lineno += 1
         parts = raw.split()
         if not parts:
@@ -173,14 +231,14 @@ def _events(header: StreamHeader, it: Iterator[str]) -> Iterator[StreamEvent]:
                 raise MalformedLine(f"line {lineno}: vertex id outside [0, {n})")
             if u == v:
                 raise SelfLoop(f"line {lineno}: self-loop at vertex {u}")
-            du = degree(u, 0) + 1
-            dv = degree(v, 0) + 1
+            du = degrees[u] + 1
+            dv = degrees[v] + 1
             if du > delta or dv > delta:
                 who = u if du > delta else v
                 raise DegreeExceeded(f"line {lineno}: vertex {who} passes delta={delta}")
             degrees[u] = du
             degrees[v] = dv
-            yield EdgeArrival(u, v)
+            yield u, v
 
         elif kind == "V":
             if mode not in (MODE_VERTEX_ONE_SIDED, MODE_VERTEX_TWO_SIDED):
@@ -215,21 +273,28 @@ def _arrival(parts, lineno, n, delta, degrees, cls):
         raise SelfLoop(f"line {lineno}: self-loop at vertex {u}")
     if len(set(neighbors)) != len(neighbors):
         raise DuplicateEdge(f"line {lineno}: repeated neighbor in one arrival")
-    du = degrees.get(u, 0) + len(neighbors)
+    du = degrees[u] + len(neighbors)
     if du > delta:
         raise DegreeExceeded(f"line {lineno}: vertex {u} passes delta={delta}")
     degrees[u] = du
     for v in neighbors:
-        dv = degrees.get(v, 0) + 1
+        dv = degrees[v] + 1
         if dv > delta:
             raise DegreeExceeded(f"line {lineno}: vertex {v} passes delta={delta}")
         degrees[v] = dv
     return cls(u, neighbors)
 
 
+def event_edges(event: StreamEvent) -> Iterable[tuple[int, int]]:
+    """The event's edges, in stream order."""
+    if type(event) is EdgeBlock:
+        return zip(event.us, event.vs)
+    return ((event.u, v) for v in event.neighbors)
+
+
 def event_to_line(event: StreamEvent) -> str:
-    if type(event) is EdgeArrival:
-        return f"e {event.u} {event.v}"
+    if type(event) is EdgeBlock:  # one line per edge
+        return "\n".join(f"e {u} {v}" for u, v in zip(event.us, event.vs))
     tag = "V" if type(event) is VertexArrival else "B"
     if event.neighbors:
         return f"{tag} {event.u} " + " ".join(map(str, event.neighbors))

@@ -1,9 +1,12 @@
+import collections
+import hashlib
 import io
 import os
 
 import pytest
 
 from streamcolor.cli import expand_bench_config, main, parse_bench_config
+from streamcolor.harness import GenSpec, generate
 
 
 def run_cli(*argv):
@@ -284,6 +287,33 @@ def test_one_sided_run_rejects_ids_on_the_wrong_side(tmp_path, capsys, body, mes
     assert f"input error: {message}" in capsys.readouterr().err.splitlines()
 
 
+def test_run_with_an_output_path_that_cannot_be_opened_exits_three(tmp_path, monkeypatch,
+                                                                   capsys):
+    import streamcolor.cli as cli_mod
+
+    stream = tmp_path / "s.txt"
+    stream.write_text("H 2 2 2 edge 0 1\ne 0 2\n")
+    opened = []
+
+    def tracking_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(cli_mod, "open", tracking_open, raising=False)
+    assert run_cli("run", str(stream), "--alg", "edge-sqrt",
+                   "-o", str(tmp_path / "missing" / "o.txt")) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error: cannot open output: ")
+    assert [fh.closed for fh in opened] == [True]  # the input, closed again
+
+
+def test_gen_with_an_output_path_that_cannot_be_opened_exits_three(tmp_path, capsys):
+    assert run_cli("gen", "--family", "regular-bipartite", "--n", "4", "--delta", "2",
+                   "--mode", "edge", "-o", str(tmp_path / "missing" / "g.txt")) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error: cannot write output: ")
+
+
 def test_non_integer_env_seed_exits_three(tmp_path, monkeypatch, capsys):
     stream = tmp_path / "s.txt"
     run_cli("gen", "--family", "regular-bipartite", "--n", "16", "--delta", "2",
@@ -333,6 +363,50 @@ def test_aborted_run_keeps_its_emitted_prefix(tmp_path, monkeypatch):
     _header, events = parse_stream(stream.read_text().splitlines())
     report = check_assignments(collect_edges(events), assignments)
     assert report.proper and not report.duplicates and not report.unknown
+
+
+def _run_aborted(tmp_path, capsys, lines, *alg):
+    """Run a stream that stops with an input error; the output's line count
+    and SHA-256, and the one `input error:` line."""
+    stream, out = tmp_path / "s.txt", tmp_path / "o.txt"
+    stream.write_text("".join(lines))
+    capsys.readouterr()
+    assert run_cli("run", str(stream), "--alg", *alg, "-o", str(out)) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("input error:")]
+    raw = out.read_bytes()
+    return raw.count(b"\n"), hashlib.sha256(raw).hexdigest(), errors
+
+
+def test_a_degree_violation_in_the_second_block_keeps_the_emitted_prefix(tmp_path, capsys):
+    # 8,192 edge lines: the first 4,096 are one block, the rest a second
+    lines = generate(GenSpec("regular-bipartite", 256, 32, "edge", 3)).splitlines(keepends=True)
+    cut = 7000  # edge lines before the bad one, which is line cut + 2 of the file
+    seen = collections.Counter(int(line.split()[1]) for line in lines[1 : cut + 1])
+    full = min(u for u, d in seen.items() if d == 32)  # an online vertex with all its edges
+    lines.insert(cut + 1, f"e {full} 256\n")
+    got = _run_aborted(tmp_path, capsys, lines, "edge-general", "--s", "2", "--force-stream")
+    assert got == (
+        6060,
+        "d4ed7a4666dd1ef5db14905d69d4b8b5abda9eda0b4943b838279624e92563b2",
+        [f"input error: line {cut + 2}: vertex {full} passes delta=32"],
+    )
+
+
+def test_a_same_side_edge_after_a_checkpoint_in_its_block_keeps_the_emitted_prefix(
+    tmp_path, capsys
+):
+    # s=1 caps the buffer at n = 512 edges, so a checkpoint drains full
+    # batches at the 512th edge, in the same block as the bad edge
+    lines = generate(GenSpec("regular-bipartite", 256, 32, "edge", 3)).splitlines(keepends=True)
+    lines.insert(1001, "e 0 1\n")  # both online
+    got = _run_aborted(tmp_path, capsys, lines, "edge-general", "--s", "1", "--force-stream")
+    assert got == (
+        560,
+        "bfc2161c66b422f42e2bda79bd87269bf571b7d7728c51bcf21bebe328e5ab7c",
+        ["input error: edge (0, 1) does not cross the declared sides"],
+    )
 
 
 @pytest.mark.parametrize(

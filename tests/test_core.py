@@ -24,10 +24,10 @@ def plant(inst, v, shifts, deg=0):
 
 def properly_colored(assignments):
     seen = set()
-    for a in assignments:
-        for end in (a.u, a.v):
-            assert (end, a.color) not in seen
-            seen.add((end, a.color))
+    for u, v, c in assignments:
+        for end in (u, v):
+            assert (end, c) not in seen
+            seen.add((end, c))
 
 
 def test_three_identical_triples_color_distinctly():
@@ -37,9 +37,9 @@ def test_three_identical_triples_color_distinctly():
         plant(inst, v, (3, 7, 9))
     out = inst.on_online_vertex(0, [100, 101, 102])
     assert len(out) == 3
-    bases = sorted(a.color % p for a in out)
+    bases = sorted(c % p for _, _, c in out)
     assert bases == [3, 7, 9]
-    assert all(a.color < 3 * p for a in out)
+    assert all(c < 3 * p for _, _, c in out)
     properly_colored(out)
 
 
@@ -82,11 +82,11 @@ def test_batch_colors_carry_the_batch_index():
     plant(inst, 102, (11, 24, 37))
     plant(inst, 103, (13, 26, 39))
     first = inst.on_batch(0, [100, 101, 102, 103])
-    assert [a.color for a in first] == [7, 9, 11, 13]
+    assert [c for _, _, c in first] == [7, 9, 11, 13]
     # the same vertex's second batch: degrees moved to 1, block offset 3P
     second = inst.on_batch(0, [100, 101, 102, 103])
-    assert [a.color for a in second] == [3 * p + 8, 3 * p + 10, 3 * p + 12, 3 * p + 14]
-    assert second[0].color == 140
+    assert [c for _, _, c in second] == [3 * p + 8, 3 * p + 10, 3 * p + 12, 3 * p + 14]
+    assert second[0][2] == 140
 
 
 def test_first_batch_low_base_stays_in_block_zero():
@@ -94,8 +94,8 @@ def test_first_batch_low_base_stays_in_block_zero():
     for i, v in enumerate((100, 101, 102, 103)):
         plant(inst, v, (10 * i, 10 * i + 1, 10 * i + 2))
     out = inst.on_batch(5, [100, 101, 102, 103])
-    assert all(a.color < 3 * 44 for a in out)
-    assert out[0].color == 0
+    assert all(c < 3 * 44 for _, _, c in out)
+    assert out[0][2] == 0
 
 
 def test_batch_size_is_enforced():
@@ -142,7 +142,7 @@ def test_single_spilled_edge_takes_first_fresh_color():
     inst.meter.add(f"{inst.name}:spill", 2)
     out = inst.finalize()
     assert len(out) == 1
-    assert out[0].color == 3 * p  # fresh block begins right after the bands
+    assert out[0][2] == 3 * p  # fresh block begins right after the bands
     assert inst.spill == []
 
 
@@ -155,7 +155,7 @@ def test_spilled_path_needs_at_most_two_fresh_colors():
     inst.meter.add(f"{inst.name}:spill", 6)
     out = inst.finalize()
     assert len(out) == 3
-    assert all(3 * p <= a.color < 3 * p + 2 for a in out)
+    assert all(3 * p <= c < 3 * p + 2 for _, _, c in out)
     properly_colored(out)
 
 
@@ -180,7 +180,7 @@ def test_full_run_proper_within_budget_and_space():
         assert len(out) == delta * n
         properly_colored(out)
         p = period_for(delta)
-        assert len({a.color for a in out}) <= 3 * p + delta
+        assert len({c for _, _, c in out}) <= 3 * p + delta
         assert alloc.total <= 3 * p + delta
         report = inst.spill_report()
         assert report.spilled_edges <= delta * report.spilled_vertices
@@ -190,7 +190,7 @@ def test_full_run_proper_within_budget_and_space():
 def test_no_offline_vertex_repeats_a_color_across_the_run():
     inst, meter, alloc, out = run_regular_stream(6, 48, 7)
     per_offline = {}
-    for a in out:
-        per_offline.setdefault(a.v, set())
-        assert a.color not in per_offline[a.v]
-        per_offline[a.v].add(a.color)
+    for _, v, c in out:
+        per_offline.setdefault(v, set())
+        assert c not in per_offline[v]
+        per_offline[v].add(c)

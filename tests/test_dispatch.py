@@ -26,9 +26,9 @@ def test_batch_route_formula():
 
 def checker(assignments):
     seen = set()
-    for a in assignments:
-        for end in (a.u, a.v):
-            key = (end, a.color)
+    for u, v, c in assignments:
+        for end in (u, v):
+            key = (end, c)
             assert key not in seen, f"conflict at {key}"
             seen.add(key)
 
@@ -65,7 +65,7 @@ def test_batch_dispatch_conserves_edges_and_stays_proper():
         assert meter.consistent()
     out += d.finalize()
     assert len(out) == len(edges)
-    assert {(a.u, a.v) for a in out} == set(edges)
+    assert {(u, v) for u, v, _ in out} == set(edges)
     checker(out)
 
 
@@ -110,7 +110,7 @@ def test_grouped_buffer_respects_its_cap():
     out += d.finalize()
     assert len(out) == len(edges)
     # offline-side batches own their edges, so compare unoriented
-    assert {frozenset(e) for e in ((a.u, a.v) for a in out)} == {frozenset(e) for e in edges}
+    assert {frozenset((u, v)) for u, v, _ in out} == {frozenset(e) for e in edges}
     checker(out)
 
 

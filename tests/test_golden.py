@@ -67,6 +67,10 @@ CASES = [
 
 SEED = 11
 
+# the edge-sqrt-fallback case's stream and hash: the same edges in the
+# same order color the same, however the lines around them are written
+LINE_BY_LINE_SHA256 = "ec96048f63dda992a0854f161f2e13c462d500ac54d00c8302cd48a368a360f7"
+
 
 def output_sha256(tmp_path, family, mode, delta, batch_size, preset, extra):
     stream = tmp_path / "stream.txt"
@@ -81,6 +85,26 @@ def test_run_output_matches_its_golden_hash(case, tmp_path, monkeypatch):
     monkeypatch.delenv("STREAMCOLOR_SEED", raising=False)
     _, family, mode, delta, batch_size, preset, extra, expected = case
     assert output_sha256(tmp_path, family, mode, delta, batch_size, preset, extra) == expected
+
+
+def test_a_stream_read_line_by_line_matches_its_golden_hash(tmp_path, monkeypatch):
+    """The edge-sqrt-fallback stream with a comment, a blank line and
+    tab-separated edge lines in each of its three blocks, so that every
+    block goes through the per-line parser rather than the block parser."""
+    monkeypatch.delenv("STREAMCOLOR_SEED", raising=False)
+    header, *body = generate(GenSpec("regular-bipartite", 256, 32, "edge", SEED)).splitlines()
+    lines = [header]
+    for i, line in enumerate(body):
+        if i % 1000 == 100:
+            lines.append("# a comment")
+        if i % 1500 == 200:
+            lines.append("")
+        lines.append(line.replace(" ", "\t") if i % 300 == 7 else line)
+    stream, out = tmp_path / "stream.txt", tmp_path / "out.txt"
+    stream.write_text("\n".join(lines) + "\n")
+    assert len(lines) > 2 * 4096 + 1
+    assert main(["run", str(stream), "--alg", "edge-sqrt", "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LINE_BY_LINE_SHA256
 
 
 # (id, n_online, n_offline, delta, mode, batch_size, preset, s, force_stream, budget)

@@ -89,7 +89,7 @@ def test_generated_streams_parse_cleanly():
         header, events = parse_stream(io.StringIO(generate(spec)))
         count = 0
         for ev in events:
-            count += 1 if not hasattr(ev, "neighbors") else len(ev.neighbors)
+            count += len(ev.neighbors) if hasattr(ev, "neighbors") else len(ev.us)
         assert count == len(build_edges(spec))
 
 

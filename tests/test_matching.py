@@ -51,7 +51,7 @@ def arrival_colors(delta, states):
     p = inst.params.period
     neighbors = list(range(1, len(states) + 1))
     inst.states.update(zip(neighbors, states))
-    return [divmod(a.color - inst.block, p) for a in inst.on_online_vertex(0, neighbors)]
+    return [divmod(c - inst.block, p) for _, _, c in inst.on_online_vertex(0, neighbors)]
 
 
 def test_build_color_graph_drops_band_offsets():

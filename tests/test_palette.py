@@ -30,8 +30,8 @@ def one_edge_color(delta, state):
     (shift + degree) mod P, in its own band."""
     inst = OneSidedColorer(delta, random.Random(0), SpaceMeter(), ColorAllocator())
     inst.states[1] = state
-    [assignment] = inst.on_online_vertex(0, [1])
-    return assignment.color - inst.block
+    [(_, _, color)] = inst.on_online_vertex(0, [1])
+    return color - inst.block
 
 
 def test_proposals_match_hand_evaluation():

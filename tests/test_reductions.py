@@ -19,9 +19,9 @@ from streamcolor.reductions import (
 
 def checker(assignments):
     seen = set()
-    for a in assignments:
-        for end in (a.u, a.v):
-            key = (end, a.color)
+    for u, v, c in assignments:
+        for end in (u, v):
+            key = (end, c)
             assert key not in seen, f"conflict at {key}"
             seen.add(key)
 
@@ -118,7 +118,7 @@ def test_base_store_triangle_uses_three_colors():
     assert out == []  # everything waits in the base store
     final = tree.finalize()
     assert len(final) == 3
-    assert len({a.color for a in final}) == 3
+    assert len({c for _, _, c in final}) == 3
     checker(final)
 
 
@@ -141,7 +141,7 @@ def test_bipartite_base_store_is_colored_exactly():
     tree.on_vertex(4, [0, 1])
     final = tree.finalize()  # K(2,3): bipartite, max degree 3
     assert len(final) == 6
-    assert len({a.color for a in final}) == 3
+    assert len({c for _, _, c in final}) == 3
     checker(final)
 
 
@@ -170,7 +170,7 @@ def test_general_vertex_arrivals_end_to_end():
         assert meter.consistent()
     out += tree.finalize()
     assert len(out) == len(edges)
-    assert {(min(a.u, a.v), max(a.u, a.v)) for a in out} == edges
+    assert {(min(u, v), max(u, v)) for u, v, _ in out} == edges
     checker(out)
 
 
@@ -203,8 +203,8 @@ def test_two_sided_split_blocks_are_disjoint():
     a = split.on_arrival(0, [], 0)
     b = split.on_arrival(100, [0], 1)
     c = split.on_arrival(1, [100], 0)
-    colors_side1 = {x.color for x in b}
-    colors_side0 = {x.color for x in c}
+    colors_side1 = {color for _, _, color in b}
+    colors_side0 = {color for _, _, color in c}
     assert colors_side0.isdisjoint(colors_side1)
 
 
@@ -232,7 +232,7 @@ def test_one_pass_router_matches_the_per_edge_reference(seed):
         degree[u] = want
         got = fast.on_vertex(u, tuple(neighbors))
         assert got == slow.on_vertex(u, list(neighbors))
-        colors.update(a.color for a in got)
+        colors.update(c for _, _, c in got)
         assert router_state(fast, fast_meter) == router_state(slow, slow_meter)
         arrived.append(u)
     assert empty > 20
