@@ -1,36 +1,31 @@
-"""Command-line entry point.
-
-Subcommands:
+"""Command-line entry point, with four subcommands:
 
     gen     write a stream file for a generator family
     run     color a stream with a preset, streaming output as it goes
     verify  check an output file against its stream
     kout    Monte Carlo estimate of k-out perfect-matching failure
-    bench   run a config-driven grid of experiments, CSV to stdout
+
+Experiment grids run through `harness.run_experiment_suite` (as
+tests/test_acceptance.py does); timings come from bench/run.py.
 
 Exit codes: 0 success; 1 verification found a bad output; 2 infeasible
-generator spec; 3 input/stream errors (mode mismatch, degree violations,
-vertex ids out of range, malformed lines, a stream that is not UTF-8 text,
-an -o path that cannot be written, a non-integer STREAMCOLOR_SEED); 4
-internal randomized-bound violation, or any other internal error of a run
-(for example a shift period too small); 5 parse errors while verifying, a
-file that is not UTF-8 text included. A bench config that cannot be read,
-is malformed, lacks `preset`, `mode`, `n` or `delta` in a run block, names
-an unknown preset or one that cannot run on the block's mode, or gives a
-non-integer where a grid value or `jobs` must be an integer exits 3 with
-one `input error:` line; a grid value the generators reject (say `n = -3`)
-exits 2 with one `infeasible spec:` line. Both are found before any row
-runs.
+generator spec or `kout` parameters (--c not a positive number; --n, --k or
+--trials below 1; k above ceil(c * n)); 3 input/stream errors (mode
+mismatch, degree violations, vertex ids out of range, malformed lines, a
+stream that is not UTF-8 text, an -o path that cannot be written, a
+non-integer STREAMCOLOR_SEED); 4 internal randomized-bound violation, or any
+other internal error of a run (for example a shift period too small); 5
+parse errors while verifying, a file that is not UTF-8 text included.
 The environment variable STREAMCOLOR_SEED overrides any --seed flag.
 """
 
 from __future__ import annotations
 
 import argparse
-import ast
 import functools
 import os
 import sys
+from fractions import Fraction
 
 from . import harness
 from .errors import (
@@ -49,7 +44,7 @@ from .errors import (
     TooManyBatches,
     TooManySlots,
 )
-from .presets import PRESETS, build_pipeline, check_mode, run_stream
+from .presets import PRESETS, build_pipeline, run_stream
 from .stream import AssignmentWriter, parse_stream
 
 _INPUT_ERRORS = (
@@ -173,7 +168,23 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kout(args) -> int:
-    result = harness.run_kout_experiment(args.n, args.c, args.k, args.trials, args.seed or 0)
+    try:
+        c = Fraction(args.c)
+    except (ValueError, ZeroDivisionError):
+        c = Fraction(0)  # not a number: rejected below as not positive
+    u_size = -(-c.numerator * args.n // c.denominator)  # ceil(c * n)
+    checks = (
+        (c <= 0, f"--c {args.c!r} is not a positive number"),
+        (args.n < 1, "--n must be at least 1"),
+        (args.k < 1, "--k must be at least 1"),
+        (args.trials < 1, "--trials must be at least 1"),
+        (args.k > u_size, f"--k {args.k} is above ceil(c * n) = {u_size}"),
+    )
+    problem = next((message for bad, message in checks if bad), None)
+    if problem:
+        print(f"infeasible spec: {problem}", file=sys.stderr)
+        return 2
+    result = harness.run_kout_experiment(args.n, c, args.k, args.trials, args.seed or 0)
     low, high = result.wilson()
     print("n,u_size,k,trials,seed,failures,rate,ci_low,ci_high")
     print(
@@ -181,133 +192,6 @@ def cmd_kout(args) -> int:
         f"{result.failures},{result.rate:.6g},{low:.6g},{high:.6g}"
     )
     return 0
-
-
-def _parse_value(raw: str):
-    raw = raw.strip()
-    lowered = raw.lower()
-    if lowered == "true":
-        return True
-    if lowered == "false":
-        return False
-    try:
-        return ast.literal_eval(raw)
-    except (ValueError, SyntaxError):
-        return raw  # bare string
-
-
-def parse_bench_config(text: str) -> tuple[dict, list[dict]]:
-    """Parse the key = value grid format (see README for the schema)."""
-    top: dict = {}
-    blocks: list[dict] = []
-    current = top
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line in ("[run]", "[[run]]"):
-            current = {}
-            blocks.append(current)
-            continue
-        if "=" not in line:
-            raise MalformedLine(f"config line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        current[key.strip()] = _parse_value(value)
-    return top, blocks
-
-
-def _as_list(value) -> list:
-    if isinstance(value, (list, tuple)):
-        return list(value)
-    return [value]
-
-
-_REQUIRED_RUN_KEYS = ("preset", "mode", "n", "delta")
-
-
-def _int(value, where: str) -> int:
-    """An int, or an int's digits in quotes; a float or a bool is not one."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str) and value.strip().lstrip("+-").isdecimal():
-        return int(value)
-    raise MalformedLine(f"{where}: {value!r} is not an integer")
-
-
-def _ints(block: dict, key: str, default, number: int) -> list[int]:
-    where = f"config run block {number}: key {key!r}"
-    return [_int(v, where) for v in _as_list(block.get(key, default))]
-
-
-def expand_bench_config(text: str) -> tuple[list[harness.RunRequest], dict]:
-    top, blocks = parse_bench_config(text)
-    requests: list[harness.RunRequest] = []
-    for number, block in enumerate(blocks, start=1):
-        merged = {**top, **block}
-        for key in _REQUIRED_RUN_KEYS:
-            if key not in merged:
-                raise MalformedLine(f"config run block {number}: missing key {key!r}")
-        preset = merged["preset"]
-        mode = merged["mode"]
-        try:
-            check_mode(mode, preset)
-        except (ValueError, ModeMismatch) as exc:  # unknown preset, or not on this mode
-            raise MalformedLine(f"config run block {number}: {exc}") from None
-        force = bool(merged.get("force_stream", False))
-        seeds = merged.get("seeds", 1)
-        if isinstance(seeds, (list, tuple)):
-            seed_list = _ints(merged, "seeds", None, number)
-        else:  # seeds = N means seeds 0..N-1
-            seed_list = list(range(_int(seeds, f"config run block {number}: key 'seeds'")))
-        batch_size = _int(
-            merged.get("batch_size", 0), f"config run block {number}: key 'batch_size'"
-        )
-        for family in _as_list(merged.get("families", merged.get("family", "regular-bipartite"))):
-            for n in _ints(merged, "n", None, number):
-                for delta in _ints(merged, "delta", None, number):
-                    for s in _ints(merged, "s", 1, number):
-                        for seed in seed_list:
-                            spec = harness.GenSpec(
-                                family=family,
-                                n=n,
-                                delta=delta,
-                                mode=mode,
-                                seed=seed,
-                                batch_size=batch_size,
-                            )
-                            harness.check_spec(spec)
-                            requests.append(
-                                harness.RunRequest(preset, spec, s=s, force_stream=force)
-                            )
-    return requests, top
-
-
-def cmd_bench(args) -> int:
-    try:
-        with open(args.config) as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"input error: cannot read config: {exc}", file=sys.stderr)
-        return 3
-    try:
-        requests, top = expand_bench_config(text)
-        jobs = args.jobs or _int(top.get("jobs", 1), "config key 'jobs'")
-    except MalformedLine as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 3
-    except InfeasibleSpec as exc:
-        print(f"infeasible spec: {exc}", file=sys.stderr)
-        return 2
-    for key in sorted(top):
-        print(f"# {key}={top[key]}")
-    print(harness.CSV_HEADER)
-    rows = harness.run_experiment_suite(requests, jobs=jobs)
-    bad = 0
-    for row in rows:
-        print(harness.row_to_csv(row))
-        if not row["proper"]:
-            bad += 1
-    return 0 if bad == 0 else 1
 
 
 @functools.cache
@@ -350,11 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--trials", type=int, default=10000)
     k.add_argument("--seed", type=int, default=0)
     k.set_defaults(func=cmd_kout)
-
-    b = sub.add_parser("bench", help="run an experiment grid from a config")
-    b.add_argument("--config", required=True)
-    b.add_argument("--jobs", type=int, default=None)
-    b.set_defaults(func=cmd_bench)
 
     return parser
 

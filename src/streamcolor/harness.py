@@ -143,6 +143,8 @@ def check_spec(spec: GenSpec) -> None:
     """Raise InfeasibleSpec unless `generate` can render the spec; builds nothing."""
     if spec.mode not in (MODE_EDGE, MODE_VERTEX_ONE_SIDED, MODE_VERTEX_TWO_SIDED, MODE_BATCH):
         raise InfeasibleSpec(f"unknown mode {spec.mode!r}")
+    if spec.batch_size < 0:
+        raise InfeasibleSpec(f"batch_size must not be negative, got {spec.batch_size}")
     if spec.family == "regular-general" and spec.mode in (MODE_VERTEX_ONE_SIDED, MODE_BATCH):
         raise InfeasibleSpec(f"{spec.family} cannot be presented {spec.mode}")
     _check_graph(spec)

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from streamcolor.cli import expand_bench_config, main, parse_bench_config
+from streamcolor.cli import main
 from streamcolor.harness import GenSpec, generate
 
 
@@ -146,118 +146,34 @@ def test_kout_csv_schema(capsys):
     assert fields[0] == "8" and fields[1] == "24"
 
 
-def test_bench_config_parsing():
-    text = """
-    # grid
-    jobs = 2
-    force_stream = true
-
-    [run]
-    preset = "one-sided"
-    families = ["regular-bipartite", "random-bipartite"]
-    mode = "vertex-one-sided"
-    n = [8, 16]
-    delta = 2
-    seeds = 3
-    """
-    top, blocks = parse_bench_config(text)
-    assert top == {"jobs": 2, "force_stream": True}
-    assert len(blocks) == 1
-    requests, _ = expand_bench_config(text)
-    assert len(requests) == 2 * 2 * 1 * 3
-    assert all(r.force_stream for r in requests)
-    assert requests[0].spec.family == "regular-bipartite"
-
-
-def test_bench_runs_a_tiny_grid(tmp_path, capsys):
-    cfg = tmp_path / "grid.cfg"
-    cfg.write_text(
-        "[run]\n"
-        "preset = \"one-sided\"\n"
-        "families = \"regular-bipartite\"\n"
-        "mode = \"vertex-one-sided\"\n"
-        "n = 16\n"
-        "delta = 4\n"
-        "seeds = 2\n"
-    )
-    assert run_cli("bench", "--config", str(cfg)) == 0
-    out = capsys.readouterr().out.splitlines()
-    header_at = next(i for i, line in enumerate(out) if line.startswith("preset,"))
-    rows = out[header_at + 1 :]
-    assert len(rows) == 2
-    assert all(",true," in row for row in rows)
-
-
-@pytest.mark.parametrize("missing", ["preset", "mode", "n", "delta"])
-def test_bench_config_missing_a_run_key_exits_three(tmp_path, capsys, missing):
-    lines = {
-        "preset": 'preset = "one-sided"',
-        "mode": 'mode = "vertex-one-sided"',
-        "n": "n = 16",
-        "delta": "delta = 4",
-    }
-    cfg = tmp_path / "grid.cfg"
-    cfg.write_text("[run]\n" + "".join(v + "\n" for k, v in lines.items() if k != missing))
-    assert run_cli("bench", "--config", str(cfg)) == 3
-    captured = capsys.readouterr()
-    assert captured.err == f"input error: config run block 1: missing key {missing!r}\n"
-    assert "preset," not in captured.out
-
-
-def test_bench_config_that_cannot_be_opened_exits_three(tmp_path, capsys):
-    missing = tmp_path / "no-such.cfg"
-    assert run_cli("bench", "--config", str(missing)) == 3
-    captured = capsys.readouterr()
-    assert captured.err.startswith("input error: cannot read config: ")
-    assert captured.err.count("\n") == 1 and str(missing) in captured.err
-    assert captured.out == ""
-
-
 @pytest.mark.parametrize(
-    "line, message",
+    "args, message",
     [
-        ('n = "abc"', "config run block 1: key 'n': 'abc' is not an integer"),
-        ("s = [1, 1.5]", "config run block 1: key 's': 1.5 is not an integer"),
+        (("--c", "abc"), "--c 'abc' is not a positive number"),
+        (("--c", "0"), "--c '0' is not a positive number"),
+        (("--k", "0"), "--k must be at least 1"),
+        (("--n", "-1"), "--n must be at least 1"),
+        (("--trials", "-5"), "--trials must be at least 1"),
+        (("--c", "1", "--k", "9"), "--k 9 is above ceil(c * n) = 8"),
     ],
 )
-def test_bench_config_with_a_non_integer_grid_value_exits_three(tmp_path, capsys, line, message):
-    cfg = tmp_path / "grid.cfg"
-    cfg.write_text('[run]\npreset = "one-sided"\nmode = "vertex-one-sided"\n'
-                   f"n = 16\ndelta = 4\n{line}\n")
-    assert run_cli("bench", "--config", str(cfg)) == 3
+def test_kout_rejects_parameters_it_cannot_sample(capsys, args, message):
+    # a flag given twice takes its last value, so `args` overrides these
+    assert run_cli("kout", "--n", "8", "--trials", "50", *args) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"input error: {message}\n"
-    assert "preset," not in captured.out
-
-
-
-@pytest.mark.parametrize(
-    "preset, mode, message",
-    [
-        ("no-such", "vertex-one-sided", "config run block 1: unknown preset 'no-such'"),
-        ("one-sided", "edge",
-         "config run block 1: preset one-sided cannot run on a edge stream"),
-    ],
-)
-def test_bench_config_with_a_preset_that_cannot_run_exits_three(
-    tmp_path, capsys, preset, mode, message
-):
-    cfg = tmp_path / "grid.cfg"
-    cfg.write_text(f'[run]\npreset = "{preset}"\nmode = "{mode}"\nn = 16\ndelta = 4\n')
-    assert run_cli("bench", "--config", str(cfg)) == 3
-    captured = capsys.readouterr()
-    assert captured.err == f"input error: {message}\n"
+    assert captured.err == f"infeasible spec: {message}\n"
     assert captured.out == ""
 
 
-def test_bench_config_with_an_infeasible_grid_value_exits_two(tmp_path, capsys):
-    cfg = tmp_path / "grid.cfg"
-    cfg.write_text('[run]\npreset = "one-sided"\nmode = "vertex-one-sided"\n'
-                   "n = [16, -3]\ndelta = 4\n")
-    assert run_cli("bench", "--config", str(cfg)) == 2
-    captured = capsys.readouterr()
-    assert captured.err == "infeasible spec: n must be at least 1\n"
-    assert captured.out == ""
+def test_gen_rejects_a_negative_batch_size(tmp_path, capsys):
+    out = tmp_path / "x.txt"
+    assert run_cli(
+        "gen", "--family", "regular-bipartite", "--n", "16", "--delta", "4",
+        "--mode", "batch", "--batch-size", "-2", "-o", str(out),
+    ) == 2
+    assert capsys.readouterr().err == "infeasible spec: batch_size must not be negative, got -2\n"
+    assert not out.exists()
+
 
 def test_run_rejects_vertex_ids_outside_the_header_range(tmp_path, capsys):
     stream = tmp_path / "s.txt"
