@@ -155,6 +155,9 @@ def test_kout_csv_schema(capsys):
         (("--n", "-1"), "--n must be at least 1"),
         (("--trials", "-5"), "--trials must be at least 1"),
         (("--c", "1", "--k", "9"), "--k 9 is above ceil(c * n) = 8"),
+        (("--c", "-1"), "--c '-1' is not a positive number"),
+        (("--c", "nan"), "--c 'nan' is not a positive number"),
+        (("--c", "0.5", "--n", "5", "--k", "4"), "--k 4 is above ceil(c * n) = 3"),
     ],
 )
 def test_kout_rejects_parameters_it_cannot_sample(capsys, args, message):
@@ -163,6 +166,26 @@ def test_kout_rejects_parameters_it_cannot_sample(capsys, args, message):
     captured = capsys.readouterr()
     assert captured.err == f"infeasible spec: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "c, n, k, u_size",
+    [("1", "8", "8", "8"), ("0.5", "5", "3", "3")],
+)
+def test_kout_accepts_k_equal_to_ceil_c_n(capsys, c, n, k, u_size):
+    assert run_cli("kout", "--n", n, "--c", c, "--k", k, "--trials", "20", "--seed", "1") == 0
+    fields = capsys.readouterr().out.splitlines()[1].split(",")
+    assert fields[:4] == [n, u_size, k, "20"]
+
+
+@pytest.mark.parametrize(
+    "argv", [("bench",), ("bench", "--config", "grid.cfg", "--jobs", "2")],
+)
+def test_bench_is_an_unknown_subcommand(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*argv)
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_gen_rejects_a_negative_batch_size(tmp_path, capsys):
