@@ -25,7 +25,6 @@ import argparse
 import functools
 import os
 import sys
-from fractions import Fraction
 
 from . import harness
 from .errors import (
@@ -169,22 +168,10 @@ def cmd_verify(args) -> int:
 
 def cmd_kout(args) -> int:
     try:
-        c = Fraction(args.c)
-    except (ValueError, ZeroDivisionError):
-        c = Fraction(0)  # not a number: rejected below as not positive
-    u_size = -(-c.numerator * args.n // c.denominator)  # ceil(c * n)
-    checks = (
-        (c <= 0, f"--c {args.c!r} is not a positive number"),
-        (args.n < 1, "--n must be at least 1"),
-        (args.k < 1, "--k must be at least 1"),
-        (args.trials < 1, "--trials must be at least 1"),
-        (args.k > u_size, f"--k {args.k} is above ceil(c * n) = {u_size}"),
-    )
-    problem = next((message for bad, message in checks if bad), None)
-    if problem:
-        print(f"infeasible spec: {problem}", file=sys.stderr)
+        result = harness.run_kout_experiment(args.n, args.c, args.k, args.trials, args.seed or 0)
+    except InfeasibleSpec as exc:
+        print(f"infeasible spec: {exc}", file=sys.stderr)
         return 2
-    result = harness.run_kout_experiment(args.n, c, args.k, args.trials, args.seed or 0)
     low, high = result.wilson()
     print("n,u_size,k,trials,seed,failures,rate,ci_low,ci_high")
     print(

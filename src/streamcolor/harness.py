@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
+from .dispatch import ceil_sqrt
 from .errors import BoundViolation, FlushBudgetExceeded, InfeasibleSpec, MalformedLine
 from .matching import kout_trial
 from .presets import build_pipeline, run_stream
@@ -149,7 +150,7 @@ def check_spec(spec: GenSpec) -> None:
         raise InfeasibleSpec(f"{spec.family} cannot be presented {spec.mode}")
     _check_graph(spec)
     if spec.mode == MODE_BATCH:
-        k = spec.batch_size if spec.batch_size else _ceil_sqrt(spec.delta)
+        k = spec.batch_size if spec.batch_size else ceil_sqrt(spec.delta)
         if spec.family not in ("regular-bipartite", "adversarial-frontload"):
             raise InfeasibleSpec("batch streams need a regular bipartite family")
         if spec.delta % k != 0:
@@ -223,7 +224,7 @@ def generate(spec: GenSpec) -> str:
                 rng.shuffle(nbrs)
             lines.append(f"V {v} " + " ".join(map(str, nbrs)) if nbrs else f"V {v}")
     else:  # batch mode
-        k = spec.batch_size if spec.batch_size else _ceil_sqrt(spec.delta)
+        k = spec.batch_size if spec.batch_size else ceil_sqrt(spec.delta)
         batch_size = k
         byu = {u: [] for u in range(n_online)}
         for a, b in edges:
@@ -245,11 +246,6 @@ def generate(spec: GenSpec) -> str:
 
     header = StreamHeader(n_online, n_offline, spec.delta, mode, batch_size, spec.seed)
     return header.to_line() + "\n" + "\n".join(lines) + ("\n" if lines else "")
-
-
-def _ceil_sqrt(x: int) -> int:
-    k = math.isqrt(x)
-    return k if k * k == x else k + 1
 
 
 # --- verification ---
@@ -385,9 +381,23 @@ def run_kout_experiment(
     trials: int,
     seed: int,
 ) -> KoutResult:
-    """Empirical failure rate of perfect matching in the random k-out model."""
-    frac = Fraction(str(c)) if not isinstance(c, Fraction) else c
+    """Empirical failure rate of perfect matching in the random k-out model;
+    parameters that cannot be sampled raise `InfeasibleSpec`."""
+    try:
+        frac = Fraction(str(c))
+    except (ValueError, ZeroDivisionError):
+        frac = Fraction(0)  # not a number: rejected below as not positive
     u_size = -(-frac.numerator * n // frac.denominator)  # ceil(c * n)
+    checks = (
+        (frac <= 0, f"--c {str(c)!r} is not a positive number"),
+        (n < 1, "--n must be at least 1"),
+        (k < 1, "--k must be at least 1"),
+        (trials < 1, "--trials must be at least 1"),
+        (k > u_size, f"--k {k} is above ceil(c * n) = {u_size}"),
+    )
+    problem = next((message for bad, message in checks if bad), None)
+    if problem:
+        raise InfeasibleSpec(problem)
     failures = 0
     for t in range(trials):
         rng = child_rng(seed, t)

@@ -3,8 +3,8 @@
 Available presets and the stream modes they accept:
 
     one-sided      vertex-one-sided or batch; the plain one-sided colorer
-    vertex-general vertex-two-sided; side splits behind the bipartization
-                   router
+    vertex-general vertex-two-sided; one one-sided colorer per side of each
+                   level of the bipartization router
     edge-sqrt      edge; buffered exact batches over ceil(sqrt(D)) colorers,
                    behind the router
     edge-general   edge; space knob s, grouped batch colorers plus flushes,
@@ -44,12 +44,8 @@ from .dispatch import BatchIndexDispatcher, GroupedBatchDispatcher, ceil_sqrt
 from .errors import ModeMismatch
 from .meter import SpaceMeter
 from .palette import ColorAllocator
-from .reductions import (
-    EdgeBipartization,
-    TwoSidedSplit,
-    VertexBipartization,
-)
-from .rng import split_seed
+from .reductions import EdgeBipartization, VertexBipartization
+from .rng import child_rng, split_seed
 from .stream import (
     MODE_BATCH,
     MODE_EDGE,
@@ -179,15 +175,13 @@ class _Vertex(_Pipeline):
     """Two-sided vertex arrivals through the bipartization router."""
 
     def __init__(self, header: StreamHeader, seed: int, meter: SpaceMeter, alloc: ColorAllocator):
-        def factory(level: int, bound: int) -> TwoSidedSplit:
-            return TwoSidedSplit(
-                bound,
-                split_seed(seed, 100 + level),
-                meter,
-                alloc,
-                name=f"L{level}",
-                offline_cap=bound,
-            )
+        def factory(level: int, bound: int) -> list[OneSidedColorer]:
+            level_seed = split_seed(seed, 100 + level)  # one colorer per side
+            return [
+                OneSidedColorer(bound, child_rng(level_seed, side), meter, alloc,
+                                name=f"L{level}:side{side}", offline_cap=bound)
+                for side in (0, 1)
+            ]
 
         sides = header.n_online if header.bipartite else None  # None: random levels
         self.inner = VertexBipartization(
@@ -212,19 +206,19 @@ class _Edge(_Pipeline):
         n = header.n_total
 
         if alg == "edge-sqrt":
-            def factory(level: int, bound: int) -> BatchIndexDispatcher:
-                return BatchIndexDispatcher(
+            def factory(level: int, bound: int) -> list[BatchIndexDispatcher]:
+                return [BatchIndexDispatcher(
                     bound, split_seed(seed, 100 + level), meter, alloc, name=f"L{level}"
-                )
+                )]
         else:
             s = clamp_s(header, s)
 
-            def factory(level: int, bound: int) -> GroupedBatchDispatcher:
+            def factory(level: int, bound: int) -> list[GroupedBatchDispatcher]:
                 # an n*s edge buffer, allowed one flush per n*s of the at most
                 # n*bound/2 edges it can be fed, plus one; side lookup goes
                 # through self.inner lazily: the tree only exists once all
                 # level dispatchers are built
-                return GroupedBatchDispatcher(
+                return [GroupedBatchDispatcher(
                     bound,
                     s,
                     n * s,
@@ -234,7 +228,7 @@ class _Edge(_Pipeline):
                     alloc,
                     flush_bound=(n * bound // 2) // max(n * s, 1) + 1,
                     name=f"L{level}",
-                )
+                )]
 
         sides = header.n_online if header.bipartite else None  # None: random levels
         self.inner = EdgeBipartization(

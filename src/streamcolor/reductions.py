@@ -1,10 +1,5 @@
 """Reductions that lift the bipartite one-sided colorers to richer inputs.
 
-`TwoSidedSplit` handles bipartite streams where either side may arrive:
-edges are owned by whichever endpoint arrives with them, so the stream
-splits into two one-sided substreams, one per side, colored by two
-independent colorers with disjoint blocks.
-
 `Bipartization` is the one router of every two-sided stream. On a general
 graph every vertex draws one random bit per level; an edge belongs to the
 first level where its endpoints' bits differ, which makes each level a
@@ -18,12 +13,18 @@ its bound is delta, a vertex's bit is its header side (online ids have
 bit 1), no bit is drawn or stored, there is no base store, and an edge
 inside one side is an input error.
 
+A level is the list of its parts. Under vertex arrivals those are two
+one-sided colorers with disjoint blocks, one per side: an arriving vertex
+is online within the level and goes to the colorer of its own side, with
+the edges of its group. Under edge arrivals a level is one dispatcher.
+
 Level degrees are counted only at levels whose bound is below delta: the
 stream parser already holds every vertex to delta, so a counter at any
-other level could never trip. Passing a counted bound is a hard error:
-the run stops rather than risking a conflict. A vertex arrival is routed
-in one pass over its neighbors (`VertexBipartization.on_vertex`); an edge
-arrival goes through `route` (`EdgeBipartization.on_edge`).
+other level could never trip. Both arrival kinds count through one
+routine, `_count_level`. Passing a counted bound is a hard error: the run
+stops rather than risking a conflict. A vertex arrival is routed in one
+pass over its neighbors (`VertexBipartization.on_vertex`), an edge
+arrival by its endpoints' bit vectors (`EdgeBipartization.on_edge`).
 """
 
 from __future__ import annotations
@@ -31,47 +32,12 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .core import OneSidedColorer, SpillReport, color_block
+from .core import SpillReport, color_block
 from .errors import BoundViolation, ModeMismatch
 from .meter import SpaceMeter
 from .palette import ColorAllocator
 from .rng import child_rng
 from .stream import Assignment
-
-
-class TwoSidedSplit:
-    """Two one-sided colorers, one per side of a bipartite graph."""
-
-    def __init__(
-        self,
-        delta: int,
-        seed: int,
-        meter: SpaceMeter,
-        allocator: ColorAllocator,
-        name: str = "split",
-        offline_cap: int | None = None,
-    ):
-        self.colorers = [
-            OneSidedColorer(
-                delta,
-                child_rng(seed, side),
-                meter,
-                allocator,
-                name=f"{name}:side{side}",
-                offline_cap=offline_cap,
-            )
-            for side in (0, 1)
-        ]
-        self.budget = sum(c.budget for c in self.colorers)
-
-    def on_arrival(self, u: int, neighbors: list[int], side: int) -> list[Assignment]:
-        return self.colorers[side].on_online_vertex(u, neighbors)
-
-    def finalize(self) -> list[Assignment]:
-        return self.colorers[0].finalize() + self.colorers[1].finalize()
-
-    def spill_report(self) -> SpillReport:
-        return SpillReport.total(self.colorers)
 
 
 def stop_threshold(n: int) -> float:
@@ -102,11 +68,12 @@ class Bipartization:
     """Random recursive 2-partition routing edges to bipartite levels.
 
     The per-level algorithm is supplied by `level_factory(level, bound)`,
-    which must return an object exposing the part of the level interface
-    the caller drives (vertex arrivals or edge feeds) plus `finalize()`,
-    `spill_report()` and its color `budget`. `n_online`, given for a
-    declared-bipartite header, replaces the random levels with the one
-    level of the header's sides.
+    which returns the list of the level's parts: the two side colorers
+    (vertex arrivals) or one dispatcher (edge arrivals). Each part has a
+    color `budget`, `finalize()` and `spill_report()`; the router sums,
+    finalizes and reports them in level order, parts in list order.
+    `n_online`, given for a declared-bipartite header, replaces the random
+    levels with the one level of the header's sides.
     """
 
     def __init__(
@@ -116,7 +83,7 @@ class Bipartization:
         seed: int,
         meter: SpaceMeter,
         allocator: ColorAllocator,
-        level_factory: Callable[[int, int], object],
+        level_factory: Callable[[int, int], list],
         name: str = "bipart",
         n_online: int | None = None,
     ):
@@ -128,7 +95,8 @@ class Bipartization:
         self.bounds = [delta] if self.header_sides else plan_levels(n, delta)
         self.levels = [level_factory(i, d) for i, d in enumerate(self.bounds)]
         self.num_levels = len(self.levels)
-        self.budget = sum(lvl.budget for lvl in self.levels)
+        self.parts = [part for level in self.levels for part in level]
+        self.budget = sum(part.budget for part in self.parts)
         if self.header_sides:
             self.bit_vector = n_online.__gt__  # online ids have bit 1; nothing stored
         else:
@@ -162,26 +130,29 @@ class Bipartization:
     def side_of(self, v: int, level: int) -> int:
         return (self.bit_vector(v) >> level) & 1
 
-    def _bump_level_degree(self, v: int, level: int, amount: int) -> None:
+    def _count_level(self, level: int, u: int, group) -> None:
+        """Count u's edges to `group` at a counted level: len(group) on u and
+        1 on each vertex of the group. New entries are charged in one meter
+        call, the breaching one included; past the bound the run stops."""
         degs = self.level_degrees[level]
-        if degs is None:
-            return
-        d = degs.get(v)
-        if d is None:
-            d = 0
-            self.meter.add(self._dkey, 1)
-        d += amount
-        if d > self.bounds[level]:
-            self._level_breach(v, d, level, 0)
-        degs[v] = d
-
-    def _level_breach(self, v: int, d: int, level: int, fresh: int) -> None:
-        """Charge the `fresh` degree entries counted so far, then stop the run."""
+        bound = self.bounds[level]
+        fresh = 0
+        step = len(group)
+        for v in (u, *group):
+            try:
+                d = degs[v] + step
+            except KeyError:
+                d = step
+                fresh += 1
+            if d > bound:
+                self.meter.add(self._dkey, fresh)
+                raise BoundViolation(
+                    f"{self.name}: vertex {v} reached degree {d} at level {level}, "
+                    f"declared bound {bound}"
+                )
+            degs[v] = d
+            step = 1
         self.meter.add(self._dkey, fresh)
-        raise BoundViolation(
-            f"{self.name}: vertex {v} reached degree {d} at level {level}, "
-            f"declared bound {self.bounds[level]}"
-        )
 
     def _store_base(self, u: int, v: int) -> None:
         """Keep an edge no level takes; under header sides it is an input error."""
@@ -192,8 +163,8 @@ class Bipartization:
 
     def finalize(self) -> list[Assignment]:
         out: list[Assignment] = []
-        for lvl in self.levels:
-            out.extend(lvl.finalize())
+        for part in self.parts:
+            out.extend(part.finalize())
         edges = self.base_edges
         if edges:
             label = f"{self.name}:base"
@@ -203,7 +174,7 @@ class Bipartization:
         return out
 
     def spill_report(self) -> SpillReport:
-        return SpillReport.total(self.levels)
+        return SpillReport.total(self.parts)
 
 
 class VertexBipartization(Bipartization):
@@ -211,7 +182,7 @@ class VertexBipartization(Bipartization):
 
     The arriving vertex is online in every level that receives a piece of
     its edge group; within a level it goes to the colorer of its own side.
-    Levels are `TwoSidedSplit` instances.
+    Each level is its pair of side colorers, `[side 0, side 1]`.
     """
 
     def on_vertex(self, u: int, neighbors) -> list[Assignment]:
@@ -232,7 +203,7 @@ class VertexBipartization(Bipartization):
             for v in neighbors:
                 if self.bit_vector(v) == side:
                     self._store_base(u, v)  # raises
-            return self.levels[0].on_arrival(u, neighbors, int(side))
+            return self.levels[0][side].on_online_vertex(u, neighbors)
         bits = self.bits
         meter = self.meter
         k = self.num_levels
@@ -266,36 +237,15 @@ class VertexBipartization(Bipartization):
         out: list[Assignment] = []
         for low, group in groups.items():
             level = low.bit_length() - 1
-            degs = self.level_degrees[level]
-            if degs is not None:
-                bound = self.bounds[level]
-                fresh = 0
-                try:
-                    d = degs[u] + len(group)
-                except KeyError:
-                    d = len(group)
-                    fresh = 1
-                if d > bound:
-                    self._level_breach(u, d, level, fresh)
-                degs[u] = d
-                for v in group:
-                    try:
-                        d = degs[v] + 1
-                    except KeyError:
-                        d = 1
-                        fresh += 1
-                    if d > bound:
-                        self._level_breach(v, d, level, fresh)
-                    degs[v] = d
-                if fresh:
-                    meter.add(self._dkey, fresh)
-            out.extend(self.levels[level].on_arrival(u, group, (bu >> level) & 1))
+            if self.level_degrees[level] is not None:
+                self._count_level(level, u, group)
+            out.extend(self.levels[level][(bu >> level) & 1].on_online_vertex(u, group))
         return out
 
 
 class EdgeBipartization(Bipartization):
     """Edge-arrival flavor: each edge feeds the dispatcher of its level,
-    `feed_edge(online_endpoint, other)`."""
+    `[dispatcher]`, as `feed_edge(online_endpoint, other)`."""
 
     def on_edge(self, a: int, b: int) -> list[Assignment]:
         """Route one edge as `route` would, reading each bit vector once."""
@@ -308,9 +258,8 @@ class EdgeBipartization(Bipartization):
         low = diff & -diff
         level = low.bit_length() - 1
         if self.level_degrees[level] is not None:
-            self._bump_level_degree(a, level, 1)
-            self._bump_level_degree(b, level, 1)
+            self._count_level(level, a, (b,))
         # the bit-1 endpoint is the designated online side within a level
         if ba & low:
-            return self.levels[level].feed_edge(a, b)
-        return self.levels[level].feed_edge(b, a)
+            return self.levels[level][0].feed_edge(a, b)
+        return self.levels[level][0].feed_edge(b, a)

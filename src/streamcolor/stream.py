@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 from operator import eq
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
@@ -159,7 +159,7 @@ def parse_stream(lines: Iterable[str]) -> tuple[StreamHeader, Iterator[StreamEve
 
 
 def _events(header: StreamHeader, it: Iterator[str]) -> Iterator[StreamEvent]:
-    degrees = [0] * header.n_total
+    degrees: list[int] = []  # per id up to the largest seen; see `_reach`
     if header.mode != MODE_EDGE:
         yield from _line_events(header, it, 1, degrees)
         return
@@ -194,9 +194,11 @@ def _edge_block(lines: list[str], header: StreamHeader, degrees: list[int]):
     if len(tokens) != 3 * len(lines) or not _EDGE_LINES.fullmatch(text):
         return [], []
     us, vs = list(map(int, tokens[1::3])), list(map(int, tokens[2::3]))
-    n, delta = header.n_total, header.delta
-    if max(us) >= n or max(vs) >= n or any(map(eq, us, vs)):
+    top = max(max(us), max(vs))
+    if top >= header.n_total or any(map(eq, us, vs)):
         return [], []
+    _reach(degrees, top)
+    delta = header.delta
     for i, (u, v) in enumerate(zip(us, vs)):
         du, dv = degrees[u] + 1, degrees[v] + 1
         if du > delta or dv > delta:
@@ -231,6 +233,7 @@ def _line_events(header: StreamHeader, lines: Iterable[str], lineno: int, degree
                 raise MalformedLine(f"line {lineno}: vertex id outside [0, {n})")
             if u == v:
                 raise SelfLoop(f"line {lineno}: self-loop at vertex {u}")
+            _reach(degrees, u if u > v else v)
             du = degrees[u] + 1
             dv = degrees[v] + 1
             if du > delta or dv > delta:
@@ -267,12 +270,14 @@ def _arrival(parts, lineno, n, delta, degrees, cls):
         neighbors = tuple(map(int, parts[2:]))
     except (ValueError, IndexError) as exc:
         raise MalformedLine(f"line {lineno}: bad vertex arrival") from exc
-    if not 0 <= u < n or (neighbors and not 0 <= min(neighbors) <= max(neighbors) < n):
+    top = max(neighbors, default=u)
+    if not 0 <= u < n or top >= n or (neighbors and min(neighbors) < 0):
         raise MalformedLine(f"line {lineno}: vertex id outside [0, {n})")
     if u in neighbors:
         raise SelfLoop(f"line {lineno}: self-loop at vertex {u}")
     if len(set(neighbors)) != len(neighbors):
         raise DuplicateEdge(f"line {lineno}: repeated neighbor in one arrival")
+    _reach(degrees, u if u > top else top)
     du = degrees[u] + len(neighbors)
     if du > delta:
         raise DegreeExceeded(f"line {lineno}: vertex {u} passes delta={delta}")
@@ -283,6 +288,13 @@ def _arrival(parts, lineno, n, delta, degrees, cls):
             raise DegreeExceeded(f"line {lineno}: vertex {v} passes delta={delta}")
         degrees[v] = dv
     return cls(u, neighbors)
+
+
+def _reach(degrees: list[int], top: int) -> None:
+    """Extend the degree counters to id `top`: they grow with the ids the
+    stream names, not with the header's n."""
+    if top >= len(degrees):
+        degrees.extend(repeat(0, top + 1 - len(degrees)))
 
 
 def event_edges(event: StreamEvent) -> Iterable[tuple[int, int]]:

@@ -209,6 +209,18 @@ def test_kout_u_size_is_the_exact_ceiling():
     assert run_kout_experiment(25, "2.72", 3, trials=1, seed=0).u_size == 68
 
 
+@pytest.mark.parametrize(
+    "c, k, trials, message",
+    [("2.72", 3, 0, "--trials must be at least 1"),
+     ("2.72", 0, 3, "--k must be at least 1"),
+     ("abc", 3, 3, "--c 'abc' is not a positive number")],
+)
+def test_kout_experiment_rejects_parameters_it_cannot_sample(c, k, trials, message):
+    with pytest.raises(InfeasibleSpec) as err:
+        run_kout_experiment(8, c, k, trials=trials, seed=0)
+    assert str(err.value) == message
+
+
 def test_kout_is_deterministic_in_the_seed():
     a = run_kout_experiment(12, "1.1", 3, trials=300, seed=5)
     b = run_kout_experiment(12, "1.1", 3, trials=300, seed=5)

@@ -1,15 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from streamcolor.core import OneSidedColorer
+from streamcolor.dispatch import BatchIndexDispatcher
 from streamcolor.errors import BoundViolation
-from streamcolor.harness import GenSpec, generate
+from streamcolor.harness import GenSpec, check_assignments, generate
 from streamcolor.meter import SpaceMeter
 from streamcolor.palette import ColorAllocator
 from streamcolor.presets import build_pipeline, run_stream
-from streamcolor.stream import parse_stream
+from streamcolor.rng import child_rng
+from streamcolor.stream import StreamHeader, parse_stream
 from streamcolor.reductions import (
-    TwoSidedSplit,
+    EdgeBipartization,
     VertexBipartization,
     level_degree_bound,
     plan_levels,
@@ -41,21 +46,53 @@ def test_plan_levels_respects_the_stop_rule():
     assert stop_threshold(2) == 16.0
 
 
-def split_factory(meter, alloc):
+def side_factory(meter, alloc):
+    """Levels of vertex arrivals: one colorer per side."""
     def factory(level, bound):
-        return TwoSidedSplit(bound, seed=level + 50, meter=meter, allocator=alloc,
-                             name=f"L{level}", offline_cap=bound)
+        return [OneSidedColorer(bound, child_rng(level + 50, side), meter, alloc,
+                                name=f"L{level}:side{side}", offline_cap=bound)
+                for side in (0, 1)]
+
+    return factory
+
+
+def dispatcher_factory(meter, alloc):
+    """Levels of edge arrivals: one dispatcher."""
+    def factory(level, bound):
+        return [BatchIndexDispatcher(bound, level + 50, meter, alloc, name=f"L{level}")]
 
     return factory
 
 
 def make_tree(n, delta, seed=0, cls=VertexBipartization):
     meter, alloc = SpaceMeter(), ColorAllocator()
-    tree = cls(n, delta, seed, meter, alloc, split_factory(meter, alloc))
+    make = dispatcher_factory if issubclass(cls, EdgeBipartization) else side_factory
+    tree = cls(n, delta, seed, meter, alloc, make(meter, alloc))
     return tree, meter, alloc
 
 
-class PerEdgeRouter(VertexBipartization):
+class PerEdgeCounts:
+    """Reference level-degree counting: one vertex and one meter charge at a
+    time."""
+
+    def _bump_level_degree(self, v, level, amount):
+        degs = self.level_degrees[level]
+        if degs is None:
+            return
+        d = degs.get(v)
+        if d is None:
+            d = 0
+            self.meter.add(self._dkey, 1)
+        d += amount
+        if d > self.bounds[level]:
+            raise BoundViolation(
+                f"{self.name}: vertex {v} reached degree {d} at level {level}, "
+                f"declared bound {self.bounds[level]}"
+            )
+        degs[v] = d
+
+
+class PerEdgeRouter(PerEdgeCounts, VertexBipartization):
     """Reference router: `route` and one meter charge per edge, then one
     `_bump_level_degree` per vertex and level."""
 
@@ -73,8 +110,24 @@ class PerEdgeRouter(VertexBipartization):
             for v in group:
                 self._bump_level_degree(v, level, 1)
             side = self.side_of(u, level)
-            out.extend(self.levels[level].on_arrival(u, group, side))
+            out.extend(self.levels[level][side].on_online_vertex(u, group))
         return out
+
+
+class PerEdgeSplitter(PerEdgeCounts, EdgeBipartization):
+    """Reference edge router: `route`, then one `_bump_level_degree` per
+    endpoint."""
+
+    def on_edge(self, a, b):
+        level = self.route(a, b)
+        if level < 0:
+            self._store_base(a, b)
+            return []
+        self._bump_level_degree(a, level, 1)
+        self._bump_level_degree(b, level, 1)
+        if self.side_of(a, level):
+            return self.levels[level][0].feed_edge(a, b)
+        return self.levels[level][0].feed_edge(b, a)
 
 
 def router_state(tree, meter):
@@ -175,34 +228,46 @@ def test_general_vertex_arrivals_end_to_end():
 
 
 def test_level_degree_breach_is_fatal():
-    tree, _, _ = make_tree(256, 128)
+    tree, meter, _ = make_tree(256, 128)
     bound = tree.bounds[1]  # 96: level 1 is the first bound below delta, so counted
-    with pytest.raises(BoundViolation):
-        tree._bump_level_degree(7, 1, bound + 1)
+    tree._count_level(1, 7, list(range(100, 100 + bound)))  # 7 at the bound
+    assert meter.ledger["bipart:level-degrees"] == bound + 1
+    with pytest.raises(BoundViolation) as err:
+        tree._count_level(1, 7, [99])
+    assert str(err.value) == "bipart: vertex 7 reached degree 97 at level 1, declared bound 96"
+    assert tree.level_degrees[1][7] == bound and 99 not in tree.level_degrees[1]
 
 
-def test_two_sided_split_routes_both_sides():
-    meter, alloc = SpaceMeter(), ColorAllocator()
-    split = TwoSidedSplit(3, seed=9, meter=meter, allocator=alloc)
+def level_pair(n, delta, seed):
+    """The pipeline of a declared-bipartite vertex stream with `n` ids per
+    side, and its one level: the side-0 and side-1 colorers."""
+    pipeline = build_pipeline(StreamHeader(n, n, delta, "vertex-two-sided", 0, seed),
+                              "vertex-general")
+    pair = pipeline.inner.levels[0]
+    assert [c.name for c in pair] == ["L0:side0", "L0:side1"]
+    return pipeline, pair
+
+
+def test_level_colorer_pair_routes_both_sides():
     n = 8
+    pipeline, pair = level_pair(n, 3, seed=9)
     out = []
-    out += split.on_arrival(0, [], 0)
-    out += split.on_arrival(n + 0, [0], 1)
-    out += split.on_arrival(1, [n + 0], 0)
-    out += split.on_arrival(n + 1, [0, 1], 1)
+    out += pair[0].on_online_vertex(0, [])
+    out += pair[1].on_online_vertex(n + 0, [0])
+    out += pair[0].on_online_vertex(1, [n + 0])
+    out += pair[1].on_online_vertex(n + 1, [0, 1])
     assert len(out) == 4
     checker(out)
-    out += split.finalize()
-    report = split.spill_report()
+    out += pipeline.finalize()
+    report = pipeline.spill_report()
     assert report.spilled_edges == 0
 
 
-def test_two_sided_split_blocks_are_disjoint():
-    meter, alloc = SpaceMeter(), ColorAllocator()
-    split = TwoSidedSplit(4, seed=1, meter=meter, allocator=alloc)
-    a = split.on_arrival(0, [], 0)
-    b = split.on_arrival(100, [0], 1)
-    c = split.on_arrival(1, [100], 0)
+def test_level_colorer_pair_blocks_are_disjoint():
+    _, pair = level_pair(100, 4, seed=1)
+    a = pair[0].on_online_vertex(0, [])
+    b = pair[1].on_online_vertex(100, [0])
+    c = pair[0].on_online_vertex(1, [100])
     colors_side1 = {color for _, _, color in b}
     colors_side0 = {color for _, _, color in c}
     assert colors_side0.isdisjoint(colors_side1)
@@ -239,7 +304,7 @@ def test_one_pass_router_matches_the_per_edge_reference(seed):
     # every level used: each one emitted a color from one of its stream blocks
     for level in fast.levels:
         assert any(
-            c.block <= color < c.block + c.block_width for c in level.colorers for color in colors
+            c.block <= color < c.block + c.block_width for c in level for color in colors
         )
     assert fast.finalize() == slow.finalize()
     assert router_state(fast, fast_meter) == router_state(slow, slow_meter)
@@ -260,6 +325,27 @@ def test_one_pass_router_breach_matches_the_per_edge_reference():
         states.append((str(err.value), *router_state(tree, meter)))
     assert states[0] == states[1]
     assert states[0][0] == "bipart: vertex 99 reached degree 49 at level 2, declared bound 48"
+
+
+def test_edge_router_breach_matches_the_per_edge_reference():
+    states = []
+    for cls in (EdgeBipartization, PerEdgeSplitter):
+        tree, meter, _ = make_tree(16, 128, cls=cls)
+        # bit vectors 0b100 against 0b000 put an edge on level 2, bound 48
+        tree.bits.update({v: 0b100 for v in range(48)})
+        tree.bits.update({99: 0b000, 200: 0b100})
+        for v in range(48):
+            tree.on_edge(v, 99)  # 99 at the bound
+        # 200 gets a new degree entry before 99 goes past it
+        with pytest.raises(BoundViolation) as err:
+            tree.on_edge(200, 99)
+        states.append((str(err.value), *router_state(tree, meter)))
+    assert states[0] == states[1]
+    message, _, level_degrees, _, ledger, *_ = states[0]
+    assert message == "bipart: vertex 99 reached degree 49 at level 2, declared bound 48"
+    # 200 keeps its new entry, charged with the breach; 99 stays at the bound
+    assert level_degrees[2] == {**dict.fromkeys(range(48), 1), 99: 48, 200: 1}
+    assert ledger["bipart:level-degrees"] == 50
 
 
 def run_preset(family, mode, n, delta, alg, **kwargs):
@@ -289,3 +375,44 @@ def test_general_router_counts_no_level_degrees_at_level_zero():
     assert tree.bounds == [192, 96]  # only level 1 is below delta
     assert tree.level_degrees[0] is None and tree.level_degrees[1]
     assert pipeline.meter.ledger["bipart:level-degrees"] == len(tree.level_degrees[1])
+
+
+def general_stream(mode, edges, seed):
+    """A simple general graph on 256 ids under header delta 128, as a
+    two-sided vertex stream (ids arrive in order) or an edge stream."""
+    lines = [f"H 256 0 128 {mode} 0 {seed}"]
+    if mode == "edge":
+        lines += [f"e {a} {b}" for a, b in edges]
+    else:
+        earlier = {u: [] for u in range(256)}
+        for a, b in edges:
+            earlier[b].append(a)
+        lines += [" ".join(map(str, ["V", u, *earlier[u]])) for u in range(256)]
+    return lines
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sets(st.tuples(st.integers(0, 255), st.integers(0, 255)).filter(lambda e: e[0] < e[1]),
+            min_size=50, max_size=600),
+    st.integers(0, 1000),
+)
+def test_counted_level_through_both_arrival_kinds(edges, seed):
+    edges = sorted(edges)
+    random.Random(seed).shuffle(edges)
+    for mode, alg, kwargs in [
+        ("vertex-two-sided", "vertex-general", {}),
+        ("edge", "edge-sqrt", {"force_stream": True}),
+        ("edge", "edge-general", {"s": 2, "force_stream": True}),
+    ]:
+        header, events = parse_stream(general_stream(mode, edges, seed))
+        pipeline = build_pipeline(header, alg, **kwargs)
+        tree = pipeline.inner
+        assert tree.bounds == [192, 96]  # level 1 is counted
+        out = []
+        stats = run_stream(pipeline, events, emit=lambda u, v, c: out.append((u, v, c)))
+        report = check_assignments(dict.fromkeys(edges, 0), out, budget=stats.declared_budget)
+        assert report.ok, (alg, report)
+        assert pipeline.meter.consistent()
+        ledger = pipeline.meter.ledger
+        assert ledger.get("bipart:level-degrees", 0) == len(tree.level_degrees[1])

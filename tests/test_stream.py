@@ -1,6 +1,7 @@
 import collections
 import io
 import random
+import tracemalloc
 
 import pytest
 
@@ -189,6 +190,24 @@ def test_parser_is_lazy():
     assert list(zip(first.us, first.vs)) == [(0, 1)]
     with pytest.raises(MalformedLine):
         next(events)
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["edge 0 1\ne 0 1\n",  # a block checked in bulk
+     "edge 0 1\n# one comment\ne 0 1\n",  # a block parsed line by line
+     "vertex-two-sided 0 1\nV 0\nV 1 0\n"],
+)
+def test_degree_counters_grow_with_the_ids_the_stream_names(body):
+    # the header declares ten million ids; the stream names two
+    tracemalloc.start()
+    try:
+        _, events = events_of("H 10000000 0 3 " + body)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert events
+    assert peak < 1_000_000
 
 
 # --- the block parser against the per-line parser it replaced ---
