@@ -7,13 +7,17 @@ Three colorers, all proper by construction:
   color free at both endpoints, read off per-vertex used-color bitmasks;
   when none is shared, the alternating two-colored path that starts at
   one endpoint is flipped in a single walk. At each inner vertex of the
-  path both colors stay present, so the two edge indices trade places
+  path both colors stay present, so the two edge cells trade places
   in the color table and only the masks of the path's two ends change.
   O(m * D) worst case, ample for the buffer flushes and spill sets it
-  serves. The color table has two layouts with the same steps and
-  colors under one charge: flat rows of D cells per vertex when every
-  vertex has degree D, so that the n_v * D cells are 2m, and one
-  color -> edge dict per vertex (2m entries) otherwise.
+  serves. The color table is color-major: vertices are numbered in
+  order of first appearance, and color c's container holds, at each
+  vertex's number, a cell packing the edge carrying c there above the
+  xor of that edge's two end numbers, so a path step is one xor and one
+  read. It has two layouts with the same steps and colors under one
+  charge: a list of n_v cells per color when every vertex has degree D,
+  so that the D * n_v cells are 2m, and a dict per color (2m entries in
+  all) otherwise.
 * `color_general` colors any simple graph with at most D + 1 colors.
   Each edge takes the lowest color in [0, D + 1) free at both
   endpoints, read off per-vertex used-color bitmasks; only when there is
@@ -39,7 +43,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
+from typing import Iterable
 
 from .errors import NotBipartite
 from .meter import SpaceMeter
@@ -66,12 +71,12 @@ class OfflineGraph:
     @property
     def vertex_count(self) -> int:
         """Vertices that some edge touches."""
-        return self._degrees[1]
+        return len(self._degrees[1])
 
     @cached_property
-    def _degrees(self) -> tuple[int, int]:
-        deg = Counter(chain.from_iterable(self.edges))
-        return max(deg.values(), default=0), len(deg)
+    def _degrees(self) -> tuple[int, Counter[int]]:
+        deg = Counter(chain.from_iterable(self.edges))  # keys in first-appearance order
+        return max(deg.values(), default=0), deg
 
     def bipartition(self) -> dict[int, int]:
         """The stored witness, or a 2-coloring found by search.
@@ -124,29 +129,37 @@ def color_bipartite_exact(graph: OfflineGraph, meter: SpaceMeter | None = None) 
     if meter:
         meter.add("offline-scratch", words)
     # The degrees sum to 2m <= n_v * D, with equality exactly when every
-    # vertex has degree D: only then do n_v rows of D cells fit in the
+    # vertex has degree D: only then do D lists of n_v cells fit in the
     # 2 table words per edge that the charge covers.
-    if graph.vertex_count * dmax <= 2 * len(edges):
-        colors = _exact_rows(edges, dmax)
-    else:
-        colors = _exact_dicts(edges, dmax)
+    layout = _exact_rows if graph.vertex_count * dmax <= 2 * len(edges) else _exact_dicts
+    colors = layout(edges, dmax, graph._degrees[1])
     if meter:
         meter.release("offline-scratch", words)
     return colors
 
 
-def _exact_dicts(edges: list[Edge], dmax: int) -> list[int]:
-    """The exact colorer over one color -> edge dict per vertex."""
-    # table[v][color] = index of the edge carrying that color at v;
-    # bit c of used[v] is set exactly when c is a key of table[v]
-    table: defaultdict[int, dict[int, int]] = defaultdict(dict)
-    used: dict[int, int] = {}
+def _exact_dicts(edges: list[Edge], dmax: int, vertices: Iterable[int] = ()) -> list[int]:
+    """The exact colorer over one vertex -> cell dict per color.
+
+    `vertices` lists every vertex once in order of first appearance
+    (found from `edges` when left empty); vertex x gets index i_x. The
+    dict of color c holds, at i_x, the cell of the edge carrying c at x:
+    `idx << S | (i_u ^ i_v)` for edge idx = (u, v), with S =
+    n_v.bit_length(), so one xor steps along an edge, and no color is
+    written during a flip: they are read off the cells at the end.
+    """
+    index = dict(zip(vertices or dict.fromkeys(chain.from_iterable(edges)), count()))
+    shift = len(index).bit_length()
+    mask = (1 << shift) - 1
+    table: list[dict[int, int]] = [{} for _ in range(dmax)]
+    used = [0] * len(index)  # bit c of used[i] is set exactly when table[c] has i
     full = (1 << dmax) - 1
-    colors = [-1] * len(edges)
 
     for idx, (u, v) in enumerate(edges):
-        mu = used.get(u, 0)
-        mv = used.get(v, 0)
+        iu = index[u]
+        iv = index[v]
+        mu = used[iu]
+        mv = used[iv]
         free = full & ~(mu | mv)
         if free:
             bit = free & -free
@@ -156,113 +169,112 @@ def _exact_dicts(edges: list[Edge], dmax: int) -> list[int]:
             # beta, so it is a path endpoint, and in a bipartite graph the
             # path can never reach u (it would need the color u misses on
             # the wrong side). Flipping it frees alpha at v; both colors
-            # stay present at every inner vertex, so only the masks of the
-            # two ends change.
+            # stay present at every inner vertex, so the two cells there
+            # trade places and only the masks of the two ends change. The
+            # cell of alpha at v is overwritten with idx below.
             bit = ~mu & (mu + 1)  # alpha, the lowest color free at u
             beta_bit = ~mv & (mv + 1)
-            alpha = bit.bit_length() - 1
-            beta = beta_bit.bit_length() - 1
+            c = bit.bit_length() - 1
+            A = table[c]
+            B = table[beta_bit.bit_length() - 1]
             swap = bit | beta_bit
             mv ^= swap
-            tx = table[v]
-            e = tx.pop(alpha)
-            tx[beta] = e
-            colors[e] = beta
-            x = v
-            old, new = alpha, beta  # e, arriving at the next vertex, was old
-            while True:
-                a, b = edges[e]
-                x = b if a == x else a
-                tx = table[x]
-                nxt = tx.get(new)  # the path edge leaving x
-                if nxt is None:  # the far end: e was its only path edge
-                    del tx[old]
-                    tx[new] = e
+            cell = B[iv] = A[iv]
+            x = iv
+            while True:  # two steps a turn: cell arrives as alpha, then nxt as beta
+                x ^= cell & mask
+                nxt = B.get(x)
+                if nxt is None:  # the far end: cell was its only path edge
+                    del A[x]
+                    B[x] = cell
                     used[x] ^= swap
                     break
-                tx[new] = e  # the two indices trade colors in place
-                tx[old] = nxt
-                colors[nxt] = old
-                e = nxt
-                old, new = new, old
-            c = alpha
-        colors[idx] = c
-        used[u] = mu | bit
-        used[v] = mv | bit
-        table[u][c] = idx
-        table[v][c] = idx
+                B[x] = cell
+                A[x] = nxt
+                x ^= nxt & mask
+                cell = A.get(x)
+                if cell is None:
+                    del B[x]
+                    A[x] = nxt
+                    used[x] ^= swap
+                    break
+                A[x] = nxt
+                B[x] = cell
+        used[iu] = mu | bit
+        used[iv] = mv | bit
+        table[c][iu] = table[c][iv] = idx << shift | (iu ^ iv)
+
+    colors = [0] * len(edges)
+    for c, cells in enumerate(table):
+        for cell in cells.values():
+            colors[cell >> shift] = c
     return colors
 
 
-def _exact_rows(edges: list[Edge], dmax: int) -> list[int]:
-    """The exact colorer over one flat table of D cells per vertex.
+def _exact_rows(edges: list[Edge], dmax: int, vertices: Iterable[int] = ()) -> list[int]:
+    """The exact colorer over one flat list of n_v cells per color.
 
-    Same steps and colors as `_exact_dicts`. Vertices get rows in order of
-    first appearance; cell `row + c` holds the edge carrying color c there.
-    `ends[e]` is the xor of the rows of e's two ends, so one xor steps
-    along a path, and no color is written during a flip: at the end the
-    colors are read off the rows into `ends`, which is returned. Correct
-    on any bipartite input; cells stay empty only at vertices of degree
-    below D, which `color_bipartite_exact` never sends here.
+    Same steps, cells and colors as `_exact_dicts`, with cell i_x of
+    color c's list in place of the dict entry (None when no edge at x
+    carries c). Correct on any bipartite input; cells stay empty only at
+    vertices of degree below D, which `color_bipartite_exact` never sends
+    here.
     """
-    order = dict.fromkeys(chain.from_iterable(edges))
-    row = dict(zip(order, range(0, len(order) * dmax, dmax)))
-    used = dict.fromkeys(row.values(), 0)  # row -> used-color bitmask
-    ends = [row[a] ^ row[b] for a, b in edges]
-    tab: list[int | None] = [None] * (len(order) * dmax)
+    index = dict(zip(vertices or dict.fromkeys(chain.from_iterable(edges)), count()))
+    shift = len(index).bit_length()
+    mask = (1 << shift) - 1
+    table: list[list[int | None]] = [[None] * len(index) for _ in range(dmax)]
+    used = [0] * len(index)
     full = (1 << dmax) - 1
 
     for idx, (u, v) in enumerate(edges):
-        ru = row[u]
-        rv = row[v]
-        mu = used[ru]
-        mv = used[rv]
+        iu = index[u]
+        iv = index[v]
+        mu = used[iu]
+        mv = used[iv]
         free = full & ~(mu | mv)
         if free:
             bit = free & -free
             c = bit.bit_length() - 1
         else:
-            # the alpha/beta path from v, flipped as in `_exact_dicts`; the
-            # cell of alpha at v is overwritten with idx below
+            # the alpha/beta path from v, flipped as in `_exact_dicts`
             bit = ~mu & (mu + 1)
             beta_bit = ~mv & (mv + 1)
-            alpha = bit.bit_length() - 1
-            beta = beta_bit.bit_length() - 1
+            c = bit.bit_length() - 1
+            A = table[c]
+            B = table[beta_bit.bit_length() - 1]
             swap = bit | beta_bit
             mv ^= swap
-            e = tab[rv + alpha]
-            tab[rv + beta] = e
-            x = rv
-            while True:  # two steps a turn: e arrives as alpha, then nxt as beta
-                x ^= ends[e]
-                nxt = tab[x + beta]
+            cell = B[iv] = A[iv]
+            x = iv
+            while True:
+                x ^= cell & mask
+                nxt = B[x]
                 if nxt is None:
-                    tab[x + alpha] = None
-                    tab[x + beta] = e
+                    A[x] = None
+                    B[x] = cell
                     used[x] ^= swap
                     break
-                tab[x + beta] = e
-                tab[x + alpha] = nxt
-                x ^= ends[nxt]
-                e = tab[x + alpha]
-                if e is None:
-                    tab[x + beta] = None
-                    tab[x + alpha] = nxt
+                B[x] = cell
+                A[x] = nxt
+                x ^= nxt & mask
+                cell = A[x]
+                if cell is None:
+                    B[x] = None
+                    A[x] = nxt
                     used[x] ^= swap
                     break
-                tab[x + alpha] = nxt
-                tab[x + beta] = e
-            c = alpha
-        used[ru] = mu | bit
-        used[rv] = mv | bit
-        tab[ru + c] = idx
-        tab[rv + c] = idx
+                A[x] = nxt
+                B[x] = cell
+        used[iu] = mu | bit
+        used[iv] = mv | bit
+        table[c][iu] = table[c][iv] = idx << shift | (iu ^ iv)
 
-    for c in range(dmax):
-        for e in tab[c::dmax]:
-            if e is not None:
-                ends[e] = c
-    return ends
+    colors = [0] * len(edges)
+    for c, cells in enumerate(table):
+        for cell in filter(None, cells):  # a cell is never 0: its ends differ
+            colors[cell >> shift] = c
+    return colors
 
 
 def _invert_path(

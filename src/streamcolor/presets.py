@@ -248,12 +248,14 @@ class _StoreAll(_Pipeline):
     def __init__(self, header, meter, alloc, flavor: str):
         self.meter = meter
         self.allocator = alloc
-        self.flavor = flavor  # exact | greedy | auto
-        # a declared-bipartite stream witnesses its own sides
+        # a declared-bipartite stream witnesses its own sides, and an edge
+        # inside one side is an input error, not a reason for D + 1 colors
         self.side_of = (lambda v: 0 if v < header.n_online else 1) if header.bipartite else None
+        if flavor == "auto" and header.bipartite:
+            flavor = "exact"
+        self.flavor = flavor  # exact | greedy | auto
         d = header.delta
-        auto = d if header.bipartite else d + 1
-        self.budget = {"exact": d, "greedy": max(2 * d - 1, 1), "auto": auto}[flavor]
+        self.budget = {"exact": d, "greedy": max(2 * d - 1, 1), "auto": d + 1}[flavor]
         self.edges: list[tuple[int, int]] = []
 
     def feed(self, event, out):

@@ -368,6 +368,23 @@ def test_declared_sides_reject_a_same_side_edge(tmp_path, capsys, mode, body, al
     ]
 
 
+@pytest.mark.parametrize(
+    "alg", [("edge-sqrt",), ("edge-general", "--s", "2"), ("offline-exact",)]
+)
+def test_store_and_color_rejects_a_same_side_edge(tmp_path, capsys, alg):
+    # at this size edge-sqrt and edge-general store and color the whole
+    # stream, as offline-exact does, against the declared sides
+    stream = tmp_path / "s.txt"
+    stream.write_text("H 2 2 2 edge 0 1\ne 0 2\ne 1 0\n")
+    assert run_cli("run", str(stream), "--alg", *alg, "-o", str(tmp_path / "o.txt")) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "declared color budget: 2" in err.splitlines()
+    assert [line for line in err.splitlines() if line.startswith("input error:")] == [
+        "input error: witness puts edge (1, 0) inside one side"
+    ]
+
+
 def test_verify_with_a_non_integer_trailer_field_exits_five(tmp_path, capsys):
     stream, out = tmp_path / "s.txt", tmp_path / "o.txt"
     stream.write_text("H 2 2 2 edge 0 1\ne 0 2\n")

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamcolor import offline
 from streamcolor.errors import NotBipartite
@@ -349,6 +351,48 @@ def test_exact_colorer_charges_the_same_words_in_either_layout(monkeypatch):
         assert meter.peak_words == 3 * len(block) + 160 * 2
         assert meter.current_words == 0 and meter.consistent()
         assert colors == two_phase_bipartite_exact(OfflineGraph(block))
+
+
+def matching_union(n, delta, keep, rng):
+    """delta random perfect matchings between 0..n-1 and n..2n-1 in shuffled
+    order, parallel edges kept; each edge then survives with probability
+    keep, so keep < 1 gives irregular graphs."""
+    edges = []
+    for _ in range(delta):
+        right = list(range(n, 2 * n))
+        rng.shuffle(right)
+        edges += zip(range(n), right)
+    rng.shuffle(edges)
+    return [e for e in edges if rng.random() < keep]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    delta=st.sampled_from([1, 2, 3, 63, 64, 65, 129]),  # across the mask words
+    n=st.integers(1, 9),
+    keep=st.sampled_from([1.0, 0.9, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_both_layouts_match_the_reference_on_matching_unions(delta, n, keep, seed):
+    edges = matching_union(n, delta, keep, random.Random(seed))
+    graph = OfflineGraph(edges)
+    dmax = graph.max_degree
+    expected = two_phase_bipartite_exact(OfflineGraph(edges))
+    assert _exact_rows(edges, dmax) == expected == _exact_dicts(edges, dmax)
+    meter = SpaceMeter()
+    assert color_bipartite_exact(graph, meter) == expected
+    assert meter.peak_words == 3 * len(edges) + graph.vertex_count * -(-dmax // 64)
+    assert is_proper(edges, expected) and all(0 <= c < dmax for c in expected)
+    if keep == 1.0:
+        assert dmax == delta and graph.vertex_count == 2 * n
+
+
+@pytest.mark.parametrize("delta", [1, 2, 3, 63, 64, 65, 129])
+def test_both_layouts_on_two_vertices_joined_by_parallel_edges(delta):
+    # n_v = 2, so a cell is idx << 2 | 1; the edges take colors in order
+    edges = [(0, 1) if i % 3 else (1, 0) for i in range(delta)]
+    assert _exact_rows(edges, delta) == _exact_dicts(edges, delta) == list(range(delta))
+    assert color_bipartite_exact(OfflineGraph(edges)) == list(range(delta))
 
 
 # --- fan-rotation colorer ---
