@@ -15,7 +15,7 @@ from .errors import StreamColorError
 from .harness import GenSpec, KoutResult, RunRequest, VerifyReport, generate, run_kout_experiment, verify
 from .matching import brute_force_match, kout_trial
 from .meter import SpaceMeter
-from .offline import OfflineGraph, color_bipartite_exact, color_general, color_greedy
+from .offline import color_bipartite_exact, color_general, color_greedy
 from .palette import (
     ColorAllocator,
     OfflineState,
@@ -45,7 +45,6 @@ __all__ = [
     "EdgeBlock",
     "GenSpec",
     "KoutResult",
-    "OfflineGraph",
     "OfflineState",
     "OneSidedColorer",
     "PRESETS",

@@ -24,6 +24,7 @@ spill stay distinct from everything the offline vertex ever proposed.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable
@@ -31,7 +32,7 @@ from typing import Callable, Iterable
 from .errors import BatchSizeMismatch, BoundViolation, NotBipartite, TooManyBatches, TooManySlots
 from .matching import maximum_matching
 from .meter import SpaceMeter
-from .offline import OfflineGraph, color_bipartite_exact, color_general, color_greedy
+from .offline import color_bipartite_exact, color_general, color_greedy, find_sides
 from .palette import ColorAllocator, OfflineState, PaletteParams, draw_offline_state
 from .stream import Assignment
 
@@ -62,31 +63,36 @@ def color_block(
 
     Flavors: "exact" uses max-degree colors and needs a bipartite graph;
     "auto" does that when the graph is bipartite and uses max degree + 1
-    colors otherwise; "greedy" uses at most 2 * max degree - 1. The
-    bipartition is checked against `side_of` (vertex -> side) when given,
-    else found by search. Only the colorer's scratch is charged here: the
-    caller releases the words of its edge list, before or after this call.
+    colors otherwise; "greedy" uses at most 2 * max degree - 1. One pass
+    finds the vertices and their degrees. The sides are read off `side_of`
+    (vertex -> side) when given, and the exact colorer raises NotBipartite
+    at an edge inside one side; else a search finds them or an odd cycle.
+    Only the colorer's scratch is charged here: the caller releases the
+    words of its edge list, before or after this call.
     """
     if not edges:
         return []
-    if side_of is not None:  # as a dict, one lookup per vertex in first-appearance order
-        side_of = {v: side_of(v) for v in dict.fromkeys(chain.from_iterable(edges))}
-    graph = OfflineGraph(edges, side_of)
-    dmax = graph.max_degree
-    if flavor == "auto":
+    degrees = Counter(chain.from_iterable(edges))  # keys in first-appearance order
+    dmax = max(degrees.values())
+    if flavor != "greedy":
         try:
-            graph.bipartition()
-            flavor = "exact"
+            sides = find_sides(edges, degrees) if side_of is None else list(map(side_of, degrees))
         except NotBipartite:
+            if flavor == "exact":
+                raise
             flavor = "general"
+        else:
+            flavor = "exact"
     if flavor == "exact":
-        width, colorer = dmax, color_bipartite_exact
+        base = allocator.reserve(dmax, label)
+        colors = color_bipartite_exact(edges, degrees, sides, dmax, meter)
     elif flavor == "general":
-        width, colorer = dmax + 1, color_general
+        base = allocator.reserve(dmax + 1, label)
+        colors = color_general(edges, len(degrees), dmax, meter)
     else:
-        width, colorer = max(2 * dmax - 1, 1), color_greedy
-    base = allocator.reserve(width, label)
-    return [(a, b, base + c) for (a, b), c in zip(edges, colorer(graph, meter))]
+        base = allocator.reserve(2 * dmax - 1, label)
+        colors = color_greedy(edges, meter)
+    return [(a, b, base + c) for (a, b), c in zip(edges, colors)]
 
 
 class OneSidedColorer:

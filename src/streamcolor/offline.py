@@ -1,6 +1,8 @@
 """Exact offline edge colorers for stored subgraphs.
 
-Three colorers, all proper by construction:
+Each takes a block's edges and what it needs of `core.color_block`'s one
+pass over them: the vertices in first-appearance order, their count n_v,
+the max degree D, one side per vertex. Three colorers, all proper:
 
 * `color_bipartite_exact` colors a bipartite graph with exactly its max
   degree D, inserting edges one at a time. Each edge takes the lowest
@@ -17,7 +19,8 @@ Three colorers, all proper by construction:
   read. It has two layouts with the same steps and colors under one
   charge: a list of n_v cells per color when every vertex has degree D,
   so that the D * n_v cells are 2m, and a dict per color (2m entries in
-  all) otherwise.
+  all) otherwise. It checks the sides in the same loop that numbers an
+  edge's ends, and raises NotBipartite at the first edge inside one side.
 * `color_general` colors any simple graph with at most D + 1 colors.
   Each edge takes the lowest color in [0, D + 1) free at both
   endpoints, read off per-vertex used-color bitmasks; only when there is
@@ -35,16 +38,14 @@ Edges are processed in input order and color searches are lowest-first,
 so results are deterministic. Scratch tables are charged to the passed
 meter (2 table entries plus 1 result word per edge, plus ceil(D / 64)
 mask words per vertex for the exact bipartite colorer and
-ceil((D + 1) / 64) for `color_general`) and released on exit.
+ceil((D + 1) / 64) for `color_general`) and released on every exit.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, count
-from typing import Iterable
+from collections import defaultdict
+from itertools import count
+from typing import Collection, Iterable
 
 from .errors import NotBipartite
 from .meter import SpaceMeter
@@ -52,103 +53,77 @@ from .meter import SpaceMeter
 Edge = tuple[int, int]
 
 
-@dataclass
-class OfflineGraph:
-    """A finite simple graph held in memory, with an optional side witness.
+def find_sides(edges: list[Edge], vertices: Iterable[int]) -> list[int]:
+    """A 2-coloring of the graph, as the side (0/1) of each of `vertices` in order.
 
-    The max degree and the bipartition are computed once per graph, on
-    first use, so callers that size a color block and the colorer share
-    one pass; the edge list must not change after either is read.
+    `vertices` lists every end of `edges` once. Raises NotBipartite when
+    an odd cycle makes a 2-coloring impossible.
     """
-
-    edges: list[Edge]
-    sides: dict[int, int] | None = None  # vertex -> 0/1, every edge crossing
-
-    @property
-    def max_degree(self) -> int:
-        return self._degrees[0]
-
-    @property
-    def vertex_count(self) -> int:
-        """Vertices that some edge touches."""
-        return len(self._degrees[1])
-
-    @cached_property
-    def _degrees(self) -> tuple[int, Counter[int]]:
-        deg = Counter(chain.from_iterable(self.edges))  # keys in first-appearance order
-        return max(deg.values(), default=0), deg
-
-    def bipartition(self) -> dict[int, int]:
-        """The stored witness, or a 2-coloring found by search.
-
-        Raises NotBipartite when an odd cycle makes a witness impossible.
-        """
-        return self._witness
-
-    @cached_property
-    def _witness(self) -> dict[int, int]:
-        if self.sides is not None:
-            for a, b in self.edges:
-                if self.sides.get(a) == self.sides.get(b):
-                    raise NotBipartite(f"witness puts edge ({a}, {b}) inside one side")
-            return self.sides
-        adj: dict[int, list[int]] = {}
-        for a, b in self.edges:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        side: dict[int, int] = {}
-        for start in adj:
-            if start in side:
-                continue
-            side[start] = 0
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in side:
-                        side[y] = side[x] ^ 1
-                        stack.append(y)
-                    elif side[y] == side[x]:
-                        raise NotBipartite("odd cycle found")
-        return side
+    adj: dict[int, list[int]] = {x: [] for x in vertices}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    side = dict.fromkeys(adj, -1)
+    for start in adj:
+        if side[start] >= 0:
+            continue
+        side[start] = 0
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if side[y] < 0:
+                    side[y] = side[x] ^ 1
+                    stack.append(y)
+                elif side[y] == side[x]:
+                    raise NotBipartite("odd cycle found")
+    return list(side.values())
 
 
-def _scratch_words(m: int) -> int:
-    return 3 * m  # two color-table entries plus one result word per edge
+def color_bipartite_exact(
+    edges: list[Edge],
+    vertices: Collection[int],
+    sides: list[int],
+    dmax: int,
+    meter: SpaceMeter | None = None,
+) -> list[int]:
+    """Proper coloring of a bipartite graph with colors in [0, dmax).
 
-
-def color_bipartite_exact(graph: OfflineGraph, meter: SpaceMeter | None = None) -> list[int]:
-    """Proper coloring of a bipartite graph with colors in [0, max degree)."""
-    graph.bipartition()  # validates the witness / raises NotBipartite
-    edges = graph.edges
+    `vertices` lists every end of `edges` once, in order of first
+    appearance, `sides[i]` is the side of the i-th, and `dmax` is the max
+    degree. Raises NotBipartite at the first edge inside one side.
+    """
     if not edges:
         return []
-    dmax = graph.max_degree
-    # plus one used-color bitmask of ceil(D / 64) words per vertex
-    words = _scratch_words(len(edges)) + graph.vertex_count * -(-dmax // 64)
+    # two color-table entries and one result word per edge, plus one
+    # used-color bitmask of ceil(D / 64) words per vertex
+    words = 3 * len(edges) + len(vertices) * -(-dmax // 64)
     if meter:
         meter.add("offline-scratch", words)
     # The degrees sum to 2m <= n_v * D, with equality exactly when every
     # vertex has degree D: only then do D lists of n_v cells fit in the
     # 2 table words per edge that the charge covers.
-    layout = _exact_rows if graph.vertex_count * dmax <= 2 * len(edges) else _exact_dicts
-    colors = layout(edges, dmax, graph._degrees[1])
-    if meter:
-        meter.release("offline-scratch", words)
-    return colors
+    layout = _exact_rows if len(vertices) * dmax <= 2 * len(edges) else _exact_dicts
+    try:
+        return layout(edges, vertices, sides, dmax)
+    finally:
+        if meter:
+            meter.release("offline-scratch", words)
 
 
-def _exact_dicts(edges: list[Edge], dmax: int, vertices: Iterable[int] = ()) -> list[int]:
+def _exact_dicts(
+    edges: list[Edge], vertices: Iterable[int], sides: list[int], dmax: int
+) -> list[int]:
     """The exact colorer over one vertex -> cell dict per color.
 
-    `vertices` lists every vertex once in order of first appearance
-    (found from `edges` when left empty); vertex x gets index i_x. The
-    dict of color c holds, at i_x, the cell of the edge carrying c at x:
+    Vertex x of `vertices` gets its position i_x as its number, and each
+    edge is checked against `sides` as it is numbered. The dict of color
+    c holds, at i_x, the cell of the edge carrying c at x:
     `idx << S | (i_u ^ i_v)` for edge idx = (u, v), with S =
     n_v.bit_length(), so one xor steps along an edge, and no color is
     written during a flip: they are read off the cells at the end.
     """
-    index = dict(zip(vertices or dict.fromkeys(chain.from_iterable(edges)), count()))
+    index = dict(zip(vertices, count()))
     shift = len(index).bit_length()
     mask = (1 << shift) - 1
     table: list[dict[int, int]] = [{} for _ in range(dmax)]
@@ -158,6 +133,8 @@ def _exact_dicts(edges: list[Edge], dmax: int, vertices: Iterable[int] = ()) -> 
     for idx, (u, v) in enumerate(edges):
         iu = index[u]
         iv = index[v]
+        if sides[iu] == sides[iv]:
+            raise NotBipartite(f"witness puts edge ({u}, {v}) inside one side")
         mu = used[iu]
         mv = used[iv]
         free = full & ~(mu | mv)
@@ -211,7 +188,9 @@ def _exact_dicts(edges: list[Edge], dmax: int, vertices: Iterable[int] = ()) -> 
     return colors
 
 
-def _exact_rows(edges: list[Edge], dmax: int, vertices: Iterable[int] = ()) -> list[int]:
+def _exact_rows(
+    edges: list[Edge], vertices: Iterable[int], sides: list[int], dmax: int
+) -> list[int]:
     """The exact colorer over one flat list of n_v cells per color.
 
     Same steps, cells and colors as `_exact_dicts`, with cell i_x of
@@ -220,7 +199,7 @@ def _exact_rows(edges: list[Edge], dmax: int, vertices: Iterable[int] = ()) -> l
     vertices of degree below D, which `color_bipartite_exact` never sends
     here.
     """
-    index = dict(zip(vertices or dict.fromkeys(chain.from_iterable(edges)), count()))
+    index = dict(zip(vertices, count()))
     shift = len(index).bit_length()
     mask = (1 << shift) - 1
     table: list[list[int | None]] = [[None] * len(index) for _ in range(dmax)]
@@ -230,6 +209,8 @@ def _exact_rows(edges: list[Edge], dmax: int, vertices: Iterable[int] = ()) -> l
     for idx, (u, v) in enumerate(edges):
         iu = index[u]
         iv = index[v]
+        if sides[iu] == sides[iv]:
+            raise NotBipartite(f"witness puts edge ({u}, {v}) inside one side")
         mu = used[iu]
         mv = used[iv]
         free = full & ~(mu | mv)
@@ -375,14 +356,19 @@ def _fan_insert(
     colors[(u, w) if u < w else (w, u)] = d
 
 
-def color_general(graph: OfflineGraph, meter: SpaceMeter | None = None) -> list[int]:
-    """Proper coloring of any simple graph with colors in [0, max degree + 1)."""
-    edges = graph.edges
+def color_general(
+    edges: list[Edge], vertex_count: int, dmax: int, meter: SpaceMeter | None = None
+) -> list[int]:
+    """Proper coloring of any simple graph with colors in [0, dmax + 1).
+
+    `vertex_count` is the number of vertices that `edges` touch and
+    `dmax` their max degree.
+    """
     if not edges:
         return []
-    palette = graph.max_degree + 1
-    # plus one used-color bitmask of ceil((D + 1) / 64) words per vertex
-    words = _scratch_words(len(edges)) + graph.vertex_count * -(-palette // 64)
+    palette = dmax + 1
+    # as the exact colorer's, with masks of ceil((D + 1) / 64) words
+    words = 3 * len(edges) + vertex_count * -(-palette // 64)
     if meter:
         meter.add("offline-scratch", words)
 
@@ -416,12 +402,11 @@ def color_general(graph: OfflineGraph, meter: SpaceMeter | None = None) -> list[
     return out
 
 
-def color_greedy(graph: OfflineGraph, meter: SpaceMeter | None = None) -> list[int]:
+def color_greedy(edges: list[Edge], meter: SpaceMeter | None = None) -> list[int]:
     """Lowest color unused at both endpoints; at most 2 * max degree - 1."""
-    edges = graph.edges
     if not edges:
         return []
-    words = _scratch_words(len(edges))
+    words = 3 * len(edges)
     if meter:
         meter.add("offline-scratch", words)
     used: dict[int, set[int]] = {}

@@ -385,6 +385,17 @@ def test_store_and_color_rejects_a_same_side_edge(tmp_path, capsys, alg):
     ]
 
 
+def test_offline_greedy_colors_a_same_side_edge(tmp_path, capsys):
+    # greedy never checks sides, so the stream that the exact store-and-color
+    # rejects above is colored within greedy's budget of 2 * 2 - 1
+    stream, out = tmp_path / "s.txt", tmp_path / "o.txt"
+    stream.write_text("H 2 2 2 edge 0 1\ne 0 2\ne 1 0\n")
+    assert run_cli("run", str(stream), "--alg", "offline-greedy", "-o", str(out)) == 0
+    assert "declared color budget: 3" in capsys.readouterr().err.splitlines()
+    assert run_cli("verify", str(stream), str(out), "--budget", "3") == 0
+    assert "budget_ok: true" in capsys.readouterr().out.splitlines()
+
+
 def test_verify_with_a_non_integer_trailer_field_exits_five(tmp_path, capsys):
     stream, out = tmp_path / "s.txt", tmp_path / "o.txt"
     stream.write_text("H 2 2 2 edge 0 1\ne 0 2\n")

@@ -2,8 +2,14 @@ import random
 
 import pytest
 
-from streamcolor.core import OneSidedColorer
-from streamcolor.errors import BatchSizeMismatch, BoundViolation, TooManyBatches, TooManySlots
+from streamcolor.core import OneSidedColorer, color_block
+from streamcolor.errors import (
+    BatchSizeMismatch,
+    BoundViolation,
+    NotBipartite,
+    TooManyBatches,
+    TooManySlots,
+)
 from streamcolor.meter import SpaceMeter
 from streamcolor.palette import ColorAllocator, OfflineState, period_for
 
@@ -194,3 +200,40 @@ def test_no_offline_vertex_repeats_a_color_across_the_run():
         per_offline.setdefault(v, set())
         assert c not in per_offline[v]
         per_offline[v].add(c)
+
+
+SAME_SIDE = [(0, 2), (1, 0)]  # 0 and 1 both on side 0 of `below_two`
+
+
+def below_two(v):
+    return 0 if v < 2 else 1
+
+
+@pytest.mark.parametrize(
+    "flavor, edges, side_of, width",
+    [
+        ("exact", SAME_SIDE, below_two, None),  # the witness is contradicted
+        ("greedy", SAME_SIDE, below_two, 3),  # never checks sides: 2D - 1 colors
+        ("auto", [(0, 1), (1, 2), (2, 3), (3, 0)], None, 2),  # even cycle: D colors
+        ("auto", [(0, 1), (1, 2), (0, 2)], None, 3),  # triangle: D + 1 colors
+    ],
+)
+def test_color_block_by_flavor(flavor, edges, side_of, width):
+    meter = SpaceMeter()
+    alloc = ColorAllocator()
+    # a block colored before, as a dispatcher's meter has after its first
+    # flush: the scratch key is in the ledger, at zero words
+    color_block([(5, 6)], None, "first", meter, alloc)
+    meter.add("stored", 2 * len(edges))
+    before = meter.current_words, dict(meter.ledger)
+    if width is None:
+        with pytest.raises(NotBipartite) as raised:
+            color_block(edges, side_of, "block", meter, alloc, flavor)
+        assert str(raised.value) == "witness puts edge (1, 0) inside one side"
+    else:
+        out = color_block(edges, side_of, "block", meter, alloc, flavor)
+        assert alloc.blocks[-1] == ("block", 1, width)
+        assert [(u, v) for u, v, _ in out] == edges
+        assert all(1 <= c < 1 + width for _, _, c in out)
+        properly_colored(out)
+    assert (meter.current_words, meter.ledger) == before

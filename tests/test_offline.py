@@ -1,5 +1,7 @@
 import itertools
 import random
+from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,12 @@ from streamcolor.errors import NotBipartite
 from streamcolor.harness import GenSpec, build_edges
 from streamcolor.meter import SpaceMeter
 from streamcolor.offline import (
-    OfflineGraph,
     _exact_dicts,
     _exact_rows,
     color_bipartite_exact,
     color_general,
     color_greedy,
+    find_sides,
 )
 
 
@@ -56,6 +58,35 @@ def brute_force_min_colors(edges, upper):
     return upper + 1
 
 
+def block(edges, sides=None):
+    """The values `core.color_block` passes the exact colorer and its
+    layouts: the vertices in order of first appearance, one side per
+    vertex (read off the `sides` dict when given, else found by search)
+    and the max degree."""
+    degrees = Counter(chain.from_iterable(edges))
+    side_list = find_sides(edges, degrees) if sides is None else [sides[x] for x in degrees]
+    return degrees, side_list, max(degrees.values(), default=0)
+
+
+def exact(edges, sides=None, meter=None):
+    return color_bipartite_exact(edges, *block(edges, sides), meter)
+
+
+def general(edges, meter=None):
+    degrees = Counter(chain.from_iterable(edges))
+    return color_general(edges, len(degrees), max(degrees.values(), default=0), meter)
+
+
+def layouts(edges, sides=None):
+    """The colors that `_exact_rows` and `_exact_dicts`, in that order, give `edges`."""
+    args = block(edges, sides)
+    return _exact_rows(edges, *args), _exact_dicts(edges, *args)
+
+
+def max_degree(edges):
+    return max(Counter(chain.from_iterable(edges)).values(), default=0)
+
+
 def sides_for(nl, nr):
     return {**{i: 0 for i in range(nl)}, **{nl + j: 1 for j in range(nr)}}
 
@@ -70,14 +101,13 @@ def random_bipartite(rng, max_left=6, max_right=6, max_edges=12):
     return edges, sides_for(nl, nr)
 
 
-def two_phase_bipartite_exact(graph):
-    """Reference exact colorer: collects each alternating path, then
-    deletes all its table entries before re-adding them flipped."""
-    graph.bipartition()
-    edges = graph.edges
+def two_phase_bipartite_exact(edges):
+    """Reference exact colorer for a bipartite graph: collects each
+    alternating path, then deletes all its table entries before re-adding
+    them flipped."""
     if not edges:
         return []
-    dmax = graph.max_degree
+    dmax = max_degree(edges)
     table = {}
     colors = [-1] * len(edges)
 
@@ -122,14 +152,13 @@ def two_phase_bipartite_exact(graph):
     return colors
 
 
-def rescanning_fan_general(graph):
+def rescanning_fan_general(edges):
     """Reference fan-rotation colorer: scans each vertex's color dict from 0
     for free colors, and rebuilds the fan by rescanning u's colored edges
     from the lowest color after every extension."""
-    edges = graph.edges
     if not edges:
         return []
-    palette = graph.max_degree + 1
+    palette = max_degree(edges) + 1
     table = {}  # vertex -> color -> neighbor
     colors = {}  # (low end, high end) -> color
 
@@ -201,17 +230,17 @@ def rescanning_fan_general(graph):
 
 def test_path_of_three_edges_uses_two_colors():
     edges = [(0, 2), (0, 3), (1, 3)]  # a1-b1, a1-b2, a2-b2
-    colors = color_bipartite_exact(OfflineGraph(edges, sides_for(2, 2)))
+    colors = exact(edges, sides_for(2, 2))
     assert colors == [0, 1, 0]
 
 
 def test_single_edge_gets_color_zero():
-    assert color_bipartite_exact(OfflineGraph([(0, 1)], {0: 0, 1: 1})) == [0]
+    assert exact([(0, 1)], {0: 0, 1: 1}) == [0]
 
 
 def test_perfect_matching_shares_one_color():
     edges = [(i, 5 + i) for i in range(5)]
-    colors = color_bipartite_exact(OfflineGraph(edges, sides_for(5, 5)))
+    colors = exact(edges, sides_for(5, 5))
     assert colors == [0] * 5
 
 
@@ -219,9 +248,8 @@ def test_exact_colorer_meets_the_brute_force_minimum():
     rng = random.Random(99)
     for _ in range(1500):
         edges, sides = random_bipartite(rng)
-        graph = OfflineGraph(edges, sides)
-        dmax = graph.max_degree
-        colors = color_bipartite_exact(graph)
+        dmax = max_degree(edges)
+        colors = exact(edges, sides)
         assert is_proper(edges, colors)
         assert max(colors) < dmax
         assert len(set(colors)) == dmax == brute_force_min_colors(edges, dmax)
@@ -232,12 +260,10 @@ def test_one_walk_flip_matches_the_two_phase_reference_on_small_graphs():
     flipped = 0
     for _ in range(4000):
         edges, sides = random_bipartite(rng, max_edges=12)
-        graph = OfflineGraph(edges, sides)
-        colors = color_bipartite_exact(graph)
-        assert colors == two_phase_bipartite_exact(OfflineGraph(edges, sides))
-        assert _exact_rows(edges, graph.max_degree) == colors  # either table layout
-        assert _exact_dicts(edges, graph.max_degree) == colors
-        flipped += colors != color_greedy(OfflineGraph(edges))
+        colors = exact(edges, sides)
+        assert colors == two_phase_bipartite_exact(edges)
+        assert layouts(edges, sides) == (colors, colors)  # either table layout
+        flipped += colors != color_greedy(edges)
     assert flipped > 0  # lowest shared color alone was not enough somewhere
 
 
@@ -247,9 +273,9 @@ def test_one_walk_flip_matches_the_two_phase_reference_on_regular_graphs(delta):
     # built order is one perfect matching after another and never flips;
     # a shuffled order flips hundreds of paths
     random.Random(delta).shuffle(edges)
-    colors = color_bipartite_exact(OfflineGraph(edges))
-    assert colors == two_phase_bipartite_exact(OfflineGraph(edges))
-    assert colors != color_greedy(OfflineGraph(edges))
+    colors = exact(edges)
+    assert colors == two_phase_bipartite_exact(edges)
+    assert colors != color_greedy(edges)
     assert is_proper(edges, colors) and max(colors) == delta - 1
 
 
@@ -261,15 +287,15 @@ def test_exact_colorer_on_a_star_with_a_pendant_matching():
     star = [(0, leaf) for leaf in range(1, 71)]
     pendant = [(leaf, 100 + leaf) for leaf in range(1, 71)]
     edges = pendant + star
-    colors = color_bipartite_exact(OfflineGraph(edges))
-    assert max(color_greedy(OfflineGraph(edges))) == 70  # greedy needs one more
-    assert colors == two_phase_bipartite_exact(OfflineGraph(edges))
-    assert _exact_rows(edges, 70) == colors == _exact_dicts(edges, 70)
+    colors = exact(edges)
+    assert max(color_greedy(edges)) == 70  # greedy needs one more
+    assert colors == two_phase_bipartite_exact(edges)
+    assert layouts(edges) == (colors, colors)
     assert is_proper(edges, colors) and sorted(colors[70:]) == list(range(70))
     for seed in range(5):
         random.Random(seed).shuffle(edges)
-        colors = color_bipartite_exact(OfflineGraph(edges))
-        assert colors == two_phase_bipartite_exact(OfflineGraph(edges))
+        colors = exact(edges)
+        assert colors == two_phase_bipartite_exact(edges)
         assert is_proper(edges, colors) and max(colors) == 69
 
 
@@ -278,28 +304,32 @@ def test_exact_colorer_matches_the_reference_and_charges_its_masks(delta):
     # one mask word per vertex up to delta 64, then two, then three
     edges = build_edges(GenSpec("regular-bipartite", 160, delta, "edge", seed=1))
     random.Random(delta).shuffle(edges)
-    graph = OfflineGraph(edges)
-    assert graph.vertex_count == 320 and graph.max_degree == delta
+    vertices, sides, dmax = block(edges)
+    assert len(vertices) == 320 and dmax == delta
     meter = SpaceMeter()
-    colors = color_bipartite_exact(graph, meter)
-    assert colors == two_phase_bipartite_exact(OfflineGraph(edges))
-    assert _exact_rows(edges, delta) == colors == _exact_dicts(edges, delta)
+    colors = color_bipartite_exact(edges, vertices, sides, dmax, meter)
+    assert colors == two_phase_bipartite_exact(edges)
+    assert layouts(edges) == (colors, colors)
     assert is_proper(edges, colors) and max(colors) == delta - 1
     assert meter.peak_words == 3 * len(edges) + 320 * -(-delta // 64)
     assert meter.current_words == 0 and meter.consistent()
 
 
 def test_exact_colorer_requires_bipartite_input():
-    with pytest.raises(NotBipartite):
-        color_bipartite_exact(OfflineGraph([(0, 1), (1, 2), (0, 2)]))
-    with pytest.raises(NotBipartite):
-        # witness contradicted by an inside-edge
-        color_bipartite_exact(OfflineGraph([(0, 1)], {0: 0, 1: 0}))
+    with pytest.raises(NotBipartite, match="odd cycle found"):
+        exact([(0, 1), (1, 2), (0, 2)])  # the search finds no witness
+    # witness contradicted by an inside-edge, found as the colorer reaches
+    # it: first, and after an edge is colored; the scratch is released
+    for edges, sides in (([(0, 1)], {0: 0, 1: 0}), ([(0, 1), (1, 2)], {0: 0, 1: 1, 2: 1})):
+        meter = SpaceMeter()
+        with pytest.raises(NotBipartite, match=r"witness puts edge \(\d, \d\) inside one side"):
+            exact(edges, sides, meter)
+        assert meter.current_words == 0 and meter.consistent()
 
 
 def test_exact_colorer_finds_its_own_witness():
     edges = [(0, 1), (1, 2), (2, 3), (3, 0)]  # even cycle, no witness given
-    colors = color_bipartite_exact(OfflineGraph(edges))
+    colors = exact(edges)
     assert is_proper(edges, colors)
     assert max(colors) < 2
 
@@ -324,12 +354,12 @@ def regular_multigraph(n, delta, seed):
 def test_both_layouts_match_the_reference_on_a_regular_multigraph():
     edges = regular_multigraph(64, 9, seed=5)
     assert len(set(edges)) < len(edges)  # parallel edges
-    graph = OfflineGraph(edges)
-    assert graph.vertex_count * graph.max_degree == 2 * len(edges)
-    expected = two_phase_bipartite_exact(OfflineGraph(edges))
-    assert _exact_rows(edges, 9) == expected == _exact_dicts(edges, 9)
+    vertices, _, dmax = block(edges)
+    assert len(vertices) * dmax == 2 * len(edges)
+    expected = two_phase_bipartite_exact(edges)
+    assert layouts(edges) == (expected, expected)
     assert is_proper(edges, expected) and max(expected) == 8
-    assert expected != color_greedy(OfflineGraph(edges))  # some path was flipped
+    assert expected != color_greedy(edges)  # some path was flipped
 
 
 def test_exact_colorer_charges_the_same_words_in_either_layout(monkeypatch):
@@ -342,15 +372,15 @@ def test_exact_colorer_charges_the_same_words_in_either_layout(monkeypatch):
     edges = build_edges(GenSpec("regular-bipartite", 80, 70, "edge", seed=3))
     random.Random(3).shuffle(edges)
     # 70-regular, then one edge short of it: two mask words per vertex both times
-    for block, layout in ((edges, "_exact_rows"), (edges[:-1], "_exact_dicts")):
-        graph = OfflineGraph(block)
-        assert graph.vertex_count == 160 and graph.max_degree == 70
+    for part, layout in ((edges, "_exact_rows"), (edges[:-1], "_exact_dicts")):
+        vertices, sides, dmax = block(part)
+        assert len(vertices) == 160 and dmax == 70
         meter = SpaceMeter()
-        colors = color_bipartite_exact(graph, meter)
+        colors = color_bipartite_exact(part, vertices, sides, dmax, meter)
         assert taken.pop() == layout
-        assert meter.peak_words == 3 * len(block) + 160 * 2
+        assert meter.peak_words == 3 * len(part) + 160 * 2
         assert meter.current_words == 0 and meter.consistent()
-        assert colors == two_phase_bipartite_exact(OfflineGraph(block))
+        assert colors == two_phase_bipartite_exact(part)
 
 
 def matching_union(n, delta, keep, rng):
@@ -375,24 +405,23 @@ def matching_union(n, delta, keep, rng):
 )
 def test_both_layouts_match_the_reference_on_matching_unions(delta, n, keep, seed):
     edges = matching_union(n, delta, keep, random.Random(seed))
-    graph = OfflineGraph(edges)
-    dmax = graph.max_degree
-    expected = two_phase_bipartite_exact(OfflineGraph(edges))
-    assert _exact_rows(edges, dmax) == expected == _exact_dicts(edges, dmax)
+    vertices, sides, dmax = block(edges)
+    expected = two_phase_bipartite_exact(edges)
+    assert layouts(edges) == (expected, expected)
     meter = SpaceMeter()
-    assert color_bipartite_exact(graph, meter) == expected
-    assert meter.peak_words == 3 * len(edges) + graph.vertex_count * -(-dmax // 64)
+    assert color_bipartite_exact(edges, vertices, sides, dmax, meter) == expected
+    assert meter.peak_words == 3 * len(edges) + len(vertices) * -(-dmax // 64)
     assert is_proper(edges, expected) and all(0 <= c < dmax for c in expected)
     if keep == 1.0:
-        assert dmax == delta and graph.vertex_count == 2 * n
+        assert dmax == delta and len(vertices) == 2 * n
 
 
 @pytest.mark.parametrize("delta", [1, 2, 3, 63, 64, 65, 129])
 def test_both_layouts_on_two_vertices_joined_by_parallel_edges(delta):
     # n_v = 2, so a cell is idx << 2 | 1; the edges take colors in order
     edges = [(0, 1) if i % 3 else (1, 0) for i in range(delta)]
-    assert _exact_rows(edges, delta) == _exact_dicts(edges, delta) == list(range(delta))
-    assert color_bipartite_exact(OfflineGraph(edges)) == list(range(delta))
+    assert layouts(edges) == (list(range(delta)), list(range(delta)))
+    assert exact(edges) == list(range(delta))
 
 
 # --- fan-rotation colorer ---
@@ -400,22 +429,22 @@ def test_both_layouts_on_two_vertices_joined_by_parallel_edges(delta):
 
 def test_triangle_needs_three_colors():
     tri = [(0, 1), (1, 2), (0, 2)]
-    colors = color_general(OfflineGraph(tri))
+    colors = general(tri)
     assert is_proper(tri, colors)
     assert sorted(colors) == [0, 1, 2]
 
 
 def test_star_uses_exactly_its_degree():
     star = [(0, i) for i in range(1, 5)]
-    colors = color_general(OfflineGraph(star))
+    colors = general(star)
     assert len(set(colors)) == 4
     assert max(colors) <= 4
 
 
 def test_empty_graph_gives_empty_map():
-    assert color_general(OfflineGraph([])) == []
-    assert color_bipartite_exact(OfflineGraph([])) == []
-    assert color_greedy(OfflineGraph([])) == []
+    assert general([]) == []
+    assert exact([]) == []
+    assert color_greedy([]) == []
 
 
 def test_fan_rotation_proper_and_within_bound_on_random_graphs():
@@ -426,11 +455,10 @@ def test_fan_rotation_proper_and_within_bound_on_random_graphs():
         pool = list(itertools.combinations(range(n), 2))
         rng.shuffle(pool)
         edges = pool[:want]
-        graph = OfflineGraph(list(edges))
-        colors = color_general(graph)
+        colors = general(edges)
         assert is_proper(edges, colors)
-        assert max(colors) <= graph.max_degree  # palette is [0, dmax + 1)
-        assert colors == rescanning_fan_general(OfflineGraph(list(edges)))
+        assert max(colors) <= max_degree(edges)  # palette is [0, dmax + 1)
+        assert colors == rescanning_fan_general(edges)
 
 
 def dense_simple_graph(delta, seed):
@@ -464,14 +492,14 @@ def test_fan_rotation_matches_the_reference_across_mask_words(delta, monkeypatch
 
         monkeypatch.setattr(offline, name, counted)
     edges = dense_simple_graph(delta, seed=delta)
-    graph = OfflineGraph(edges)
-    assert graph.max_degree == delta
+    vertices = Counter(chain.from_iterable(edges))
+    assert max(vertices.values()) == delta
     meter = SpaceMeter()
-    colors = color_general(graph, meter)
-    assert colors == rescanning_fan_general(OfflineGraph(edges))
+    colors = color_general(edges, len(vertices), delta, meter)
+    assert colors == rescanning_fan_general(edges)
     assert is_proper(edges, colors) and max(colors) <= delta
     assert calls["_fan_insert"] > 0 and calls["_invert_path"] > 0
-    assert meter.peak_words == 3 * len(edges) + graph.vertex_count * -(-(delta + 1) // 64)
+    assert meter.peak_words == 3 * len(edges) + len(vertices) * -(-(delta + 1) // 64)
     assert meter.current_words == 0 and meter.consistent()
 
 
@@ -486,16 +514,16 @@ def test_fan_step_runs_when_no_common_color_is_free():
         (0, 8), (0, 9),  # 0 takes 0, 1
     ]
     edges = prefix + [(0, 1)]
-    dmax = OfflineGraph(edges).max_degree
-    assert dmax == OfflineGraph(prefix).max_degree == 3  # same palette
-    before = color_general(OfflineGraph(prefix))
+    dmax = max_degree(edges)
+    assert dmax == max_degree(prefix) == 3  # same palette
+    before = general(prefix)
     at = {}
     for (a, b), c in zip(prefix, before):
         at.setdefault(a, set()).add(c)
         at.setdefault(b, set()).add(c)
     assert at[0] | at[1] == set(range(dmax + 1))  # no common free color
 
-    colors = color_general(OfflineGraph(edges))
+    colors = general(edges)
     assert is_proper(edges, colors)
     assert max(colors) <= dmax
     assert colors[:-1] != before  # the fan step recolored a stored edge
@@ -504,7 +532,7 @@ def test_fan_step_runs_when_no_common_color_is_free():
 def test_fan_rotation_handles_odd_cycles():
     for n in (3, 5, 7, 9):
         cyc = [(i, (i + 1) % n) for i in range(n)]
-        colors = color_general(OfflineGraph(cyc))
+        colors = general(cyc)
         assert is_proper(cyc, colors)
         assert len(set(colors)) == 3
 
@@ -513,10 +541,10 @@ def test_fan_rotation_handles_odd_cycles():
 
 
 def test_greedy_hand_cases():
-    assert color_greedy(OfflineGraph([(0, 1)])) == [0]
-    assert color_greedy(OfflineGraph([(0, 1), (1, 2), (0, 2)])) == [0, 1, 2]
+    assert color_greedy([(0, 1)]) == [0]
+    assert color_greedy([(0, 1), (1, 2), (0, 2)]) == [0, 1, 2]
     star = [(0, i) for i in range(1, 8)]
-    assert color_greedy(OfflineGraph(star)) == list(range(7))
+    assert color_greedy(star) == list(range(7))
 
 
 def test_greedy_stays_below_twice_degree():
@@ -526,18 +554,17 @@ def test_greedy_stays_below_twice_degree():
         pool = list(itertools.combinations(range(n), 2))
         rng.shuffle(pool)
         edges = pool[: rng.randrange(1, 30)]
-        graph = OfflineGraph(list(edges))
-        colors = color_greedy(graph)
+        colors = color_greedy(edges)
         assert is_proper(edges, colors)
-        assert max(colors) <= 2 * graph.max_degree - 2
+        assert max(colors) <= 2 * max_degree(edges) - 2
 
 
 def test_meter_scratch_is_released():
     meter = SpaceMeter()
     edges = [(0, 1), (1, 2), (2, 3)]
-    color_general(OfflineGraph(edges), meter)
+    general(edges, meter)
     assert meter.current_words == 0
     assert meter.peak_words == 3 * len(edges) + 4  # one mask word per vertex
-    color_greedy(OfflineGraph(edges), meter)
-    color_bipartite_exact(OfflineGraph(edges, {0: 0, 1: 1, 2: 0, 3: 1}), meter)
+    color_greedy(edges, meter)
+    exact(edges, {0: 0, 1: 1, 2: 0, 3: 1}, meter)
     assert meter.current_words == 0
