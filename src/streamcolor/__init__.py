@@ -16,23 +16,16 @@ from .harness import GenSpec, KoutResult, RunRequest, VerifyReport, generate, ru
 from .matching import brute_force_match, kout_trial
 from .meter import SpaceMeter
 from .offline import color_bipartite_exact, color_general, color_greedy
-from .palette import (
-    ColorAllocator,
-    OfflineState,
-    PaletteParams,
-    draw_offline_state,
-)
+from .palette import ColorAllocator, OfflineState, draw_offline_state
 from .presets import PRESETS, RunStats, build_pipeline, declared_budget, run_stream
 from .stream import (
     AssignmentWriter,
     BatchArrival,
-    ColorAssignment,
     EdgeBlock,
     StreamHeader,
     VertexArrival,
     parse_output,
     parse_stream,
-    serialize_stream,
 )
 
 __version__ = "0.1.0"
@@ -41,14 +34,12 @@ __all__ = [
     "AssignmentWriter",
     "BatchArrival",
     "ColorAllocator",
-    "ColorAssignment",
     "EdgeBlock",
     "GenSpec",
     "KoutResult",
     "OfflineState",
     "OneSidedColorer",
     "PRESETS",
-    "PaletteParams",
     "RunRequest",
     "RunStats",
     "SpaceMeter",
@@ -70,6 +61,5 @@ __all__ = [
     "parse_stream",
     "run_kout_experiment",
     "run_stream",
-    "serialize_stream",
     "verify",
 ]

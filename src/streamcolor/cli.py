@@ -12,8 +12,8 @@ Exit codes: 0 success; 1 verification found a bad output; 2 infeasible
 generator spec or `kout` parameters (--c not a positive number; --n, --k or
 --trials below 1; k above ceil(c * n)); 3 input/stream errors (mode
 mismatch, degree violations, vertex ids out of range, malformed lines, a
-stream that is not UTF-8 text, an -o path that cannot be written, a
-non-integer STREAMCOLOR_SEED); 4 internal randomized-bound violation, or any
+stream that is not UTF-8 text, an output that cannot be opened or written,
+a non-integer STREAMCOLOR_SEED); 4 internal randomized-bound violation, or any
 other internal error of a run (for example a shift period too small); 5
 parse errors while verifying, a file that is not UTF-8 text included.
 The environment variable STREAMCOLOR_SEED overrides any --seed flag.
@@ -22,47 +22,15 @@ The environment variable STREAMCOLOR_SEED overrides any --seed flag.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
 
 from . import harness
-from .errors import (
-    BatchSizeMismatch,
-    BoundViolation,
-    DegreeExceeded,
-    DuplicateEdge,
-    FlushBudgetExceeded,
-    InfeasibleSpec,
-    IoFailure,
-    MalformedLine,
-    ModeMismatch,
-    NotBipartite,
-    SelfLoop,
-    StreamColorError,
-    TooManyBatches,
-    TooManySlots,
-)
+from .errors import BoundError, InfeasibleSpec, InputError, StreamColorError
 from .presets import PRESETS, build_pipeline, run_stream
-from .stream import AssignmentWriter, parse_stream
-
-_INPUT_ERRORS = (
-    MalformedLine,
-    ModeMismatch,
-    DegreeExceeded,
-    SelfLoop,
-    DuplicateEdge,
-    IoFailure,
-    NotBipartite,
-    UnicodeDecodeError,  # a stream file that is not UTF-8 text
-)
-_BOUND_ERRORS = (
-    BoundViolation,
-    FlushBudgetExceeded,
-    TooManyBatches,
-    BatchSizeMismatch,
-    TooManySlots,
-)
+from .stream import MODES, AssignmentWriter, parse_stream
 
 
 def cmd_gen(args) -> int:
@@ -123,10 +91,10 @@ def cmd_run(args) -> int:
             file=sys.stderr,
         )
         return 0
-    except _BOUND_ERRORS as exc:
+    except BoundError as exc:
         print(f"randomized bound violated: {exc}", file=sys.stderr)
         return 4
-    except _INPUT_ERRORS as exc:
+    except (InputError, UnicodeDecodeError) as exc:  # or a stream that is not UTF-8 text
         print(f"input error: {exc}", file=sys.stderr)
         return 3
     except StreamColorError as exc:
@@ -134,8 +102,9 @@ def cmd_run(args) -> int:
         return 4
     finally:
         infile.close()
-        if out_path:
-            sink.close()
+        if out_path:  # the trailer flushed a finished run; a write error is reported above
+            with contextlib.suppress(OSError):
+                sink.close()
 
 
 def cmd_verify(args) -> int:
@@ -192,8 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--family", required=True, choices=harness.FAMILIES)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--delta", type=int, required=True)
-    g.add_argument("--mode", required=True,
-                   choices=["edge", "vertex-one-sided", "vertex-two-sided", "batch"])
+    g.add_argument("--mode", required=True, choices=MODES)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--batch-size", type=int, default=0)
     g.add_argument("-o", "--output", required=True)

@@ -33,7 +33,7 @@ from .errors import BatchSizeMismatch, BoundViolation, NotBipartite, TooManyBatc
 from .matching import maximum_matching
 from .meter import SpaceMeter
 from .offline import color_bipartite_exact, color_general, color_greedy, find_sides
-from .palette import ColorAllocator, OfflineState, PaletteParams, draw_offline_state
+from .palette import ColorAllocator, OfflineState, draw_offline_state, period_for
 from .stream import Assignment
 
 
@@ -125,12 +125,11 @@ class OneSidedColorer:
         offline_cap: int | None = None,
         name: str = "one-sided",
     ):
-        self.params = PaletteParams.for_delta(delta)
+        self.period = p = period_for(delta)
         self.delta = delta
         self.rng = rng
         self.meter = meter
         self.name = name
-        p = self.params.period
         self.batch_size = batch_size
         if batch_size is not None:
             self.max_batches = max_batches if max_batches is not None else -(-delta // batch_size)
@@ -150,7 +149,6 @@ class OneSidedColorer:
         self._mkey = f"{name}:state"
         self._skey = f"{name}:spill"
         self._tkey = f"{name}:scratch"
-        self._finalized = False
 
     # -- arrival handling --
 
@@ -180,7 +178,7 @@ class OneSidedColorer:
         if d > self.delta:
             raise TooManySlots(f"arrival of {d} edges exceeds the degree bound {self.delta}")
         meter = self.meter
-        p = self.params.period
+        p = self.period
         cap = self.offline_cap
 
         known = self.states
@@ -189,7 +187,7 @@ class OneSidedColorer:
         for v in neighbors:
             st = known.get(v)
             if st is None:
-                st = draw_offline_state(self.rng, self.params)
+                st = draw_offline_state(self.rng, p)
                 known[v] = st
                 meter.add(self._mkey, OfflineState.WORDS)
             dg = st.deg
@@ -225,9 +223,6 @@ class OneSidedColorer:
 
     def finalize(self) -> list[Assignment]:
         """Color the spill set with a fresh block and empty it."""
-        if self._finalized:
-            return []
-        self._finalized = True
         if not self.spill:
             return []
         edges = self.spill

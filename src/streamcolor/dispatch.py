@@ -64,7 +64,6 @@ class BatchIndexDispatcher:
         allocator: ColorAllocator,
         name: str = "sqrt",
     ):
-        self.delta = delta
         self.k = ceil_sqrt(delta)
         self.max_batches = -(-delta // self.k)  # <= k, so batch indices stay injective
         self.meter = meter
@@ -85,7 +84,6 @@ class BatchIndexDispatcher:
         self.buffers: dict[int, deque[int]] = {}
         self.batch_count: dict[int, int] = {}
         self.batch_shift: dict[int, int] = {}
-        self.buffered = 0
         self._bkey = f"{name}:buffer"
         self._ckey = f"{name}:counters"
 
@@ -95,13 +93,11 @@ class BatchIndexDispatcher:
         if buf is None:
             buf = self.buffers[u] = deque()
         buf.append(v)
-        self.buffered += 1
         self.meter.add(self._bkey, 2)
         if len(buf) < self.k:
             return []
 
         batch = [buf.popleft() for _ in range(self.k)]
-        self.buffered -= self.k
         self.meter.release(self._bkey, 2 * self.k)
         count = self.batch_count.get(u)
         if count is None:
@@ -120,7 +116,6 @@ class BatchIndexDispatcher:
         out = color_block(leftover, None, f"{self.name}:leftover", self.meter, self.allocator)
         if leftover:
             self.meter.release(self._bkey, 2 * len(leftover))
-            self.buffered = 0
             self.buffers.clear()
         for sub in self.subs:
             out.extend(sub.finalize())
@@ -145,11 +140,9 @@ class GroupedBatchDispatcher:
         flush_bound: int,
         name: str = "general",
     ):
-        self.delta = delta
         self.k = ceil_sqrt(delta)
         self.s = max(1, min(s, self.k))  # s beyond ceil(sqrt(delta)) buys nothing
         self.group_width = -(-self.k // self.s)
-        self.max_groups = self.s
         # palette sizing: offline side concentrates to ~2*delta/s under the
         # shifts; the online side is capped outright by a group's edges
         sub_delta = max(-(-2 * delta // self.s), min(self.group_width * self.k, delta))
@@ -269,8 +262,8 @@ class GroupedBatchDispatcher:
         count += 1
         self.batch_count[u] = count
         group = -(-count // self.group_width)
-        if group > self.max_groups:
-            raise BoundViolation(f"{self.name}: vertex {u} exceeded {self.max_groups} groups")
+        if group > self.s:
+            raise BoundViolation(f"{self.name}: vertex {u} exceeded {self.s} groups")
         idx = (group + self.group_shift[u]) % self.s
         side = self.side_of(u)
         return self.arrays[side][idx].on_batch(u, batch)

@@ -1,9 +1,10 @@
 """Exception types shared across the toolkit.
 
-Errors split into three families that the CLI maps to distinct exit codes:
-stream/input problems (the input violates its own declared parameters),
-internal bound violations (a randomized guarantee failed at runtime, which
-is possible but rare by design), and plain usage errors.
+Errors split into families that the CLI maps to distinct exit codes:
+`InputError` (the input violates its own declared parameters, or the
+output cannot be written), `BoundError` (a randomized guarantee or a
+sizing bound failed at runtime, which is possible but rare by design),
+and the rest: infeasible requests and other internal errors.
 """
 
 
@@ -11,29 +12,37 @@ class StreamColorError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InputError(StreamColorError):
+    """The input or the output sink is at fault: `streamcolor run` exit 3."""
+
+
+class BoundError(StreamColorError):
+    """A run passed one of its internal bounds: `streamcolor run` exit 4."""
+
+
 # --- stream parsing and validation ---
 
-class MalformedLine(StreamColorError):
+class MalformedLine(InputError):
     """A line of a stream or output file does not match the format."""
 
 
-class ModeMismatch(StreamColorError):
+class ModeMismatch(InputError):
     """An event kind (or algorithm choice) is illegal for the stream mode."""
 
 
-class SelfLoop(StreamColorError):
+class SelfLoop(InputError):
     """An edge with identical endpoints appeared in the stream."""
 
 
-class DuplicateEdge(StreamColorError):
+class DuplicateEdge(InputError):
     """The same edge appeared twice (streams describe simple graphs)."""
 
 
-class DegreeExceeded(StreamColorError):
+class DegreeExceeded(InputError):
     """Replaying the stream pushed some vertex past the declared max degree."""
 
 
-class IoFailure(StreamColorError):
+class IoFailure(InputError):
     """Writing to the output sink failed."""
 
 
@@ -51,23 +60,23 @@ class InstanceTooLarge(StreamColorError):
 
 # --- streaming colorers and dispatch ---
 
-class TooManySlots(StreamColorError):
+class TooManySlots(BoundError):
     """An arrival brought more edges than the colorer's degree bound."""
 
 
-class BatchSizeMismatch(StreamColorError):
+class BatchSizeMismatch(BoundError):
     """A batch did not contain exactly the declared number of edges."""
 
 
-class TooManyBatches(StreamColorError):
+class TooManyBatches(BoundError):
     """An online vertex produced more batches than the colorer was sized for."""
 
 
-class FlushBudgetExceeded(StreamColorError):
+class FlushBudgetExceeded(BoundError):
     """More buffer flushes were requested than the color accounting allows."""
 
 
-class BoundViolation(StreamColorError):
+class BoundViolation(BoundError):
     """A randomized internal guarantee failed (low-probability event).
 
     Raised instead of ever emitting a potentially conflicting color.
@@ -76,7 +85,7 @@ class BoundViolation(StreamColorError):
 
 # --- offline coloring ---
 
-class NotBipartite(StreamColorError):
+class NotBipartite(InputError):
     """The exact bipartite colorer was handed a graph with an odd cycle."""
 
 

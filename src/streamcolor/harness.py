@@ -37,6 +37,7 @@ from .stream import (
     MODE_EDGE,
     MODE_VERTEX_ONE_SIDED,
     MODE_VERTEX_TWO_SIDED,
+    MODES,
     StreamHeader,
     event_edges,
     parse_output,
@@ -49,12 +50,6 @@ FAMILIES = (
     "regular-general",
     "adversarial-frontload",
 )
-
-CSV_HEADER = (
-    "preset,family,n,delta,s,seed,proper,colors_used,budget,"
-    "peak_words,spilled_vertices,spilled_edges,millis"
-)
-
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -142,7 +137,7 @@ def _check_graph(spec: GenSpec) -> None:
 
 def check_spec(spec: GenSpec) -> None:
     """Raise InfeasibleSpec unless `generate` can render the spec; builds nothing."""
-    if spec.mode not in (MODE_EDGE, MODE_VERTEX_ONE_SIDED, MODE_VERTEX_TWO_SIDED, MODE_BATCH):
+    if spec.mode not in MODES:
         raise InfeasibleSpec(f"unknown mode {spec.mode!r}")
     if spec.batch_size < 0:
         raise InfeasibleSpec(f"batch_size must not be negative, got {spec.batch_size}")
@@ -418,7 +413,7 @@ class RunRequest:
 
 
 def execute_run(req: RunRequest) -> dict:
-    """Generate, run, and verify one cell; returns one CSV row as a dict.
+    """Generate, run, and verify one cell; returns its row as a dict.
 
     Internal bound violations (the designed-for rare events) are recorded
     in the row instead of crashing a whole suite; anything else raises.
@@ -470,15 +465,6 @@ def execute_run(req: RunRequest) -> dict:
         "_stats": stats,
         "_report": report,
     }
-
-
-def row_to_csv(row: dict) -> str:
-    return (
-        f"{row['preset']},{row['family']},{row['n']},{row['delta']},{row['s']},"
-        f"{row['seed']},{'true' if row['proper'] else 'false'},{row['colors_used']},"
-        f"{row['budget']},{row['peak_words']},{row['spilled_vertices']},"
-        f"{row['spilled_edges']},{row['millis']}"
-    )
 
 
 def run_experiment_suite(requests: list[RunRequest], jobs: int = 1) -> list[dict]:

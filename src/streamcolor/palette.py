@@ -20,7 +20,6 @@ given the run's declared budget, refuses any block that would pass it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import BoundViolation, PeriodTooSmall
 
@@ -31,18 +30,6 @@ C_DEN = 100
 def period_for(delta: int) -> int:
     """P = ceil(2.72 * delta), in exact integer arithmetic."""
     return (C_NUM * delta + C_DEN - 1) // C_DEN
-
-
-@dataclass(frozen=True)
-class PaletteParams:
-    delta: int
-    period: int
-
-    @classmethod
-    def for_delta(cls, delta: int) -> "PaletteParams":
-        if delta < 1:
-            raise ValueError("delta must be at least 1")
-        return cls(delta=delta, period=period_for(delta))
 
 
 class OfflineState:
@@ -58,25 +45,18 @@ class OfflineState:
         self.r3 = r3
         self.deg = deg
 
-    def shifts(self) -> tuple[int, int, int]:
-        return (self.r1, self.r2, self.r3)
 
-    def __repr__(self) -> str:
-        return f"OfflineState(r1={self.r1}, r2={self.r2}, r3={self.r3}, deg={self.deg})"
-
-
-def draw_offline_state(rng: random.Random, params: PaletteParams) -> OfflineState:
-    """Draw three distinct uniform shifts from [0, P), ordered as drawn."""
-    p = params.period
-    if p < 3:
-        raise PeriodTooSmall(f"period {p} cannot host three distinct shifts")
-    r1 = rng.randrange(p)
-    r2 = rng.randrange(p)
+def draw_offline_state(rng: random.Random, period: int) -> OfflineState:
+    """Draw three distinct uniform shifts from [0, period), ordered as drawn."""
+    if period < 3:
+        raise PeriodTooSmall(f"period {period} cannot host three distinct shifts")
+    r1 = rng.randrange(period)
+    r2 = rng.randrange(period)
     while r2 == r1:
-        r2 = rng.randrange(p)
-    r3 = rng.randrange(p)
+        r2 = rng.randrange(period)
+    r3 = rng.randrange(period)
     while r3 == r1 or r3 == r2:
-        r3 = rng.randrange(p)
+        r3 = rng.randrange(period)
     return OfflineState(r1, r2, r3)
 
 

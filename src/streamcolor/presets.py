@@ -51,6 +51,7 @@ from .stream import (
     MODE_EDGE,
     MODE_VERTEX_ONE_SIDED,
     MODE_VERTEX_TWO_SIDED,
+    MODES,
     Assignment,
     BatchArrival,
     StreamEvent,
@@ -280,8 +281,8 @@ _MODE_FOR_ALG = {
     "vertex-general": (MODE_VERTEX_TWO_SIDED,),
     "edge-sqrt": (MODE_EDGE,),
     "edge-general": (MODE_EDGE,),
-    "offline-exact": (MODE_EDGE, MODE_VERTEX_ONE_SIDED, MODE_VERTEX_TWO_SIDED, MODE_BATCH),
-    "offline-greedy": (MODE_EDGE, MODE_VERTEX_ONE_SIDED, MODE_VERTEX_TWO_SIDED, MODE_BATCH),
+    "offline-exact": MODES,
+    "offline-greedy": MODES,
 }
 
 

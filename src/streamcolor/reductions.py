@@ -87,7 +87,6 @@ class Bipartization:
         name: str = "bipart",
         n_online: int | None = None,
     ):
-        self.delta = delta
         self.meter = meter
         self.allocator = allocator
         self.name = name

@@ -75,13 +75,7 @@ class BatchArrival(NamedTuple):
 
 StreamEvent = EdgeBlock | VertexArrival | BatchArrival
 
-Assignment = tuple[int, int, int]  # (u, v, color), as the pipelines emit them
-
-
-class ColorAssignment(NamedTuple):  # a `c` record, as `parse_output` reads it
-    u: int
-    v: int
-    color: int
+Assignment = tuple[int, int, int]  # (u, v, color): a pipeline's output, a `c` record
 
 
 @dataclass(frozen=True)
@@ -304,21 +298,6 @@ def event_edges(event: StreamEvent) -> Iterable[tuple[int, int]]:
     return ((event.u, v) for v in event.neighbors)
 
 
-def event_to_line(event: StreamEvent) -> str:
-    if type(event) is EdgeBlock:  # one line per edge
-        return "\n".join(f"e {u} {v}" for u, v in zip(event.us, event.vs))
-    tag = "V" if type(event) is VertexArrival else "B"
-    if event.neighbors:
-        return f"{tag} {event.u} " + " ".join(map(str, event.neighbors))
-    return f"{tag} {event.u}"
-
-
-def serialize_stream(header: StreamHeader, events: Iterable[StreamEvent]) -> str:
-    lines = [header.to_line()]
-    lines.extend(event_to_line(ev) for ev in events)
-    return "\n".join(lines) + "\n"
-
-
 class AssignmentWriter:
     """Streams `c` lines to a sink, then the `T` trailer."""
 
@@ -338,20 +317,22 @@ class AssignmentWriter:
         self.count += 1
         try:
             self.sink.write(f"c {u} {v} {color}\n")
-        except ValueError as exc:
-            raise IoFailure("output sink is closed") from exc
+        except (OSError, ValueError) as exc:  # a full device, a closed pipe or sink
+            raise IoFailure(f"cannot write output: {exc}") from exc
 
     def trailer(self, colors_used: int, peak_words: int) -> None:
-        """Write `T colors_used peak_words`; the run counts its own colors."""
+        """Write `T colors_used peak_words` and flush the sink; the run
+        counts its own colors."""
         try:
             self.sink.write(f"T {colors_used} {peak_words}\n")
-        except ValueError as exc:
-            raise IoFailure("output sink is closed") from exc
+            self.sink.flush()
+        except (OSError, ValueError) as exc:
+            raise IoFailure(f"cannot write output: {exc}") from exc
 
 
-def parse_output(lines: Iterable[str]) -> tuple[list[ColorAssignment], tuple[int, int] | None]:
+def parse_output(lines: Iterable[str]) -> tuple[list[Assignment], tuple[int, int] | None]:
     """Read an output file: the assignments plus the trailer, if present."""
-    assignments: list[ColorAssignment] = []
+    assignments: list[Assignment] = []
     trailer: tuple[int, int] | None = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -362,11 +343,12 @@ def parse_output(lines: Iterable[str]) -> tuple[list[ColorAssignment], tuple[int
             if len(parts) != 4:
                 raise MalformedLine(f"output line {lineno}: bad assignment record")
             try:
-                assignments.append(ColorAssignment(int(parts[1]), int(parts[2]), int(parts[3])))
+                u, v, color = int(parts[1]), int(parts[2]), int(parts[3])
             except ValueError as exc:
                 raise MalformedLine(f"output line {lineno}: non-integer field") from exc
-            if assignments[-1].color < 0:
+            if color < 0:
                 raise MalformedLine(f"output line {lineno}: negative color")
+            assignments.append((u, v, color))
         elif parts[0] == "T":
             if len(parts) != 3:
                 raise MalformedLine(f"output line {lineno}: bad trailer")

@@ -246,6 +246,17 @@ def test_run_with_an_output_path_that_cannot_be_opened_exits_three(tmp_path, mon
     assert [fh.closed for fh in opened] == [True]  # the input, closed again
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("n", [2, 1024])  # fails at the trailer's flush, or at an emit
+def test_run_with_an_output_that_fails_on_write_exits_three(tmp_path, capsys, n):
+    stream = tmp_path / "s.txt"
+    stream.write_text(generate(GenSpec("regular-bipartite", n, 2, "edge", seed=1)))
+    assert run_cli("run", str(stream), "--alg", "edge-sqrt", "-o", "/dev/full") == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0].startswith("declared color budget: ")
+    assert err[1] == "input error: cannot write output: [Errno 28] No space left on device"
+
+
 def test_gen_with_an_output_path_that_cannot_be_opened_exits_three(tmp_path, capsys):
     assert run_cli("gen", "--family", "regular-bipartite", "--n", "4", "--delta", "2",
                    "--mode", "edge", "-o", str(tmp_path / "missing" / "g.txt")) == 3

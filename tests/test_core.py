@@ -38,7 +38,7 @@ def properly_colored(assignments):
 
 def test_three_identical_triples_color_distinctly():
     inst, meter, alloc = make(10)
-    p = inst.params.period
+    p = inst.period
     for v in (100, 101, 102):
         plant(inst, v, (3, 7, 9))
     out = inst.on_online_vertex(0, [100, 101, 102])
@@ -78,9 +78,21 @@ def test_spilled_vertex_does_not_poison_later_arrivals():
     properly_colored(out + final)
 
 
+def test_a_second_finalize_after_a_spill_emits_and_reserves_nothing():
+    inst, meter, alloc = make(10)
+    for i in range(4):
+        plant(inst, 100 + i, (3, 7, 9))
+    inst.on_online_vertex(0, [100, 101, 102, 103])  # spills
+    assert len(inst.finalize()) == 4
+    blocks = list(alloc.blocks)
+    assert inst.finalize() == []
+    assert alloc.blocks == blocks
+    assert meter.ledger[f"{inst.name}:spill"] == 0 and meter.consistent()
+
+
 def test_batch_colors_carry_the_batch_index():
     inst, _, _ = make(16, batch_size=4)
-    p = inst.params.period
+    p = inst.period
     assert p == 44
     # distinct base bands so the matching picks each slot's first proposal
     plant(inst, 100, (7, 20, 33))
@@ -142,7 +154,7 @@ def test_finalize_with_empty_spill_emits_nothing():
 
 def test_single_spilled_edge_takes_first_fresh_color():
     inst, _, alloc = make(10)
-    p = inst.params.period
+    p = inst.period
     inst.spill.append((0, 100))
     inst.spilled_edges_total += 1
     inst.meter.add(f"{inst.name}:spill", 2)
@@ -154,7 +166,7 @@ def test_single_spilled_edge_takes_first_fresh_color():
 
 def test_spilled_path_needs_at_most_two_fresh_colors():
     inst, _, _ = make(10)
-    p = inst.params.period
+    p = inst.period
     for e in [(0, 100), (1, 100), (1, 101)]:  # path with middle degree 2
         inst.spill.append(e)
     inst.spilled_edges_total += 3

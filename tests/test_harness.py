@@ -6,13 +6,11 @@ import pytest
 
 from streamcolor.errors import InfeasibleSpec, MalformedLine
 from streamcolor.harness import (
-    CSV_HEADER,
     GenSpec,
     RunRequest,
     build_edges,
     execute_run,
     generate,
-    row_to_csv,
     run_experiment_suite,
     run_kout_experiment,
     verify,
@@ -244,11 +242,16 @@ def test_wilson_interval_behaves():
 # --- suite plumbing ---
 
 
-def test_csv_row_schema():
+def test_run_row_fields():
     row = execute_run(RunRequest("one-sided", GenSpec("regular-bipartite", 16, 4, "vertex-one-sided", seed=3)))
-    line = row_to_csv(row)
-    assert len(line.split(",")) == len(CSV_HEADER.split(","))
-    assert line.startswith("one-sided,regular-bipartite,16,4,0,3,true,")
+    assert list(row) == [
+        "preset", "family", "n", "delta", "s", "seed", "proper", "colors_used", "budget",
+        "peak_words", "spilled_vertices", "spilled_edges", "millis", "breach", "_stats", "_report",
+    ]
+    assert [row[k] for k in ("preset", "family", "n", "delta", "s", "seed", "proper")] == [
+        "one-sided", "regular-bipartite", 16, 4, 0, 3, True,
+    ]
+    assert row["breach"] is None
 
 
 def test_one_sided_preset_handles_batch_streams():
@@ -268,8 +271,9 @@ def test_suite_parallel_matches_serial():
         RunRequest("one-sided", GenSpec("regular-bipartite", 16, 4, "vertex-one-sided", seed=s))
         for s in range(4)
     ]
-    serial = [row_to_csv(r) for r in run_experiment_suite(reqs, jobs=1)]
-    parallel = [row_to_csv(r) for r in run_experiment_suite(reqs, jobs=2)]
+    serial = run_experiment_suite(reqs, jobs=1)
+    parallel = run_experiment_suite(reqs, jobs=2)
     # wall time differs between runs; compare all other fields
-    strip = lambda line: line.rsplit(",", 1)[0]
-    assert [strip(x) for x in serial] == [strip(x) for x in parallel]
+    for row in serial + parallel:
+        del row["millis"]
+    assert serial == parallel

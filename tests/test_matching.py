@@ -48,7 +48,7 @@ def arrival_colors(delta, states):
     """Block-relative colors an arrival takes from offline vertices holding
     `states`, split as (band, base) with base < P."""
     inst = OneSidedColorer(delta, random.Random(0), SpaceMeter(), ColorAllocator())
-    p = inst.params.period
+    p = inst.period
     neighbors = list(range(1, len(states) + 1))
     inst.states.update(zip(neighbors, states))
     return [divmod(c - inst.block, p) for _, _, c in inst.on_online_vertex(0, neighbors)]

@@ -8,7 +8,6 @@ from streamcolor.meter import SpaceMeter
 from streamcolor.palette import (
     ColorAllocator,
     OfflineState,
-    PaletteParams,
     draw_offline_state,
     period_for,
 )
@@ -52,21 +51,19 @@ def test_proposals_at_degree_zero_are_the_shifts():
 def test_bands_tile_disjoint_ranges():
     rng = random.Random(0)
     for delta in (2, 5, 17, 64):
-        pp = PaletteParams.for_delta(delta)
-        p = pp.period
+        p = period_for(delta)
         for _ in range(50):
-            state = draw_offline_state(rng, pp)
+            state = draw_offline_state(rng, p)
             deg = state.deg = rng.randrange(delta)
             band, base = divmod(one_edge_color(delta, state), p)
             assert band in (0, 1, 2)
-            assert base == (state.shifts()[band] + deg) % p
+            assert base == ((state.r1, state.r2, state.r3)[band] + deg) % p
 
 
 def test_same_band_proposals_distinct_across_all_degree_pairs():
     # exhaustive over every degree pair for every delta up to 64
     for delta in range(1, 65):
-        pp = PaletteParams.for_delta(delta)
-        p = pp.period
+        p = period_for(delta)
         assert p > delta
         for shift in (0, 1, p - 1):
             seen = [(shift + d) % p for d in range(delta)]
@@ -75,28 +72,27 @@ def test_same_band_proposals_distinct_across_all_degree_pairs():
 
 def test_draw_gives_three_distinct_shifts():
     rng = random.Random(42)
-    pp = PaletteParams.for_delta(2)  # period 6
+    assert period_for(2) == 6
     for _ in range(500):
-        state = draw_offline_state(rng, pp)
+        state = draw_offline_state(rng, 6)
         assert len({state.r1, state.r2, state.r3}) == 3
-        assert all(0 <= r < 6 for r in state.shifts())
+        assert all(0 <= r < 6 for r in (state.r1, state.r2, state.r3))
         assert state.deg == 0
 
 
 def test_draw_requires_period_of_three():
     with pytest.raises(PeriodTooSmall):
-        draw_offline_state(random.Random(0), PaletteParams(delta=1, period=2))
+        draw_offline_state(random.Random(0), 2)
 
 
 def test_first_shift_marginal_is_uniform():
     # sampling without replacement keeps each marginal uniform: over 1e5
     # draws with period 6, every residue appears as r1 with freq 1/6 +- 3 sigma
     rng = random.Random(7)
-    pp = PaletteParams.for_delta(2)
     n = 100_000
     counts = [0] * 6
     for _ in range(n):
-        counts[draw_offline_state(rng, pp).r1] += 1
+        counts[draw_offline_state(rng, 6).r1] += 1
     sigma = (1 / 6 * 5 / 6 / n) ** 0.5
     for c in counts:
         assert abs(c / n - 1 / 6) <= 3 * sigma

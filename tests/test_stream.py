@@ -20,11 +20,9 @@ from streamcolor.stream import (
     EdgeBlock,
     StreamHeader,
     VertexArrival,
-    event_to_line,
     parse_header,
     parse_output,
     parse_stream,
-    serialize_stream,
 )
 
 
@@ -131,20 +129,15 @@ def test_second_header_rejected():
         events_of("H 4 0 2 edge 0 1\nH 4 0 2 edge 0 1\n")
 
 
-def test_round_trip_serialization():
-    text = "H 3 3 2 vertex-one-sided 0 9\nV 0 3 4\nV 1\nV 2 5\n"
-    header, evs = events_of(text)
-    assert serialize_stream(header, evs) == text
-    etext = "H 4 0 2 edge 0 9\ne 0 1\ne 2 3\n"
-    header, evs = events_of(etext)
-    assert serialize_stream(header, evs) == etext
-
-
-def test_event_to_line_forms():
-    assert event_to_line(EdgeBlock([0], [5])) == "e 0 5"
-    assert event_to_line(EdgeBlock([0, 2], [5, 1])) == "e 0 5\ne 2 1"
-    assert event_to_line(VertexArrival(1, (2, 3))) == "V 1 2 3"
-    assert event_to_line(BatchArrival(7, (8,))) == "B 7 8"
+def test_each_record_parses_to_its_event():
+    header, evs = events_of("H 3 3 2 vertex-one-sided 0 9\nV 0 3 4\nV 1\nV 2 5\n")
+    assert header == StreamHeader(3, 3, 2, "vertex-one-sided", 0, 9)
+    assert evs == [VertexArrival(0, (3, 4)), VertexArrival(1, ()), VertexArrival(2, (5,))]
+    header, evs = events_of("H 4 0 2 edge 0 9\ne 0 1\ne 2 3\n")
+    assert header == StreamHeader(4, 0, 2, "edge", 0, 9)
+    assert evs == [EdgeBlock([0, 2], [1, 3])]
+    _, evs = events_of("H 8 8 2 batch 1 0\nB 7 8\n")
+    assert evs == [BatchArrival(7, (8,))]
 
 
 def test_emit_assignment_format():
@@ -162,6 +155,15 @@ def test_emit_after_close_is_io_failure():
         AssignmentWriter(sink).emit(0, 1, 2)
 
 
+def test_emit_to_a_broken_pipe_is_io_failure():
+    class BrokenPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    with pytest.raises(IoFailure, match="Broken pipe"):
+        AssignmentWriter(BrokenPipe()).emit(0, 1, 2)
+
+
 def test_writer_tracks_distinct_colors_and_trailer():
     sink = io.StringIO()
     w = AssignmentWriter(sink)
@@ -176,7 +178,7 @@ def test_writer_tracks_distinct_colors_and_trailer():
 def test_parse_output_round_trip():
     text = "c 0 5 17\nc 1 2 0\nT 2 10\n"
     assignments, trailer = parse_output(io.StringIO(text))
-    assert [tuple(a) for a in assignments] == [(0, 5, 17), (1, 2, 0)]
+    assert assignments == [(0, 5, 17), (1, 2, 0)]
     assert trailer == (2, 10)
     with pytest.raises(MalformedLine):
         parse_output(io.StringIO("c 1 2\n"))
