@@ -13,7 +13,8 @@ generator spec or `kout` parameters (--c not a positive number; --n, --k or
 --trials below 1; k above ceil(c * n)); 3 input/stream errors (mode
 mismatch, degree violations, vertex ids out of range, malformed lines, a
 stream that is not UTF-8 text, an output that cannot be opened or written,
-a non-integer STREAMCOLOR_SEED); 4 internal randomized-bound violation, or any
+`verify` or `kout` output that stdout cannot take, a non-integer
+STREAMCOLOR_SEED); 4 internal randomized-bound violation, or any
 other internal error of a run (for example a shift period too small); 5
 parse errors while verifying, a file that is not UTF-8 text included.
 The environment variable STREAMCOLOR_SEED overrides any --seed flag.
@@ -107,6 +108,20 @@ def cmd_run(args) -> int:
                 sink.close()
 
 
+def print_report(lines: list[str]) -> bool:
+    """Write `lines` to stdout and flush; False, after one `input error:` line, if that fails.
+    Stdout is then pointed at the null device, or its flush at exit would fail again."""
+    try:
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"input error: cannot write output: {exc}", file=sys.stderr)
+        with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return False
+    return True
+
+
 def cmd_verify(args) -> int:
     try:
         with open(args.input) as sfh, open(args.output) as ofh:
@@ -117,22 +132,24 @@ def cmd_verify(args) -> int:
     except (StreamColorError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 5
-    print(f"proper: {'true' if report.proper else 'false'}")
-    print(f"complete: {'true' if report.complete else 'false'}")
-    print(f"colors_used: {report.colors_used}")
-    print(f"max_color: {report.max_color}")
-    print(f"edges_colored: {report.edges_colored}")
+    lines = [
+        f"proper: {'true' if report.proper else 'false'}",
+        f"complete: {'true' if report.complete else 'false'}",
+        f"colors_used: {report.colors_used}",
+        f"max_color: {report.max_color}",
+        f"edges_colored: {report.edges_colored}",
+    ]
     if report.missing:
-        print(f"missing: {report.missing}")
+        lines.append(f"missing: {report.missing}")
     if report.duplicates:
-        print(f"duplicates: {report.duplicates}")
+        lines.append(f"duplicates: {report.duplicates}")
     if report.unknown:
-        print(f"unknown_edges: {report.unknown}")
+        lines.append(f"unknown_edges: {report.unknown}")
     for first, second, color in report.conflicts:
-        print(f"conflict: edges {first} and {second} both use color {color}")
+        lines.append(f"conflict: edges {first} and {second} both use color {color}")
     if args.budget is not None:
-        print(f"budget_ok: {'true' if report.budget_ok else 'false'}")
-    return 0 if report.ok else 1
+        lines.append(f"budget_ok: {'true' if report.budget_ok else 'false'}")
+    return (0 if report.ok else 1) if print_report(lines) else 3
 
 
 def cmd_kout(args) -> int:
@@ -142,12 +159,11 @@ def cmd_kout(args) -> int:
         print(f"infeasible spec: {exc}", file=sys.stderr)
         return 2
     low, high = result.wilson()
-    print("n,u_size,k,trials,seed,failures,rate,ci_low,ci_high")
-    print(
+    row = (
         f"{result.n},{result.u_size},{result.k},{result.trials},{result.seed},"
         f"{result.failures},{result.rate:.6g},{low:.6g},{high:.6g}"
     )
-    return 0
+    return 0 if print_report(["n,u_size,k,trials,seed,failures,rate,ci_low,ci_high", row]) else 3
 
 
 @functools.cache

@@ -29,10 +29,10 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable
 
-from .errors import BatchSizeMismatch, BoundViolation, NotBipartite, TooManyBatches, TooManySlots
+from .errors import BatchSizeMismatch, BoundViolation, TooManyBatches, TooManySlots
 from .matching import maximum_matching
 from .meter import SpaceMeter
-from .offline import color_bipartite_exact, color_general, color_greedy, find_sides
+from .offline import color_bipartite_exact, color_general, color_greedy
 from .palette import ColorAllocator, OfflineState, draw_offline_state, period_for
 from .stream import Assignment
 
@@ -51,6 +51,11 @@ class SpillReport:
         )
 
 
+def block_width(flavor: str, d: int) -> int:
+    """The colors of a block of max degree d: exact d, general d + 1, greedy 2d - 1."""
+    return {"exact": d, "general": d + 1, "greedy": max(2 * d - 1, 1)}[flavor]
+
+
 def color_block(
     edges: list[tuple[int, int]],
     side_of: Callable[[int], int] | None,
@@ -61,36 +66,24 @@ def color_block(
 ) -> list[Assignment]:
     """Color a stored edge list offline in one fresh block of the color space.
 
-    Flavors: "exact" uses max-degree colors and needs a bipartite graph;
-    "auto" does that when the graph is bipartite and uses max degree + 1
-    colors otherwise; "greedy" uses at most 2 * max degree - 1. One pass
-    finds the vertices and their degrees. The sides are read off `side_of`
-    (vertex -> side) when given, and the exact colorer raises NotBipartite
-    at an edge inside one side; else a search finds them or an odd cycle.
-    Only the colorer's scratch is charged here: the caller releases the
-    words of its edge list, before or after this call.
+    The block is `block_width(flavor, D)` colors wide for max degree D.
+    One pass finds the vertices and their degrees. "exact" reads each
+    vertex's side off `side_of` (vertex -> side), the sides the caller
+    already knows, and the exact colorer raises NotBipartite at an edge
+    inside one side; nothing searches for sides, and the other flavors
+    take `side_of=None`. Only the colorer's scratch is charged here: the
+    caller releases the words of its edge list, before or after this call.
     """
     if not edges:
         return []
     degrees = Counter(chain.from_iterable(edges))  # keys in first-appearance order
     dmax = max(degrees.values())
-    if flavor != "greedy":
-        try:
-            sides = find_sides(edges, degrees) if side_of is None else list(map(side_of, degrees))
-        except NotBipartite:
-            if flavor == "exact":
-                raise
-            flavor = "general"
-        else:
-            flavor = "exact"
+    base = allocator.reserve(block_width(flavor, dmax), label)
     if flavor == "exact":
-        base = allocator.reserve(dmax, label)
-        colors = color_bipartite_exact(edges, degrees, sides, dmax, meter)
+        colors = color_bipartite_exact(edges, degrees, list(map(side_of, degrees)), dmax, meter)
     elif flavor == "general":
-        base = allocator.reserve(dmax + 1, label)
         colors = color_general(edges, len(degrees), dmax, meter)
     else:
-        base = allocator.reserve(2 * dmax - 1, label)
         colors = color_greedy(edges, meter)
     return [(a, b, base + c) for (a, b), c in zip(edges, colors)]
 
@@ -227,7 +220,8 @@ class OneSidedColorer:
             return []
         edges = self.spill
         self.meter.release(self._skey, 2 * len(edges))
-        out = color_block(edges, None, f"{self.name}:spill", self.meter, self.allocator)
+        # every spilled neighbor holds state here, and no arriving vertex does
+        out = color_block(edges, self.states.__contains__, self._skey, self.meter, self.allocator)
         self.spill = []
         return out
 

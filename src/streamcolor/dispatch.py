@@ -24,7 +24,8 @@ n*s, plus one entry per vertex seen since the last flush; nothing grows
 with the length of the stream.
 
 Leftover buffered edges at end of stream are colored offline with a final
-fresh block. Every input edge is emitted exactly once: through a
+fresh block, against the buffer keys (sqrt) or the router's `side_of`
+(grouped) as sides. Every input edge is emitted exactly once: through a
 sub-colorer, a flush block, a spill block, or the leftover block.
 """
 
@@ -113,7 +114,10 @@ class BatchIndexDispatcher:
 
     def finalize(self) -> list[Assignment]:
         leftover = [(u, v) for u, buf in self.buffers.items() for v in buf]
-        out = color_block(leftover, None, f"{self.name}:leftover", self.meter, self.allocator)
+        # the buffers are keyed by the level's bit-1 ends only: they are one side
+        out = color_block(
+            leftover, self.buffers.__contains__, f"{self.name}:leftover", self.meter, self.allocator
+        )
         if leftover:
             self.meter.release(self._bkey, 2 * len(leftover))
             self.buffers.clear()

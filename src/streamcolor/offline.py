@@ -2,35 +2,21 @@
 
 Each takes a block's edges and what it needs of `core.color_block`'s one
 pass over them: the vertices in first-appearance order, their count n_v,
-the max degree D, one side per vertex. Three colorers, all proper:
+the max degree D, one side per vertex. No colorer searches for sides:
+the exact one checks the caller's. Three colorers, all proper:
 
 * `color_bipartite_exact` colors a bipartite graph with exactly its max
-  degree D, inserting edges one at a time. Each edge takes the lowest
-  color free at both endpoints, read off per-vertex used-color bitmasks;
-  when none is shared, the alternating two-colored path that starts at
-  one endpoint is flipped in a single walk. At each inner vertex of the
-  path both colors stay present, so the two edge cells trade places
-  in the color table and only the masks of the path's two ends change.
-  O(m * D) worst case, ample for the buffer flushes and spill sets it
-  serves. The color table is color-major: vertices are numbered in
-  order of first appearance, and color c's container holds, at each
-  vertex's number, a cell packing the edge carrying c there above the
-  xor of that edge's two end numbers, so a path step is one xor and one
-  read. It has two layouts with the same steps and colors under one
-  charge: a list of n_v cells per color when every vertex has degree D,
-  so that the D * n_v cells are 2m, and a dict per color (2m entries in
-  all) otherwise. It checks the sides in the same loop that numbers an
-  edge's ends, and raises NotBipartite at the first edge inside one side.
-* `color_general` colors any simple graph with at most D + 1 colors.
-  Each edge takes the lowest color in [0, D + 1) free at both
-  endpoints, read off per-vertex used-color bitmasks; only when there is
-  none does it run the fan-rotation step (Misra & Gries 1992): build a
-  maximal fan, invert one two-colored path in a single walk, rotate a
-  fan prefix. The fan grows by one mask step per vertex: its next vertex
-  sits behind the lowest color used at the center, free at the tip and
-  not yet taken into the fan. The path inversion changes the masks of
-  the path's two ends only, the rotation those of the fan vertices whose
-  edge to the center changes color.
+  degree D, inserting edges one at a time: each takes the lowest color
+  free at both ends, read off per-vertex used-color bitmasks, and when
+  none is shared one alternating two-colored path is flipped in a single
+  walk. O(m * D) worst case. Its color-major table has two layouts with
+  the same steps and colors (`_exact_rows`, `_exact_dicts`), and it
+  checks the sides in the loop that numbers each edge's ends, raising
+  NotBipartite at the first edge inside one side.
+* `color_general` colors any simple graph with at most D + 1 colors: each
+  edge takes the lowest color free at both ends, and only when there is
+  none does it run the fan-rotation step of Misra & Gries 1992
+  (`_fan_insert`).
 * `color_greedy` gives each edge the lowest color unused at either
   endpoint, never exceeding 2D - 1.
 
@@ -51,33 +37,6 @@ from .errors import NotBipartite
 from .meter import SpaceMeter
 
 Edge = tuple[int, int]
-
-
-def find_sides(edges: list[Edge], vertices: Iterable[int]) -> list[int]:
-    """A 2-coloring of the graph, as the side (0/1) of each of `vertices` in order.
-
-    `vertices` lists every end of `edges` once. Raises NotBipartite when
-    an odd cycle makes a 2-coloring impossible.
-    """
-    adj: dict[int, list[int]] = {x: [] for x in vertices}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    side = dict.fromkeys(adj, -1)
-    for start in adj:
-        if side[start] >= 0:
-            continue
-        side[start] = 0
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if side[y] < 0:
-                    side[y] = side[x] ^ 1
-                    stack.append(y)
-                elif side[y] == side[x]:
-                    raise NotBipartite("odd cycle found")
-    return list(side.values())
 
 
 def color_bipartite_exact(

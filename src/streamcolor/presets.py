@@ -9,7 +9,8 @@ Available presets and the stream modes they accept:
                    behind the router
     edge-general   edge; space knob s, grouped batch colorers plus flushes,
                    behind the router
-    offline-exact  any mode; store everything, exact bipartite coloring
+    offline-exact  any mode, declared-bipartite header; store everything,
+                   exact bipartite coloring against the header's sides
     offline-greedy any mode; store everything, greedy coloring
 
 `build_pipeline` wires a preset to one stream and `run_stream` drives it.
@@ -27,9 +28,10 @@ components can reserve: each reports its static blocks plus a bound on
 its dynamic ones (spill, flush, leftover, base store), and the allocator
 refuses any block past that sum. The edge presets fall back to
 store-and-color when the degree bound is too small for the concentration
-arguments behind their routing (below c * log^2 n); `force_stream`
-bypasses the fallback so the streaming path can be exercised at small
-scale too.
+arguments behind their routing (below c * log^2 n): exact against the
+header's sides, or with delta + 1 colors on a general header;
+`force_stream` bypasses the fallback so the streaming path can be
+exercised at small scale too.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .core import OneSidedColorer, SpillReport, color_block
+from .core import OneSidedColorer, SpillReport, block_width, color_block
 from .dispatch import BatchIndexDispatcher, GroupedBatchDispatcher, ceil_sqrt
 from .errors import ModeMismatch
 from .meter import SpaceMeter
@@ -246,17 +248,13 @@ class _Edge(_Pipeline):
 class _StoreAll(_Pipeline):
     """Baselines and the small-degree fallback: buffer, then color offline."""
 
-    def __init__(self, header, meter, alloc, flavor: str):
-        self.meter = meter
-        self.allocator = alloc
-        # a declared-bipartite stream witnesses its own sides, and an edge
-        # inside one side is an input error, not a reason for D + 1 colors
-        self.side_of = (lambda v: 0 if v < header.n_online else 1) if header.bipartite else None
-        if flavor == "auto" and header.bipartite:
-            flavor = "exact"
-        self.flavor = flavor  # exact | greedy | auto
-        d = header.delta
-        self.budget = {"exact": d, "greedy": max(2 * d - 1, 1), "auto": d + 1}[flavor]
+    def __init__(self, header: StreamHeader, flavor: str):
+        # exact colors against the header's sides: an edge inside one is an input error
+        if flavor == "exact" and not header.bipartite:
+            raise ModeMismatch("offline-exact needs declared sides; this header has n_offline 0")
+        self.side_of = header.n_online.__gt__ if flavor == "exact" else None
+        self.flavor = flavor  # exact | general | greedy
+        self.budget = block_width(flavor, header.delta)
         self.edges: list[tuple[int, int]] = []
 
     def feed(self, event, out):
@@ -312,9 +310,9 @@ def build_pipeline(
     seed = header.seed if seed is None else seed
 
     if alg == "offline-exact":
-        pipeline = _StoreAll(header, meter, alloc, "exact")
+        pipeline = _StoreAll(header, "exact")
     elif alg == "offline-greedy":
-        pipeline = _StoreAll(header, meter, alloc, "greedy")
+        pipeline = _StoreAll(header, "greedy")
     elif header.delta == 1:
         pipeline = _Trivial(alloc)
     elif alg == "one-sided":
@@ -322,7 +320,7 @@ def build_pipeline(
     elif alg == "vertex-general":
         pipeline = _Vertex(header, seed, meter, alloc)
     elif uses_fallback(header, alg, force_stream):
-        pipeline = _StoreAll(header, meter, alloc, "auto")
+        pipeline = _StoreAll(header, "exact" if header.bipartite else "general")
     else:
         pipeline = _Edge(header, seed, meter, alloc, alg, s)
     pipeline.meter = meter

@@ -1,17 +1,17 @@
 """Reductions that lift the bipartite one-sided colorers to richer inputs.
 
-`Bipartization` is the one router of every two-sided stream. On a general
-graph every vertex draws one random bit per level; an edge belongs to the
-first level where its endpoints' bits differ, which makes each level a
-bipartite graph (sides = bit value). Declared level degree bounds shrink
-geometrically with a 1.5x safety slack; the recursion stops once the
-declared bound drops below max(10 * log2 n, 16), and everything deeper
-lands in a base store that is colored offline at the end (exactly if it
-happens to be bipartite, with one extra color otherwise). A
-declared-bipartite header is the case of one level whose sides are known:
-its bound is delta, a vertex's bit is its header side (online ids have
-bit 1), no bit is drawn or stored, there is no base store, and an edge
-inside one side is an input error.
+`Bipartization` is the one router of every two-sided stream. On a
+general graph every vertex draws one random bit per level; an edge
+belongs to the first level where its endpoints' bits differ, which makes
+each level a bipartite graph (sides = bit value). Declared level degree
+bounds shrink geometrically with a 1.5x safety slack; the recursion
+stops once the declared bound drops below max(10 * log2 n, 16), and
+everything deeper lands in a base store that is colored offline at the
+end as a general graph, with one color more than its max degree. A
+declared-bipartite header is the case of one level whose sides are
+known: its bound is delta, a vertex's bit is its header side (online ids
+have bit 1), no bit is drawn or stored, there is no base store, and an
+edge inside one side is an input error.
 
 A level is the list of its parts. Under vertex arrivals those are two
 one-sided colorers with disjoint blocks, one per side: an arriving vertex
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .core import SpillReport, color_block
+from .core import SpillReport, block_width, color_block
 from .errors import BoundViolation, ModeMismatch
 from .meter import SpaceMeter
 from .palette import ColorAllocator
@@ -99,7 +99,7 @@ class Bipartization:
         if self.header_sides:
             self.bit_vector = n_online.__gt__  # online ids have bit 1; nothing stored
         else:
-            self.budget += delta + 1  # the base store
+            self.budget += block_width("general", delta)  # the base store
         self.rng = child_rng(seed, 0xB1)
         self.bits: dict[int, int] = {}
         # None marks a level with no counters: its bound is at least delta
@@ -167,7 +167,7 @@ class Bipartization:
         edges = self.base_edges
         if edges:
             label = f"{self.name}:base"
-            out += color_block(edges, None, label, self.meter, self.allocator, "auto")
+            out += color_block(edges, None, label, self.meter, self.allocator, "general")
             self.meter.release(self._basekey, 2 * len(edges))
             self.base_edges = []
         return out

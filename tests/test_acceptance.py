@@ -7,6 +7,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 
 import math
 import random
+import statistics
 from collections import Counter
 from itertools import chain
 
@@ -321,3 +322,24 @@ def test_c10_determinism(tmp_path, capsys):
     assert rows[0] == rows[1]
     capsys.readouterr()
     _line("C10 determinism: PASS (stream files, outputs, and run rows reproduce)")
+
+
+def test_c11_peak_per_input_word_falls_as_delta_grows(grid_rows):
+    # on bipartite inputs at fixed n, each streaming preset's median peak
+    # against the input's 2m words must fall strictly with delta. General
+    # graph rows are left out: at most grid sizes no level forms, so their
+    # base store holds every edge and their peak stays above the input
+    ratios = {}
+    for row in grid_rows:
+        if row["family"] in BIPARTITE_FAMILIES and row["_stats"] is not None:
+            cell = ratios.setdefault((row["preset"], row["family"], row["n"]), {})
+            words = 2 * row["_stats"].edges_emitted
+            cell.setdefault(row["delta"], []).append(row["peak_words"] / words)
+    assert len(ratios) == len(GRID_PLAN) * len(BIPARTITE_FAMILIES) * len(GRID_N)
+    for key, by_delta in sorted(ratios.items()):
+        medians = [statistics.median(by_delta[d]) for d in GRID_DELTA]
+        assert all(a > b for a, b in zip(medians, medians[1:])), (key, medians)
+    _line(
+        f"C11 peak words / 2m fall as delta grows {GRID_DELTA}: PASS "
+        f"({len(ratios)} preset, family and n cells)"
+    )

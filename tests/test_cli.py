@@ -2,9 +2,13 @@ import collections
 import hashlib
 import io
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import streamcolor
 from streamcolor.cli import main
 from streamcolor.harness import GenSpec, generate
 
@@ -257,6 +261,31 @@ def test_run_with_an_output_that_fails_on_write_exits_three(tmp_path, capsys, n)
     assert err[1] == "input error: cannot write output: [Errno 28] No space left on device"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", ""])  # fails at a write, or at the flush
+@pytest.mark.parametrize("command", ["kout", "verify"])
+def test_a_report_to_a_full_stdout_exits_three(tmp_path, command, unbuffered):
+    stream, out = tmp_path / "s.txt", tmp_path / "o.txt"
+    stream.write_text("H 2 2 2 edge 0 1\ne 0 2\n")
+    out.write_text("c 0 2 0\nT 1 0\n")
+    argv = ["kout", "--n", "8", "--trials", "10"]
+    if command == "verify":
+        argv = ["verify", str(stream), str(out)]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(streamcolor.__file__).parents[1]),
+                                         env.get("PYTHONPATH", "")])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "streamcolor.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    # one line, and no traceback or "Exception ignored" from the flush at exit
+    assert done.stderr.splitlines() == [
+        "input error: cannot write output: [Errno 28] No space left on device"
+    ]
+    assert done.returncode == 3
+
+
 def test_gen_with_an_output_path_that_cannot_be_opened_exits_three(tmp_path, capsys):
     assert run_cli("gen", "--family", "regular-bipartite", "--n", "4", "--delta", "2",
                    "--mode", "edge", "-o", str(tmp_path / "missing" / "g.txt")) == 3
@@ -394,6 +423,18 @@ def test_store_and_color_rejects_a_same_side_edge(tmp_path, capsys, alg):
     assert [line for line in err.splitlines() if line.startswith("input error:")] == [
         "input error: witness puts edge (1, 0) inside one side"
     ]
+
+
+def test_offline_exact_on_a_general_header_exits_three_before_reading_edges(tmp_path, capsys):
+    # no declared sides to color against: the pipeline is refused when it is
+    # built, so the malformed line after the header is never reached
+    stream, out = tmp_path / "s.txt", tmp_path / "o.txt"
+    stream.write_text("H 3 0 2 edge 0 1\ne 0 1\ne 1 2\ne 2 0\nbogus\n")
+    assert run_cli("run", str(stream), "--alg", "offline-exact", "-o", str(out)) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "input error: offline-exact needs declared sides; this header has n_offline 0"
+    ]
+    assert out.read_text() == ""
 
 
 def test_offline_greedy_colors_a_same_side_edge(tmp_path, capsys):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from streamcolor.core import OneSidedColorer, color_block
+from streamcolor.core import OneSidedColorer, block_width, color_block
 from streamcolor.errors import (
     BatchSizeMismatch,
     BoundViolation,
@@ -155,6 +155,7 @@ def test_finalize_with_empty_spill_emits_nothing():
 def test_single_spilled_edge_takes_first_fresh_color():
     inst, _, alloc = make(10)
     p = inst.period
+    plant(inst, 100, (1, 2, 3), deg=1)  # a spilled neighbor holds state
     inst.spill.append((0, 100))
     inst.spilled_edges_total += 1
     inst.meter.add(f"{inst.name}:spill", 2)
@@ -167,6 +168,8 @@ def test_single_spilled_edge_takes_first_fresh_color():
 def test_spilled_path_needs_at_most_two_fresh_colors():
     inst, _, _ = make(10)
     p = inst.period
+    plant(inst, 100, (1, 2, 3), deg=2)
+    plant(inst, 101, (4, 5, 6), deg=1)
     for e in [(0, 100), (1, 100), (1, 101)]:  # path with middle degree 2
         inst.spill.append(e)
     inst.spilled_edges_total += 3
@@ -175,6 +178,19 @@ def test_spilled_path_needs_at_most_two_fresh_colors():
     assert len(out) == 3
     assert all(3 * p <= c < 3 * p + 2 for _, _, c in out)
     properly_colored(out)
+
+
+@pytest.mark.parametrize("edge", [(0, 1), (100, 101)])  # two arrivals, two neighbors
+def test_spill_is_colored_against_the_offline_states(edge):
+    # the spill block's witness is "holds offline state here": an injected
+    # edge inside one side is caught, where a search would find it bipartite
+    inst, meter, alloc = make(10)
+    plant(inst, 100, (1, 2, 3), deg=1)
+    plant(inst, 101, (4, 5, 6), deg=1)
+    inst.spill += [(0, 100), edge, (1, 101)]
+    meter.add(f"{inst.name}:spill", 6)
+    with pytest.raises(NotBipartite, match=rf"witness puts edge \({edge[0]}, {edge[1]}\)"):
+        inst.finalize()
 
 
 def run_regular_stream(delta, n, seed):
@@ -215,6 +231,7 @@ def test_no_offline_vertex_repeats_a_color_across_the_run():
 
 
 SAME_SIDE = [(0, 2), (1, 0)]  # 0 and 1 both on side 0 of `below_two`
+EVEN_CYCLE = [(0, 1), (1, 2), (2, 3), (3, 0)]
 
 
 def below_two(v):
@@ -226,8 +243,9 @@ def below_two(v):
     [
         ("exact", SAME_SIDE, below_two, None),  # the witness is contradicted
         ("greedy", SAME_SIDE, below_two, 3),  # never checks sides: 2D - 1 colors
-        ("auto", [(0, 1), (1, 2), (2, 3), (3, 0)], None, 2),  # even cycle: D colors
-        ("auto", [(0, 1), (1, 2), (0, 2)], None, 3),  # triangle: D + 1 colors
+        ("exact", EVEN_CYCLE, lambda v: v % 2, 2),  # with its sides: D colors
+        ("general", EVEN_CYCLE, None, 3),  # no search for sides: D + 1 colors
+        ("general", [(0, 1), (1, 2), (0, 2)], None, 3),  # triangle: D + 1 colors
     ],
 )
 def test_color_block_by_flavor(flavor, edges, side_of, width):
@@ -235,7 +253,7 @@ def test_color_block_by_flavor(flavor, edges, side_of, width):
     alloc = ColorAllocator()
     # a block colored before, as a dispatcher's meter has after its first
     # flush: the scratch key is in the ledger, at zero words
-    color_block([(5, 6)], None, "first", meter, alloc)
+    color_block([(5, 6)], (6).__eq__, "first", meter, alloc)
     meter.add("stored", 2 * len(edges))
     before = meter.current_words, dict(meter.ledger)
     if width is None:
@@ -244,7 +262,7 @@ def test_color_block_by_flavor(flavor, edges, side_of, width):
         assert str(raised.value) == "witness puts edge (1, 0) inside one side"
     else:
         out = color_block(edges, side_of, "block", meter, alloc, flavor)
-        assert alloc.blocks[-1] == ("block", 1, width)
+        assert alloc.blocks[-1] == ("block", 1, width) == ("block", 1, block_width(flavor, 2))
         assert [(u, v) for u, v, _ in out] == edges
         assert all(1 <= c < 1 + width for _, _, c in out)
         properly_colored(out)

@@ -9,7 +9,7 @@ from streamcolor.dispatch import (
     batch_route,
     ceil_sqrt,
 )
-from streamcolor.errors import BoundViolation, FlushBudgetExceeded
+from streamcolor.errors import BoundViolation, FlushBudgetExceeded, NotBipartite
 from streamcolor.meter import SpaceMeter
 from streamcolor.palette import ColorAllocator
 
@@ -67,6 +67,24 @@ def test_batch_dispatch_conserves_edges_and_stays_proper():
     assert len(out) == len(edges)
     assert {(u, v) for u, v, _ in out} == set(edges)
     checker(out)
+
+
+def test_sqrt_leftover_is_colored_against_the_buffer_keys():
+    # a buffered edge sits under its bit-1 end, so the buffer keys are one
+    # side of the leftover: a path takes its max degree, 2 colors, and a key
+    # buffered as another key's neighbor is an edge inside one side
+    meter, alloc = SpaceMeter(), ColorAllocator()
+    d = BatchIndexDispatcher(16, seed=3, meter=meter, allocator=alloc)
+    for u, v in [(0, 100), (1, 100), (1, 101)]:
+        d.feed_edge(u, v)
+    out = d.finalize()
+    assert alloc.blocks[-1][0::2] == ("sqrt:leftover", 2) and len(out) == 3
+    checker(out)
+    d = BatchIndexDispatcher(16, seed=3, meter=SpaceMeter(), allocator=ColorAllocator())
+    for u, v in [(0, 100), (1, 0)]:
+        d.feed_edge(u, v)
+    with pytest.raises(NotBipartite, match=r"witness puts edge \(1, 0\) inside one side"):
+        d.finalize()
 
 
 def test_batch_dispatch_is_deterministic():

@@ -17,7 +17,6 @@ from streamcolor.offline import (
     color_bipartite_exact,
     color_general,
     color_greedy,
-    find_sides,
 )
 
 
@@ -58,17 +57,15 @@ def brute_force_min_colors(edges, upper):
     return upper + 1
 
 
-def block(edges, sides=None):
+def block(edges, sides):
     """The values `core.color_block` passes the exact colorer and its
     layouts: the vertices in order of first appearance, one side per
-    vertex (read off the `sides` dict when given, else found by search)
-    and the max degree."""
+    vertex read off the `sides` dict, and the max degree."""
     degrees = Counter(chain.from_iterable(edges))
-    side_list = find_sides(edges, degrees) if sides is None else [sides[x] for x in degrees]
-    return degrees, side_list, max(degrees.values(), default=0)
+    return degrees, [sides[x] for x in degrees], max(degrees.values(), default=0)
 
 
-def exact(edges, sides=None, meter=None):
+def exact(edges, sides, meter=None):
     return color_bipartite_exact(edges, *block(edges, sides), meter)
 
 
@@ -77,7 +74,7 @@ def general(edges, meter=None):
     return color_general(edges, len(degrees), max(degrees.values(), default=0), meter)
 
 
-def layouts(edges, sides=None):
+def layouts(edges, sides):
     """The colors that `_exact_rows` and `_exact_dicts`, in that order, give `edges`."""
     args = block(edges, sides)
     return _exact_rows(edges, *args), _exact_dicts(edges, *args)
@@ -88,6 +85,8 @@ def max_degree(edges):
 
 
 def sides_for(nl, nr):
+    """Ids [0, nl) on side 0 and [nl, nl + nr) on side 1, as the generators
+    and `regular_multigraph` below number a bipartite graph's two sides."""
     return {**{i: 0 for i in range(nl)}, **{nl + j: 1 for j in range(nr)}}
 
 
@@ -273,7 +272,7 @@ def test_one_walk_flip_matches_the_two_phase_reference_on_regular_graphs(delta):
     # built order is one perfect matching after another and never flips;
     # a shuffled order flips hundreds of paths
     random.Random(delta).shuffle(edges)
-    colors = exact(edges)
+    colors = exact(edges, sides_for(64, 64))
     assert colors == two_phase_bipartite_exact(edges)
     assert colors != color_greedy(edges)
     assert is_proper(edges, colors) and max(colors) == delta - 1
@@ -287,14 +286,15 @@ def test_exact_colorer_on_a_star_with_a_pendant_matching():
     star = [(0, leaf) for leaf in range(1, 71)]
     pendant = [(leaf, 100 + leaf) for leaf in range(1, 71)]
     edges = pendant + star
-    colors = exact(edges)
+    sides = {0: 0, **{leaf: 1 for leaf in range(1, 71)}, **{100 + j: 0 for j in range(1, 71)}}
+    colors = exact(edges, sides)
     assert max(color_greedy(edges)) == 70  # greedy needs one more
     assert colors == two_phase_bipartite_exact(edges)
-    assert layouts(edges) == (colors, colors)
+    assert layouts(edges, sides) == (colors, colors)
     assert is_proper(edges, colors) and sorted(colors[70:]) == list(range(70))
     for seed in range(5):
         random.Random(seed).shuffle(edges)
-        colors = exact(edges)
+        colors = exact(edges, sides)
         assert colors == two_phase_bipartite_exact(edges)
         assert is_proper(edges, colors) and max(colors) == 69
 
@@ -304,20 +304,18 @@ def test_exact_colorer_matches_the_reference_and_charges_its_masks(delta):
     # one mask word per vertex up to delta 64, then two, then three
     edges = build_edges(GenSpec("regular-bipartite", 160, delta, "edge", seed=1))
     random.Random(delta).shuffle(edges)
-    vertices, sides, dmax = block(edges)
+    vertices, sides, dmax = block(edges, sides_for(160, 160))
     assert len(vertices) == 320 and dmax == delta
     meter = SpaceMeter()
     colors = color_bipartite_exact(edges, vertices, sides, dmax, meter)
     assert colors == two_phase_bipartite_exact(edges)
-    assert layouts(edges) == (colors, colors)
+    assert layouts(edges, sides_for(160, 160)) == (colors, colors)
     assert is_proper(edges, colors) and max(colors) == delta - 1
     assert meter.peak_words == 3 * len(edges) + 320 * -(-delta // 64)
     assert meter.current_words == 0 and meter.consistent()
 
 
 def test_exact_colorer_requires_bipartite_input():
-    with pytest.raises(NotBipartite, match="odd cycle found"):
-        exact([(0, 1), (1, 2), (0, 2)])  # the search finds no witness
     # witness contradicted by an inside-edge, found as the colorer reaches
     # it: first, and after an edge is colored; the scratch is released
     for edges, sides in (([(0, 1)], {0: 0, 1: 0}), ([(0, 1), (1, 2)], {0: 0, 1: 1, 2: 1})):
@@ -325,13 +323,6 @@ def test_exact_colorer_requires_bipartite_input():
         with pytest.raises(NotBipartite, match=r"witness puts edge \(\d, \d\) inside one side"):
             exact(edges, sides, meter)
         assert meter.current_words == 0 and meter.consistent()
-
-
-def test_exact_colorer_finds_its_own_witness():
-    edges = [(0, 1), (1, 2), (2, 3), (3, 0)]  # even cycle, no witness given
-    colors = exact(edges)
-    assert is_proper(edges, colors)
-    assert max(colors) < 2
 
 
 # --- the two table layouts of the exact bipartite colorer ---
@@ -354,10 +345,10 @@ def regular_multigraph(n, delta, seed):
 def test_both_layouts_match_the_reference_on_a_regular_multigraph():
     edges = regular_multigraph(64, 9, seed=5)
     assert len(set(edges)) < len(edges)  # parallel edges
-    vertices, _, dmax = block(edges)
+    vertices, _, dmax = block(edges, sides_for(64, 64))
     assert len(vertices) * dmax == 2 * len(edges)
     expected = two_phase_bipartite_exact(edges)
-    assert layouts(edges) == (expected, expected)
+    assert layouts(edges, sides_for(64, 64)) == (expected, expected)
     assert is_proper(edges, expected) and max(expected) == 8
     assert expected != color_greedy(edges)  # some path was flipped
 
@@ -373,7 +364,7 @@ def test_exact_colorer_charges_the_same_words_in_either_layout(monkeypatch):
     random.Random(3).shuffle(edges)
     # 70-regular, then one edge short of it: two mask words per vertex both times
     for part, layout in ((edges, "_exact_rows"), (edges[:-1], "_exact_dicts")):
-        vertices, sides, dmax = block(part)
+        vertices, sides, dmax = block(part, sides_for(80, 80))
         assert len(vertices) == 160 and dmax == 70
         meter = SpaceMeter()
         colors = color_bipartite_exact(part, vertices, sides, dmax, meter)
@@ -405,9 +396,9 @@ def matching_union(n, delta, keep, rng):
 )
 def test_both_layouts_match_the_reference_on_matching_unions(delta, n, keep, seed):
     edges = matching_union(n, delta, keep, random.Random(seed))
-    vertices, sides, dmax = block(edges)
+    vertices, sides, dmax = block(edges, sides_for(n, n))
     expected = two_phase_bipartite_exact(edges)
-    assert layouts(edges) == (expected, expected)
+    assert layouts(edges, sides_for(n, n)) == (expected, expected)
     meter = SpaceMeter()
     assert color_bipartite_exact(edges, vertices, sides, dmax, meter) == expected
     assert meter.peak_words == 3 * len(edges) + len(vertices) * -(-dmax // 64)
@@ -420,8 +411,8 @@ def test_both_layouts_match_the_reference_on_matching_unions(delta, n, keep, see
 def test_both_layouts_on_two_vertices_joined_by_parallel_edges(delta):
     # n_v = 2, so a cell is idx << 2 | 1; the edges take colors in order
     edges = [(0, 1) if i % 3 else (1, 0) for i in range(delta)]
-    assert layouts(edges) == (list(range(delta)), list(range(delta)))
-    assert exact(edges) == list(range(delta))
+    assert layouts(edges, sides_for(1, 1)) == (list(range(delta)), list(range(delta)))
+    assert exact(edges, sides_for(1, 1)) == list(range(delta))
 
 
 # --- fan-rotation colorer ---
@@ -443,7 +434,7 @@ def test_star_uses_exactly_its_degree():
 
 def test_empty_graph_gives_empty_map():
     assert general([]) == []
-    assert exact([]) == []
+    assert exact([], {}) == []
     assert color_greedy([]) == []
 
 

@@ -175,26 +175,26 @@ def test_base_store_triangle_uses_three_colors():
     checker(final)
 
 
-def test_base_store_single_edge_uses_one_color():
-    tree, _, alloc = make_tree(64, 2)
-    tree.on_vertex(0, [])
-    tree.on_vertex(1, [0])
-    final = tree.finalize()
-    assert len(final) == 1
-    assert alloc.total == 1
+@pytest.mark.parametrize(
+    "arrivals, width",
+    [
+        ([(0, []), (1, [0])], 2),  # one edge
+        ([(0, []), (1, []), (2, [0, 1]), (3, [0, 1]), (4, [0, 1])], 4),  # K(2,3)
+    ],
+)
+def test_base_store_is_colored_as_a_general_graph(arrivals, width, monkeypatch):
+    # no search for sides: a bipartite residue also takes max degree + 1
+    # colors, the width the router's budget counts for it
+    import streamcolor.core as core_mod
 
-
-def test_bipartite_base_store_is_colored_exactly():
-    tree, _, alloc = make_tree(64, 3)
+    monkeypatch.setattr(core_mod, "color_bipartite_exact", None)  # never called
+    tree, _, alloc = make_tree(64, width - 1)
     assert tree.num_levels == 0
-    tree.on_vertex(0, [])
-    tree.on_vertex(1, [])
-    tree.on_vertex(2, [0, 1])
-    tree.on_vertex(3, [0, 1])
-    tree.on_vertex(4, [0, 1])
-    final = tree.finalize()  # K(2,3): bipartite, max degree 3
-    assert len(final) == 6
-    assert len({c for _, _, c in final}) == 3
+    for u, neighbors in arrivals:
+        assert tree.on_vertex(u, neighbors) == []
+    final = tree.finalize()
+    assert len(final) == sum(len(nbrs) for _, nbrs in arrivals)
+    assert alloc.blocks == [("bipart:base", 0, width)] and tree.budget == width
     checker(final)
 
 
