@@ -20,7 +20,6 @@ from .palette import ColorAllocator, OfflineState, draw_offline_state
 from .presets import PRESETS, RunStats, build_pipeline, declared_budget, run_stream
 from .stream import (
     AssignmentWriter,
-    BatchArrival,
     EdgeBlock,
     StreamHeader,
     VertexArrival,
@@ -32,7 +31,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssignmentWriter",
-    "BatchArrival",
     "ColorAllocator",
     "EdgeBlock",
     "GenSpec",

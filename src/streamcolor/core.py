@@ -1,12 +1,14 @@
 """One-pass edge coloring for one-sided arrivals, whole or batched.
 
 `OneSidedColorer` handles a bipartite stream where offline vertices hold
-shifted-proposal state and online vertices arrive with their edges, either
-all at once or in fixed-size batches. Per arrival it builds the color
-graph of proposals, finds a perfect matching of edges to base colors, and
-streams the banded colors out. Arrivals whose color graph has no perfect
-matching (rare by the k-out analysis) are parked in a spill set and
-colored at the end with a fresh block via the exact bipartite colorer.
+shifted-proposal state and online vertices arrive with their edges, all
+at once or in batches. Each arrival is colored in one band of the
+colorer's block, named by the caller that counts the vertex's batches.
+Per arrival it builds the color graph of proposals, finds a perfect
+matching of edges to base colors, and streams the colors out. Arrivals
+whose color graph has no perfect matching (rare by the k-out analysis)
+are parked in a spill set and colored at the end with a fresh block via
+the exact bipartite colorer.
 
 `color_block` is the one way any layer colors a stored block offline:
 the spill set here, the dispatchers' flushes and leftovers, the
@@ -14,8 +16,8 @@ bipartization's base store and the store-and-color presets.
 
 Color layout within this colorer's block of the global space:
 
-    vertex mode   [0, 3P)                 then a fresh spill block
-    batch mode    [0, max_batches * 3P)   batch b maps to [b*3P, (b+1)*3P)
+    band b < bands   [b*3P, (b+1)*3P)     whole vertices use band 0
+    spill            a fresh block, reserved only if an arrival spills
 
 Degrees keep counting even for spilled edges, so proposals made after a
 spill stay distinct from everything the offline vertex ever proposed.
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable
 
-from .errors import BatchSizeMismatch, BoundViolation, TooManyBatches, TooManySlots
+from .errors import BoundViolation, TooManyBatches, TooManySlots
 from .matching import maximum_matching
 from .meter import SpaceMeter
 from .offline import color_bipartite_exact, color_general, color_greedy
@@ -94,16 +96,15 @@ class OneSidedColorer:
     Args:
         delta: degree bound this instance is sized for (sets P).
         rng: source for shift draws; owned by the caller.
-        meter: word ledger charged for shifts, counters, spill, scratch.
+        meter: word ledger charged for shifts, spill, scratch.
         allocator: global color space; a streaming block is reserved now,
             the spill block only if a spill happens.
-        batch_size: fixed batch width k, enables `on_batch`.
-        max_batches: cap on batches per online vertex; defaults to
-            ceil(delta / batch_size).
-        offline_cap: max degree an offline vertex may reach here. Defaults
-            to P, the boundary beyond which proposal distinctness (and so
-            properness) would break; crossing it raises BoundViolation
-            rather than ever risking a conflict.
+        bands: bands of 3P colors in the streaming block, one per batch
+            index a caller may name; 1 for whole-vertex arrivals.
+
+    An offline vertex may reach degree P here at most: past that its
+    proposals could repeat, so crossing it raises BoundViolation rather
+    than ever risking a conflict.
     """
 
     def __init__(
@@ -113,9 +114,7 @@ class OneSidedColorer:
         meter: SpaceMeter,
         allocator: ColorAllocator,
         *,
-        batch_size: int | None = None,
-        max_batches: int | None = None,
-        offline_cap: int | None = None,
+        bands: int = 1,
         name: str = "one-sided",
     ):
         self.period = p = period_for(delta)
@@ -123,19 +122,13 @@ class OneSidedColorer:
         self.rng = rng
         self.meter = meter
         self.name = name
-        self.batch_size = batch_size
-        if batch_size is not None:
-            self.max_batches = max_batches if max_batches is not None else -(-delta // batch_size)
-        else:
-            self.max_batches = 1
-        self.offline_cap = offline_cap if offline_cap is not None else p
-        self.block_width = 3 * p * self.max_batches
+        self.bands = bands
+        self.block_width = 3 * p * bands
         self.block = allocator.reserve(self.block_width, f"{name}:stream")
         # the stream block plus a spill block of at most delta colors
         self.budget = self.block_width + delta
         self.allocator = allocator
         self.states: dict[int, OfflineState] = {}
-        self.batch_counters: dict[int, int] = {}
         self.spill: list[tuple[int, int]] = []
         self.spilled_vertices = 0
         self.spilled_edges_total = 0
@@ -145,26 +138,10 @@ class OneSidedColorer:
 
     # -- arrival handling --
 
-    def on_online_vertex(self, u: int, neighbors: list[int]) -> list[Assignment]:
-        """Color all edges of a whole online arrival (or spill them)."""
-        return self._color_arrival(u, neighbors, 0)
-
-    def on_batch(self, u: int, neighbors: list[int]) -> list[Assignment]:
-        """Color one exact-size batch; colors carry the batch index."""
-        if self.batch_size is None or len(neighbors) != self.batch_size:
-            raise BatchSizeMismatch(
-                f"batch of {len(neighbors)} edges, expected exactly {self.batch_size}"
-            )
-        seen = self.batch_counters.get(u)
-        if seen is None:
-            self.meter.add(self._mkey, 1)
-            seen = 0
-        if seen >= self.max_batches:
-            raise TooManyBatches(f"vertex {u} exceeds {self.max_batches} batches")
-        self.batch_counters[u] = seen + 1
-        return self._color_arrival(u, neighbors, seen)
-
-    def _color_arrival(self, u: int, neighbors, batch_index: int) -> list[Assignment]:
+    def on_online_vertex(self, u: int, neighbors: list[int], band: int = 0) -> list[Assignment]:
+        """Color the edges of one arrival in band `band` (or spill them)."""
+        if not 0 <= band < self.bands:
+            raise TooManyBatches(f"vertex {u}: band {band} is outside {self.bands} bands")
         d = len(neighbors)
         if d == 0:
             return []
@@ -172,7 +149,6 @@ class OneSidedColorer:
             raise TooManySlots(f"arrival of {d} edges exceeds the degree bound {self.delta}")
         meter = self.meter
         p = self.period
-        cap = self.offline_cap
 
         known = self.states
         states = []
@@ -184,9 +160,9 @@ class OneSidedColorer:
                 known[v] = st
                 meter.add(self._mkey, OfflineState.WORDS)
             dg = st.deg
-            if dg >= cap:
+            if dg >= p:
                 raise BoundViolation(
-                    f"{self.name}: offline vertex {v} would pass its degree cap {cap}"
+                    f"{self.name}: offline vertex {v} would pass its degree cap {p}"
                 )
             states.append(st)
             slots.append(((st.r1 + dg) % p, (st.r2 + dg) % p, (st.r3 + dg) % p))
@@ -201,7 +177,7 @@ class OneSidedColorer:
         meter.release(self._tkey, scratch)
 
         if -1 not in matched:
-            base = self.block + batch_index * 3 * p
+            base = self.block + band * 3 * p
             return [
                 (u, v, base + slot.index(y) * p + y)
                 for v, slot, y in zip(neighbors, slots, matched)

@@ -12,9 +12,10 @@ concentrates, even when an adversary frontloads all edges of one vertex.
 is capped at n*s edges and both endpoints count. At each cap checkpoint,
 vertices holding at least k edges are drained batch by batch; batches are
 grouped (ceil(k/s) batches per group) and the group shift g_u routes each
-group to one of s batch-mode colorers per side. If the checkpoint finds no
-such vertex, the whole buffer (max degree below k) is colored offline with
-one fresh block and dropped.
+group to one of s colorers per side, distinct for each group of a vertex,
+each batch to the band of its index in its group. If the checkpoint finds
+no such vertex, the whole buffer (max degree below k) is colored offline
+with one fresh block and dropped.
 
 The grouped buffer is one insertion-ordered dict per vertex, edge id to
 other endpoint, with each buffered edge under both of its endpoints. A
@@ -165,8 +166,7 @@ class GroupedBatchDispatcher:
                     child_rng(seed, 1 + side * self.s + i),
                     meter,
                     allocator,
-                    batch_size=self.k,
-                    max_batches=self.group_width,
+                    bands=self.group_width,
                     name=f"{name}:side{side}:G{i}",
                 )
                 for i in range(self.s)
@@ -270,7 +270,7 @@ class GroupedBatchDispatcher:
             raise BoundViolation(f"{self.name}: vertex {u} exceeded {self.s} groups")
         idx = (group + self.group_shift[u]) % self.s
         side = self.side_of(u)
-        return self.arrays[side][idx].on_batch(u, batch)
+        return self.arrays[side][idx].on_online_vertex(u, batch, (count - 1) % self.group_width)
 
     def _collect_live(self) -> list[tuple[int, int]]:
         # each edge is taken at the first of its endpoints in adj order and

@@ -64,12 +64,8 @@ class TooManySlots(BoundError):
     """An arrival brought more edges than the colorer's degree bound."""
 
 
-class BatchSizeMismatch(BoundError):
-    """A batch did not contain exactly the declared number of edges."""
-
-
 class TooManyBatches(BoundError):
-    """An online vertex produced more batches than the colorer was sized for."""
+    """An arrival named a batch band outside the colorer's block."""
 
 
 class FlushBudgetExceeded(BoundError):

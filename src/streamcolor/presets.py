@@ -55,7 +55,6 @@ from .stream import (
     MODE_VERTEX_TWO_SIDED,
     MODES,
     Assignment,
-    BatchArrival,
     StreamEvent,
     StreamHeader,
     event_edges,
@@ -150,17 +149,22 @@ class _Trivial(_Pipeline):
 
 
 class _OneSided(_Pipeline):
+    """One colorer; in batch mode a vertex's b-th batch goes to band b - 1,
+    counted here at one word per vertex."""
+
     def __init__(self, header: StreamHeader, seed: int, meter: SpaceMeter, alloc: ColorAllocator):
         self.n_online = header.n_online
         self.n_total = header.n_total
+        batched = header.mode == MODE_BATCH
         self.inner = OneSidedColorer(
             header.delta,
             random.Random(split_seed(seed, 1)),
             meter,
             alloc,
-            batch_size=header.batch_size if header.mode == MODE_BATCH else None,
+            bands=-(-header.delta // header.batch_size) if batched else 1,
         )
         self.budget = self.inner.budget
+        self.batch_counts: dict[int, int] | None = {} if batched else None
 
     def feed(self, event, out):
         u, neighbors = event
@@ -170,8 +174,14 @@ class _OneSided(_Pipeline):
         if neighbors and not n_online <= min(neighbors) <= max(neighbors) < self.n_total:
             v = next(v for v in neighbors if not n_online <= v < self.n_total)
             raise ModeMismatch(f"neighbor {v} is not an offline id")
-        take = self.inner.on_batch if type(event) is BatchArrival else self.inner.on_online_vertex
-        out += take(u, list(neighbors))
+        band = 0
+        counts = self.batch_counts
+        if counts is not None:
+            band = counts.get(u, 0)
+            if not band:
+                self.meter.add("one-sided:batches", 1)
+            counts[u] = band + 1
+        out += self.inner.on_online_vertex(u, list(neighbors), band)
 
 
 class _Vertex(_Pipeline):
@@ -182,7 +192,7 @@ class _Vertex(_Pipeline):
             level_seed = split_seed(seed, 100 + level)  # one colorer per side
             return [
                 OneSidedColorer(bound, child_rng(level_seed, side), meter, alloc,
-                                name=f"L{level}:side{side}", offline_cap=bound)
+                                name=f"L{level}:side{side}")
                 for side in (0, 1)
             ]
 
@@ -203,7 +213,8 @@ class _Vertex(_Pipeline):
 
 
 class _Edge(_Pipeline):
-    """Edge arrivals through the bipartization router over dispatchers."""
+    """Edge arrivals through the bipartization router over dispatchers;
+    edge-general's space knob `s` comes clamped by `build_pipeline`."""
 
     def __init__(self, header, seed, meter, alloc, alg, s):
         n = header.n_total
@@ -214,8 +225,6 @@ class _Edge(_Pipeline):
                     bound, split_seed(seed, 100 + level), meter, alloc, name=f"L{level}"
                 )]
         else:
-            s = clamp_s(header, s)
-
             def factory(level: int, bound: int) -> list[GroupedBatchDispatcher]:
                 # an n*s edge buffer, allowed one flush per n*s of the at most
                 # n*bound/2 edges it can be fed, plus one; side lookup goes
@@ -305,6 +314,10 @@ def build_pipeline(
     refuses any block that would pass it.
     """
     check_mode(header.mode, alg)
+    if alg == "edge-general":
+        s = clamp_s(header, s)
+    else:
+        s = ceil_sqrt(header.delta) if alg == "edge-sqrt" else 0
     meter = SpaceMeter()
     alloc = ColorAllocator()
     seed = header.seed if seed is None else seed
@@ -326,10 +339,7 @@ def build_pipeline(
     pipeline.meter = meter
     pipeline.allocator = alloc
     pipeline.preset = alg
-    if alg == "edge-general":
-        pipeline.s = clamp_s(header, s)
-    else:
-        pipeline.s = ceil_sqrt(header.delta) if alg == "edge-sqrt" else 0
+    pipeline.s = s
     alloc.budget = pipeline.budget
     return pipeline
 

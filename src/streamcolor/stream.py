@@ -5,7 +5,7 @@ A stream is UTF-8 text, one record per line:
     H <n_online> <n_offline> <delta> <mode> <batch_size> <seed>
     e <u> <v>                edge arrival
     V <u> <v1> ... <vd>      vertex arrival with all its edges
-    B <u> <v1> ... <vk>      one batch of exactly k edges of u
+    B <u> <v1> ... <vk>      one batch of exactly k edges of u, as a VertexArrival
 
 The header comes first and is mandatory. `mode` is one of `edge`,
 `vertex-one-sided`, `vertex-two-sided`, `batch`; it decides which event
@@ -68,12 +68,7 @@ class VertexArrival(NamedTuple):
     neighbors: tuple[int, ...]
 
 
-class BatchArrival(NamedTuple):
-    u: int
-    neighbors: tuple[int, ...]
-
-
-StreamEvent = EdgeBlock | VertexArrival | BatchArrival
+StreamEvent = EdgeBlock | VertexArrival
 
 Assignment = tuple[int, int, int]  # (u, v, color): a pipeline's output, a `c` record
 
@@ -240,7 +235,7 @@ def _line_events(header: StreamHeader, lines: Iterable[str], lineno: int, degree
         elif kind == "V":
             if mode not in (MODE_VERTEX_ONE_SIDED, MODE_VERTEX_TWO_SIDED):
                 raise ModeMismatch(f"line {lineno}: vertex event in {mode} stream")
-            yield _arrival(parts, lineno, n, delta, degrees, VertexArrival)
+            yield _arrival(parts, lineno, n, delta, degrees)
 
         elif kind == "B":
             if mode != MODE_BATCH:
@@ -250,7 +245,7 @@ def _line_events(header: StreamHeader, lines: Iterable[str], lineno: int, degree
                     f"line {lineno}: batch has {len(parts) - 2} edges, "
                     f"declared batch_size is {header.batch_size}"
                 )
-            yield _arrival(parts, lineno, n, delta, degrees, BatchArrival)
+            yield _arrival(parts, lineno, n, delta, degrees)
 
         elif kind == "H":
             raise MalformedLine(f"line {lineno}: second header line")
@@ -258,7 +253,7 @@ def _line_events(header: StreamHeader, lines: Iterable[str], lineno: int, degree
             raise MalformedLine(f"line {lineno}: unknown record {kind!r}")
 
 
-def _arrival(parts, lineno, n, delta, degrees, cls):
+def _arrival(parts, lineno, n, delta, degrees):
     try:
         u = int(parts[1])
         neighbors = tuple(map(int, parts[2:]))
@@ -281,7 +276,7 @@ def _arrival(parts, lineno, n, delta, degrees, cls):
         if dv > delta:
             raise DegreeExceeded(f"line {lineno}: vertex {v} passes delta={delta}")
         degrees[v] = dv
-    return cls(u, neighbors)
+    return VertexArrival(u, neighbors)
 
 
 def _reach(degrees: list[int], top: int) -> None:

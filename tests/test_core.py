@@ -4,7 +4,6 @@ import pytest
 
 from streamcolor.core import OneSidedColorer, block_width, color_block
 from streamcolor.errors import (
-    BatchSizeMismatch,
     BoundViolation,
     NotBipartite,
     TooManyBatches,
@@ -91,7 +90,7 @@ def test_a_second_finalize_after_a_spill_emits_and_reserves_nothing():
 
 
 def test_batch_colors_carry_the_batch_index():
-    inst, _, _ = make(16, batch_size=4)
+    inst, _, _ = make(16, bands=4)
     p = inst.period
     assert p == 44
     # distinct base bands so the matching picks each slot's first proposal
@@ -99,36 +98,33 @@ def test_batch_colors_carry_the_batch_index():
     plant(inst, 101, (9, 22, 35))
     plant(inst, 102, (11, 24, 37))
     plant(inst, 103, (13, 26, 39))
-    first = inst.on_batch(0, [100, 101, 102, 103])
+    first = inst.on_online_vertex(0, [100, 101, 102, 103], 0)
     assert [c for _, _, c in first] == [7, 9, 11, 13]
     # the same vertex's second batch: degrees moved to 1, block offset 3P
-    second = inst.on_batch(0, [100, 101, 102, 103])
+    second = inst.on_online_vertex(0, [100, 101, 102, 103], 1)
     assert [c for _, _, c in second] == [3 * p + 8, 3 * p + 10, 3 * p + 12, 3 * p + 14]
     assert second[0][2] == 140
 
 
 def test_first_batch_low_base_stays_in_block_zero():
-    inst, _, _ = make(16, batch_size=4)
+    inst, _, _ = make(16, bands=4)
     for i, v in enumerate((100, 101, 102, 103)):
         plant(inst, v, (10 * i, 10 * i + 1, 10 * i + 2))
-    out = inst.on_batch(5, [100, 101, 102, 103])
+    out = inst.on_online_vertex(5, [100, 101, 102, 103], 0)
     assert all(c < 3 * 44 for _, _, c in out)
     assert out[0][2] == 0
 
 
-def test_batch_size_is_enforced():
-    inst, _, _ = make(16, batch_size=4)
-    with pytest.raises(BatchSizeMismatch):
-        inst.on_batch(0, [100, 101, 102])
-
-
 def test_batch_count_is_capped():
-    inst, _, _ = make(16, batch_size=4, max_batches=1)
+    inst, _, _ = make(16, bands=1)
     for v in (100, 101, 102, 103):
         plant(inst, v, (v % 44, (v + 5) % 44, (v + 11) % 44))
-    inst.on_batch(0, [100, 101, 102, 103])
-    with pytest.raises(TooManyBatches):
-        inst.on_batch(0, [100, 101, 102, 103])
+    inst.on_online_vertex(0, [100, 101, 102, 103], 0)
+    # a band past the block, or before it, never reaches a color
+    for band in (1, -1):
+        with pytest.raises(TooManyBatches):
+            inst.on_online_vertex(0, [100, 101, 102, 103], band)
+    assert all(st.deg == 1 for st in inst.states.values())
 
 
 def test_arrival_beyond_the_degree_bound_raises_too_many_slots():
@@ -138,11 +134,28 @@ def test_arrival_beyond_the_degree_bound_raises_too_many_slots():
 
 
 def test_offline_cap_is_a_hard_error():
-    inst, _, _ = make(10, offline_cap=1)
-    plant(inst, 100, (3, 7, 9))
+    inst, _, _ = make(10)
+    plant(inst, 100, (3, 7, 9), deg=inst.period - 1)  # the cap is P
     inst.on_online_vertex(0, [100])
     with pytest.raises(BoundViolation):
         inst.on_online_vertex(1, [100])
+
+
+def test_a_spill_wider_than_delta_passes_the_budget_and_emits_nothing():
+    # the budget counts the spill block as at most delta colors, but an
+    # offline vertex may collect up to P spilled edges; the allocator stops
+    # the run before a color past the budget is emitted
+    inst, _, alloc = make(4)
+    alloc.budget = inst.budget
+    assert (inst.period, inst.budget) == (11, 37)
+    for v in (100, 101, 102, 103):
+        plant(inst, v, (1, 2, 3))  # four equal triples: three colors for four edges
+    for u in range(5):
+        assert inst.on_online_vertex(u, [100, 101, 102, 103]) == []
+    assert inst.spill_report().spilled_edges == 20
+    with pytest.raises(BoundViolation, match="spill of 5 colors at 33 passes the budget 37"):
+        inst.finalize()
+    assert [label for label, _, _ in alloc.blocks] == ["one-sided:stream"]
 
 
 def test_finalize_with_empty_spill_emits_nothing():

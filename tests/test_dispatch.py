@@ -254,7 +254,8 @@ class DequeBufferDispatcher(GroupedBatchDispatcher):
         if group > self.s:
             raise BoundViolation(f"{self.name}: vertex {u} exceeded {self.s} groups")
         idx = (group + self.group_shift[u]) % self.s
-        return self.arrays[self.side_of(u)][idx].on_batch(u, batch)
+        band = (count - 1) % self.group_width
+        return self.arrays[self.side_of(u)][idx].on_online_vertex(u, batch, band)
 
     def _collect_live(self):
         edges = []

@@ -40,19 +40,21 @@ CASES = [
      "ee0eb0679ce5ccf2ce36e301cbc6a5dfdea92b50db12f09c2106c903cb671924"),
     ("edge-sqrt-fallback", "regular-bipartite", "edge", 32, 0, "edge-sqrt", (),
      "ec96048f63dda992a0854f161f2e13c462d500ac54d00c8302cd48a368a360f7"),
+    # the three edge-general cases: a grouped sub-colorer is told each
+    # batch's band, so its peak holds no batch counter of its own
     ("edge-general-s2-forced", "regular-bipartite", "edge", 32, 0, "edge-general",
      ("--s", "2", "--force-stream"),
-     "c5fa34dd19ec7dd7437067e51909b99d6da2144b2d612d4e4f9d8a3cc2556585"),
+     "9dd36740b95a0c6d529d5972bf02e359656c182b6e088465a46b14da967e20da"),
     # s=1 caps the grouped buffer at n edges: 14 flushes at this seed
     ("edge-general-s1-forced", "regular-bipartite", "edge", 32, 0, "edge-general",
      ("--s", "1", "--force-stream"),
-     "36d23bc8938e5019a7c4cad7b1c1e4aad2b9d25b7b2d39f87562164c48e94ea8"),
+     "e8b8849bc91f2ba5d2e5d0026019822b6f2bf7825666c471a3d8cd4247bdf19f"),
     # one EdgeBipartization level over grouped dispatchers sharing one meter;
     # 256 mask words in the base store's color_general and no level-0
     # degree counters, as above
     ("edge-general-general", "regular-general", "edge", 64, 0, "edge-general",
      ("--s", "2", "--force-stream"),
-     "8d3c8f6a4258509411f611d51cc688e310b857c903f0bcad97a95c6dc3b79522"),
+     "4f572aedb51e19c360c4519ef9158937d347e400cf336737a3b133c03428bdc7"),
     ("offline-exact", "regular-bipartite", "vertex-one-sided", 32, 0, "offline-exact", (),
      "7a8ddbe72cd320404fb4aba139124b7119b99d776d3a58282e7da8590cb200a4"),
     # every vertex has degree 32: the exact colorer's flat per-vertex rows

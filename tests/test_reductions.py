@@ -9,7 +9,7 @@ from streamcolor.dispatch import BatchIndexDispatcher
 from streamcolor.errors import BoundViolation
 from streamcolor.harness import GenSpec, check_assignments, generate
 from streamcolor.meter import SpaceMeter
-from streamcolor.palette import ColorAllocator
+from streamcolor.palette import ColorAllocator, OfflineState
 from streamcolor.presets import build_pipeline, run_stream
 from streamcolor.rng import child_rng
 from streamcolor.stream import StreamHeader, parse_stream
@@ -50,7 +50,7 @@ def side_factory(meter, alloc):
     """Levels of vertex arrivals: one colorer per side."""
     def factory(level, bound):
         return [OneSidedColorer(bound, child_rng(level + 50, side), meter, alloc,
-                                name=f"L{level}:side{side}", offline_cap=bound)
+                                name=f"L{level}:side{side}")
                 for side in (0, 1)]
 
     return factory
@@ -416,3 +416,19 @@ def test_counted_level_through_both_arrival_kinds(edges, seed):
         assert pipeline.meter.consistent()
         ledger = pipeline.meter.ledger
         assert ledger.get("bipart:level-degrees", 0) == len(tree.level_degrees[1])
+
+
+@pytest.mark.parametrize("alg, s", [("edge-sqrt", 1), ("edge-general", 2), ("edge-general", 4)])
+def test_dispatcher_fed_colorers_hold_only_offline_state(alg, s):
+    # the dispatcher counts each vertex's batches and names the band, so a
+    # sub-colorer charges OfflineState.WORDS per offline vertex and nothing more
+    pipeline = run_preset("adversarial-frontload", "edge", 64, 16, alg, s=s, force_stream=True)
+    (dispatcher,) = pipeline.inner.parts
+    subs = dispatcher.subs if alg == "edge-sqrt" else dispatcher.arrays[0] + dispatcher.arrays[1]
+    ledger = pipeline.meter.ledger
+    held = 0
+    for sub in subs:
+        assert ledger.get(f"{sub.name}:state", 0) == OfflineState.WORDS * len(sub.states)
+        assert [k for k, v in vars(sub).items() if isinstance(v, dict)] == ["states"]
+        held += len(sub.states)
+    assert held

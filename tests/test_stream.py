@@ -16,7 +16,6 @@ from streamcolor.errors import (
 )
 from streamcolor.stream import (
     AssignmentWriter,
-    BatchArrival,
     EdgeBlock,
     StreamHeader,
     VertexArrival,
@@ -78,7 +77,7 @@ def test_batch_size_checked_per_line():
     with pytest.raises(MalformedLine):
         events_of("H 4 4 4 batch 2 1\nB 0 4 5 6\n")
     header, evs = events_of("H 4 4 4 batch 2 1\nB 0 4 5\n")
-    assert evs == [BatchArrival(0, (4, 5))]
+    assert evs == [VertexArrival(0, (4, 5))]
 
 
 def test_duplicate_neighbor_in_one_arrival():
@@ -137,7 +136,7 @@ def test_each_record_parses_to_its_event():
     assert header == StreamHeader(4, 0, 2, "edge", 0, 9)
     assert evs == [EdgeBlock([0, 2], [1, 3])]
     _, evs = events_of("H 8 8 2 batch 1 0\nB 7 8\n")
-    assert evs == [BatchArrival(7, (8,))]
+    assert evs == [VertexArrival(7, (8,))]
 
 
 def test_emit_assignment_format():
