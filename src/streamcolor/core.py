@@ -4,11 +4,14 @@
 shifted-proposal state and online vertices arrive with their edges, all
 at once or in batches. Each arrival is colored in one band of the
 colorer's block, named by the caller that counts the vertex's batches.
-Per arrival it builds the color graph of proposals, finds a perfect
-matching of edges to base colors, and streams the colors out. Arrivals
-whose color graph has no perfect matching (rare by the k-out analysis)
-are parked in a spill set and colored at the end with a fresh block via
-the exact bipartite colorer.
+Per arrival it matches each edge to one of its three proposed base
+colors, all distinct, and streams the colors out. The matching starts as
+Hopcroft-Karp's greedy phase, run in the pass that reads the proposals:
+each edge takes its lowest base color not yet taken. Only when that
+leaves an edge unmatched does the arrival go to the full matcher.
+Arrivals whose color graph has no perfect matching (rare by the k-out
+analysis) are parked in a spill set and colored at the end with a fresh
+block via the exact bipartite colorer.
 
 `color_block` is the one way any layer colors a stored block offline:
 the spill set here, the dispatchers' flushes and leftovers, the
@@ -149,10 +152,19 @@ class OneSidedColorer:
             raise TooManySlots(f"arrival of {d} edges exceeds the degree bound {self.delta}")
         meter = self.meter
         p = self.period
+        p2 = 2 * p
+        base = self.block + band * 3 * p
 
+        # The matcher's greedy phase, run as each slot is read: the slot
+        # takes its lowest residue y not yet taken, and the proposal j
+        # (0, 1 or 2) it came from gives the color base + j*P + y.
+        # `greedy` turns False at the first slot left with none; the loop
+        # still draws and checks every neighbor's state.
         known = self.states
         states = []
-        slots = []
+        taken = set()
+        out = []
+        greedy = True
         for v in neighbors:
             st = known.get(v)
             if st is None:
@@ -165,19 +177,41 @@ class OneSidedColorer:
                     f"{self.name}: offline vertex {v} would pass its degree cap {p}"
                 )
             states.append(st)
-            slots.append(((st.r1 + dg) % p, (st.r2 + dg) % p, (st.r3 + dg) % p))
-        # only once every slot is built, so each slot reads its neighbor's
+            if greedy:
+                y = p
+                r = (st.r1 + dg) % p
+                if r not in taken:
+                    y = c = r
+                r = (st.r2 + dg) % p
+                if r < y and r not in taken:
+                    y = r
+                    c = r + p
+                r = (st.r3 + dg) % p
+                if r < y and r not in taken:
+                    y = r
+                    c = r + p2
+                if y == p:
+                    greedy = False
+                else:
+                    taken.add(y)
+                    out.append((u, v, base + c))
+        if not greedy:  # the full matcher, on the slots as they were read
+            slots = [((st.r1 + st.deg) % p, (st.r2 + st.deg) % p, (st.r3 + st.deg) % p)
+                     for st in states]
+        # only once every slot is read, so each slot reads its neighbor's
         # degree from before this arrival; spilled edges count too
         for st in states:
             st.deg += 1
 
         scratch = 6 * d  # proposals plus matcher state, released below
         meter.add(self._tkey, scratch)
+        if greedy:
+            meter.release(self._tkey, scratch)
+            return out
         matched = maximum_matching(slots)
         meter.release(self._tkey, scratch)
 
         if -1 not in matched:
-            base = self.block + band * 3 * p
             return [
                 (u, v, base + slot.index(y) * p + y)
                 for v, slot, y in zip(neighbors, slots, matched)

@@ -15,7 +15,9 @@ matches every slot, and the call ends there. Otherwise the BFS/DFS phases
 continue from the greedy state, with each DFS walking its augmenting path
 on an explicit stack, so no path length can exhaust the interpreter's
 recursion limit. All tie-breaks are fixed (lowest color id first, then
-lowest slot id), making runs reproducible.
+lowest slot id), making runs reproducible. The one-sided colorer runs the
+greedy pass itself as it reads an arrival's proposals, and calls
+`maximum_matching` only when that pass leaves a slot unmatched.
 
 `brute_force_match` is the independent oracle used by the tests, and
 `kout_trial` samples the random k-out model that the spill analysis rests

@@ -15,8 +15,9 @@ Available presets and the stream modes they accept:
 
 `build_pipeline` wires a preset to one stream and `run_stream` drives it.
 Edge lines arrive in blocks of up to 4,096, read ahead uncharged like the
-file buffer; each error still names its exact line, and a pipeline still
-consumes the edges one at a time, in stream order.
+file buffer; each error still names its exact line. The edge pipeline
+hands each block to the router in one call (`EdgeBipartization.on_block`),
+which still feeds the dispatchers one edge at a time, in stream order.
 Every two-sided stream, vertex or edge, goes through one router
 (`reductions.Bipartization`): a general graph gets random levels plus a
 base store, a declared-bipartite header one level whose sides are the
@@ -249,9 +250,7 @@ class _Edge(_Pipeline):
         self.budget = self.inner.budget
 
     def feed(self, block, out):
-        on_edge = self.inner.on_edge
-        for u, v in zip(block.us, block.vs):
-            out += on_edge(u, v)
+        self.inner.on_block(block.us, block.vs, out)
 
 
 class _StoreAll(_Pipeline):

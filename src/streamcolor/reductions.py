@@ -23,8 +23,9 @@ stream parser already holds every vertex to delta, so a counter at any
 other level could never trip. Both arrival kinds count through one
 routine, `_count_level`. Passing a counted bound is a hard error: the run
 stops rather than risking a conflict. A vertex arrival is routed in one
-pass over its neighbors (`VertexBipartization.on_vertex`), an edge
-arrival by its endpoints' bit vectors (`EdgeBipartization.on_edge`).
+pass over its neighbors (`VertexBipartization.on_vertex`), a block of
+edge arrivals in one loop over its edges (`EdgeBipartization.on_block`),
+by each edge's bit vectors or, under header sides, by one id comparison.
 """
 
 from __future__ import annotations
@@ -97,6 +98,7 @@ class Bipartization:
         self.parts = [part for level in self.levels for part in level]
         self.budget = sum(part.budget for part in self.parts)
         if self.header_sides:
+            self.n_online = n_online
             self.bit_vector = n_online.__gt__  # online ids have bit 1; nothing stored
         else:
             self.budget += block_width("general", delta)  # the base store
@@ -246,19 +248,43 @@ class EdgeBipartization(Bipartization):
     """Edge-arrival flavor: each edge feeds the dispatcher of its level,
     `[dispatcher]`, as `feed_edge(online_endpoint, other)`."""
 
-    def on_edge(self, a: int, b: int) -> list[Assignment]:
-        """Route one edge as `route` would, reading each bit vector once."""
+    def on_block(self, us, vs, out: list[Assignment]) -> None:
+        """Route edges (us[i], vs[i]) in order, as `route` would, appending
+        their assignments to `out`; if an edge raises, `out` keeps those of
+        the edges before it.
+
+        Under header sides the level is 0 and the bit-1 endpoint is the one
+        with an online id. On random levels each bit vector is read once.
+        """
+        feeds = [level[0].feed_edge for level in self.levels]
+        if self.header_sides:
+            n_online = self.n_online
+            feed = feeds[0]
+            for a, b in zip(us, vs):
+                if a < n_online:
+                    if b < n_online:
+                        self._store_base(a, b)  # raises
+                    got = feed(a, b)
+                elif b < n_online:
+                    got = feed(b, a)
+                else:
+                    self._store_base(a, b)  # raises
+                if got:
+                    out += got
+            return
         bit_vector = self.bit_vector
-        ba = bit_vector(a)
-        diff = ba ^ bit_vector(b)
-        if not diff:
-            self._store_base(a, b)
-            return []
-        low = diff & -diff
-        level = low.bit_length() - 1
-        if self.level_degrees[level] is not None:
-            self._count_level(level, a, (b,))
-        # the bit-1 endpoint is the designated online side within a level
-        if ba & low:
-            return self.levels[level][0].feed_edge(a, b)
-        return self.levels[level][0].feed_edge(b, a)
+        level_degrees = self.level_degrees
+        for a, b in zip(us, vs):
+            ba = bit_vector(a)
+            diff = ba ^ bit_vector(b)
+            if not diff:
+                self._store_base(a, b)
+                continue
+            low = diff & -diff
+            level = low.bit_length() - 1
+            if level_degrees[level] is not None:
+                self._count_level(level, a, (b,))
+            # the bit-1 endpoint is the designated online side within a level
+            got = feeds[level](a, b) if ba & low else feeds[level](b, a)
+            if got:
+                out += got

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import streamcolor.core as core_mod
 from streamcolor.core import OneSidedColorer, block_width, color_block
 from streamcolor.errors import (
     BoundViolation,
@@ -9,8 +10,9 @@ from streamcolor.errors import (
     TooManyBatches,
     TooManySlots,
 )
+from streamcolor.matching import maximum_matching
 from streamcolor.meter import SpaceMeter
-from streamcolor.palette import ColorAllocator, OfflineState, period_for
+from streamcolor.palette import ColorAllocator, OfflineState, draw_offline_state, period_for
 
 
 def make(delta, seed=0, **kw):
@@ -280,3 +282,106 @@ def test_color_block_by_flavor(flavor, edges, side_of, width):
         assert all(1 <= c < 1 + width for _, _, c in out)
         properly_colored(out)
     assert (meter.current_words, meter.ledger) == before
+
+
+class MatcherColorer(OneSidedColorer):
+    """Reference arrival body: every slot built first, one `maximum_matching`
+    call over all of them, then each color's proposal by `slot.index`."""
+
+    def on_online_vertex(self, u, neighbors, band=0):
+        if not 0 <= band < self.bands:
+            raise TooManyBatches(f"vertex {u}: band {band} is outside {self.bands} bands")
+        d = len(neighbors)
+        if d == 0:
+            return []
+        if d > self.delta:
+            raise TooManySlots(f"arrival of {d} edges exceeds the degree bound {self.delta}")
+        meter = self.meter
+        p = self.period
+        states = []
+        slots = []
+        for v in neighbors:
+            st = self.states.get(v)
+            if st is None:
+                st = draw_offline_state(self.rng, p)
+                self.states[v] = st
+                meter.add(self._mkey, OfflineState.WORDS)
+            dg = st.deg
+            if dg >= p:
+                raise BoundViolation(
+                    f"{self.name}: offline vertex {v} would pass its degree cap {p}"
+                )
+            states.append(st)
+            slots.append(((st.r1 + dg) % p, (st.r2 + dg) % p, (st.r3 + dg) % p))
+        for st in states:
+            st.deg += 1
+        meter.add(self._tkey, 6 * d)
+        matched = maximum_matching(slots)
+        meter.release(self._tkey, 6 * d)
+        if -1 not in matched:
+            base = self.block + band * 3 * p
+            return [
+                (u, v, base + slot.index(y) * p + y)
+                for v, slot, y in zip(neighbors, slots, matched)
+            ]
+        self.spill.extend((u, v) for v in neighbors)
+        meter.add(self._skey, 2 * d)
+        self.spilled_vertices += 1
+        self.spilled_edges_total += d
+        return []
+
+
+def colorer_state(inst, meter):
+    states = {v: (st.r1, st.r2, st.r3, st.deg) for v, st in inst.states.items()}
+    return (states, inst.spill, inst.spilled_vertices, inst.spilled_edges_total,
+            meter.ledger, meter.current_words, meter.peak_words)
+
+
+def outcome(inst, u, neighbors, band):
+    try:
+        return inst.on_online_vertex(u, neighbors, band)
+    except BoundViolation as exc:
+        return str(exc)
+
+
+def test_greedy_pick_matches_the_matcher_reference(monkeypatch):
+    # the colorer calls the full matcher only when its greedy pick leaves a
+    # slot unmatched; the reference calls it on every arrival
+    rescued = []
+
+    def counted(slots):
+        matched = maximum_matching(slots)
+        rescued.append(-1 not in matched)
+        return matched
+
+    monkeypatch.setattr(core_mod, "maximum_matching", counted)
+    spilled = arrivals = raised = 0
+    for seed in range(240):
+        rng = random.Random(seed)
+        delta = rng.randint(4, 10)
+        bands = rng.randint(1, 3)
+        fast, fast_meter, fast_alloc = make(delta, seed, bands=bands)
+        slow = MatcherColorer(delta, random.Random(seed), SpaceMeter(), ColorAllocator(),
+                              bands=bands)
+        # a small offline pool, drawn with replacement: repeated neighbors
+        # in one arrival are common, and four copies of one always spill
+        pool = range(100, 100 + rng.randint(delta, 3 * delta))
+        for u in range(rng.randint(5, 40)):
+            neighbors = [rng.choice(pool) for _ in range(rng.randint(1, delta))]
+            band = rng.randrange(bands)
+            before = fast.spilled_vertices
+            got = outcome(fast, u, neighbors, band)
+            assert got == outcome(slow, u, neighbors, band)
+            assert colorer_state(fast, fast_meter) == colorer_state(slow, slow.meter)
+            arrivals += 1
+            spilled += fast.spilled_vertices - before
+            if isinstance(got, str):  # an offline vertex reached its cap
+                raised += 1
+                break
+        assert fast.finalize() == slow.finalize()
+        assert colorer_state(fast, fast_meter) == colorer_state(slow, slow.meter)
+        assert fast_alloc.blocks == slow.allocator.blocks
+    # the greedy pick failed and the full matcher still matched every slot
+    assert rescued.count(True) > 0
+    assert spilled > 0 and rescued.count(False) == spilled
+    assert arrivals > 2000 and raised > 0

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from streamcolor.core import OneSidedColorer
 from streamcolor.dispatch import BatchIndexDispatcher
-from streamcolor.errors import BoundViolation
+from streamcolor.errors import BoundViolation, ModeMismatch
 from streamcolor.harness import GenSpec, check_assignments, generate
 from streamcolor.meter import SpaceMeter
 from streamcolor.palette import ColorAllocator, OfflineState
@@ -64,10 +64,10 @@ def dispatcher_factory(meter, alloc):
     return factory
 
 
-def make_tree(n, delta, seed=0, cls=VertexBipartization):
+def make_tree(n, delta, seed=0, cls=VertexBipartization, n_online=None):
     meter, alloc = SpaceMeter(), ColorAllocator()
     make = dispatcher_factory if issubclass(cls, EdgeBipartization) else side_factory
-    tree = cls(n, delta, seed, meter, alloc, make(meter, alloc))
+    tree = cls(n, delta, seed, meter, alloc, make(meter, alloc), n_online=n_online)
     return tree, meter, alloc
 
 
@@ -115,19 +115,21 @@ class PerEdgeRouter(PerEdgeCounts, VertexBipartization):
 
 
 class PerEdgeSplitter(PerEdgeCounts, EdgeBipartization):
-    """Reference edge router: `route`, then one `_bump_level_degree` per
-    endpoint."""
+    """Reference edge router: per edge, `route`, then one
+    `_bump_level_degree` per endpoint."""
 
-    def on_edge(self, a, b):
-        level = self.route(a, b)
-        if level < 0:
-            self._store_base(a, b)
-            return []
-        self._bump_level_degree(a, level, 1)
-        self._bump_level_degree(b, level, 1)
-        if self.side_of(a, level):
-            return self.levels[level][0].feed_edge(a, b)
-        return self.levels[level][0].feed_edge(b, a)
+    def on_block(self, us, vs, out):
+        for a, b in zip(us, vs):
+            level = self.route(a, b)
+            if level < 0:
+                self._store_base(a, b)
+                continue
+            self._bump_level_degree(a, level, 1)
+            self._bump_level_degree(b, level, 1)
+            if self.side_of(a, level):
+                out += self.levels[level][0].feed_edge(a, b)
+            else:
+                out += self.levels[level][0].feed_edge(b, a)
 
 
 def router_state(tree, meter):
@@ -334,18 +336,111 @@ def test_edge_router_breach_matches_the_per_edge_reference():
         # bit vectors 0b100 against 0b000 put an edge on level 2, bound 48
         tree.bits.update({v: 0b100 for v in range(48)})
         tree.bits.update({99: 0b000, 200: 0b100})
-        for v in range(48):
-            tree.on_edge(v, 99)  # 99 at the bound
+        out = []
+        tree.on_block(range(48), [99] * 48, out)  # 99 at the bound
         # 200 gets a new degree entry before 99 goes past it
         with pytest.raises(BoundViolation) as err:
-            tree.on_edge(200, 99)
-        states.append((str(err.value), *router_state(tree, meter)))
+            tree.on_block([200], [99], out)
+        states.append((str(err.value), out, *router_state(tree, meter)))
     assert states[0] == states[1]
-    message, _, level_degrees, _, ledger, *_ = states[0]
+    message, _, _, level_degrees, _, ledger, *_ = states[0]
     assert message == "bipart: vertex 99 reached degree 49 at level 2, declared bound 48"
     # 200 keeps its new entry, charged with the breach; 99 stays at the bound
     assert level_degrees[2] == {**dict.fromkeys(range(48), 1), 99: 48, 200: 1}
     assert ledger["bipart:level-degrees"] == 50
+
+
+def random_edge_blocks(rng, ids, pairable, cap):
+    """Random edges (a, b) with pairable(a, b), no id past `cap` edges, in
+    random orientation, cut into blocks of 1 to 64 edges."""
+    degree = dict.fromkeys(ids, 0)
+    edges = []
+    for _ in range(20 * len(ids)):
+        a, b = rng.choice(ids), rng.choice(ids)
+        if a != b and pairable(a, b) and degree[a] < cap and degree[b] < cap:
+            degree[a] += 1
+            degree[b] += 1
+            edges.append((a, b))
+    blocks = []
+    while edges:
+        size = rng.randint(1, 64)
+        block, edges = edges[:size], edges[size:]
+        blocks.append(([a for a, _ in block], [b for _, b in block]))
+    return blocks
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n_online", [None, 150])
+def test_block_router_matches_the_per_edge_reference(seed, n_online):
+    rng = random.Random(seed)
+    ids = list(range(300))
+    if n_online is None:  # random levels [192, 96, 48] and the base store
+        assert plan_levels(16, 128) == [192, 96, 48]
+        pairable = int.__ne__
+    else:  # header sides: one level, every edge crosses them
+        def pairable(a, b):
+            return (a < n_online) != (b < n_online)
+    fast, fast_meter, fast_alloc = make_tree(16, 128, seed, n_online=n_online,
+                                             cls=EdgeBipartization)
+    slow, slow_meter, slow_alloc = make_tree(16, 128, seed, n_online=n_online,
+                                             cls=PerEdgeSplitter)
+    emitted = 0
+    for us, vs in random_edge_blocks(rng, ids, pairable, 60):
+        fast_out, slow_out = [], []
+        fast.on_block(us, vs, fast_out)
+        slow.on_block(us, vs, slow_out)
+        assert fast_out == slow_out
+        assert router_state(fast, fast_meter) == router_state(slow, slow_meter)
+        emitted += len(fast_out)
+    assert emitted > 1000
+    if n_online is None:
+        assert fast.base_edges and all(fast.level_degrees[1:])
+    else:
+        assert fast.bits == {} and fast.level_degrees == [None]
+    assert fast.finalize() == slow.finalize()
+    assert router_state(fast, fast_meter) == router_state(slow, slow_meter)
+    assert fast_alloc.total == slow_alloc.total
+
+
+def test_block_router_stops_at_a_breach_inside_a_block():
+    states = []
+    for cls in (EdgeBipartization, PerEdgeSplitter):
+        tree, meter, _ = make_tree(16, 128, cls=cls)
+        # bit vectors 0b100 against 0b000 put an edge on level 2, bound 48,
+        # batches of k = 7
+        tree.bits.update({v: 0b100 for v in range(48)})
+        tree.bits.update({v: 0b000 for v in range(99, 120)})
+        tree.bits.update({200: 0b100, 300: 0b100})
+        out = []
+        tree.on_block(range(48), [99] * 48, out)  # 99 at the bound
+        # 300's seven edges leave as one batch, then the 9th edge breaches
+        us = [300] * 7 + [108, 99, 300]
+        vs = list(range(100, 107)) + [200, 200, 109]
+        with pytest.raises(BoundViolation) as err:
+            tree.on_block(us, vs, out)
+        states.append((str(err.value), out, *router_state(tree, meter)))
+    assert states[0] == states[1]
+    message, out, *_ = states[0]
+    assert message == "bipart: vertex 99 reached degree 49 at level 2, declared bound 48"
+    assert sorted((u, v) for u, v, _ in out) == [(300, v) for v in range(100, 107)]
+
+
+def test_block_router_stops_at_a_same_side_edge_inside_a_block():
+    states = []
+    for cls in (EdgeBipartization, PerEdgeSplitter):
+        tree, meter, _ = make_tree(16, 128, cls=cls, n_online=150)
+        # online 0 fills a batch of k = 12 (both orientations), then the
+        # 14th edge joins two online ids
+        us = [0] * 6 + list(range(156, 162)) + [160, 1, 2]
+        vs = list(range(150, 156)) + [0] * 6 + [3, 2, 151]
+        out = []
+        with pytest.raises(ModeMismatch) as err:
+            tree.on_block(us, vs, out)
+        states.append((str(err.value), out, *router_state(tree, meter)))
+    assert states[0] == states[1]
+    message, out, *_ = states[0]
+    assert message == "edge (1, 2) does not cross the declared sides"
+    assert sorted((u, v) for u, v, _ in out) == [(0, v) for v in range(150, 162)]
 
 
 def run_preset(family, mode, n, delta, alg, **kwargs):
