@@ -47,6 +47,11 @@ def maximum_matching(slots: list[tuple[int, ...]]) -> list[int]:
     returned at once. Otherwise the BFS/DFS phases continue from the greedy
     state, each DFS walking its augmenting path with an explicit stack, in
     the order the recursive formulation visits slots and colors.
+
+    `core.OneSidedColorer.on_online_vertex` runs this greedy pass itself,
+    in the same order and with the same tie-break, and calls this function
+    only when its pass leaves a slot unmatched; a change to either pass
+    must be made in both.
     """
     n = len(slots)
     adj = [sorted(s) for s in slots]

@@ -25,7 +25,7 @@ routine, `_count_level`. Passing a counted bound is a hard error: the run
 stops rather than risking a conflict. A vertex arrival is routed in one
 pass over its neighbors (`VertexBipartization.on_vertex`), a block of
 edge arrivals in one loop over its edges (`EdgeBipartization.on_block`),
-by each edge's bit vectors or, under header sides, by one id comparison.
+by each edge's bit vectors.
 """
 
 from __future__ import annotations
@@ -98,7 +98,6 @@ class Bipartization:
         self.parts = [part for level in self.levels for part in level]
         self.budget = sum(part.budget for part in self.parts)
         if self.header_sides:
-            self.n_online = n_online
             self.bit_vector = n_online.__gt__  # online ids have bit 1; nothing stored
         else:
             self.budget += block_width("general", delta)  # the base store
@@ -253,25 +252,10 @@ class EdgeBipartization(Bipartization):
         their assignments to `out`; if an edge raises, `out` keeps those of
         the edges before it.
 
-        Under header sides the level is 0 and the bit-1 endpoint is the one
-        with an online id. On random levels each bit vector is read once.
+        Each bit vector is read once; under header sides it is the id
+        comparison with `n_online`, so every edge lands on level 0.
         """
         feeds = [level[0].feed_edge for level in self.levels]
-        if self.header_sides:
-            n_online = self.n_online
-            feed = feeds[0]
-            for a, b in zip(us, vs):
-                if a < n_online:
-                    if b < n_online:
-                        self._store_base(a, b)  # raises
-                    got = feed(a, b)
-                elif b < n_online:
-                    got = feed(b, a)
-                else:
-                    self._store_base(a, b)  # raises
-                if got:
-                    out += got
-            return
         bit_vector = self.bit_vector
         level_degrees = self.level_degrees
         for a, b in zip(us, vs):
