@@ -9,14 +9,14 @@ Experiment grids run through `harness.run_experiment_suite` (as
 tests/test_acceptance.py does); timings come from bench/run.py.
 
 Exit codes: 0 success; 1 verification found a bad output; 2 infeasible
-generator spec or `kout` parameters (--c not a positive number; --n, --k or
---trials below 1; k above ceil(c * n)); 3 input/stream errors (mode
-mismatch, degree violations, vertex ids out of range, malformed lines, a
-stream that is not UTF-8 text, an output that cannot be opened or written,
-`verify` or `kout` output that stdout cannot take, a non-integer
-STREAMCOLOR_SEED); 4 internal randomized-bound violation, or any
-other internal error of a run (for example a shift period too small); 5
-parse errors while verifying, a file that is not UTF-8 text included.
+generator spec, `run --s` below 1, or `kout` parameters (--c not a positive
+number; --n, --k or --trials below 1; k above ceil(c * n)); 3 input/stream
+errors (mode mismatch, degree violations, vertex ids out of range,
+malformed lines, a stream that is not UTF-8 text, an output that cannot be
+opened or written, `verify` or `kout` output that stdout cannot take, a
+non-integer STREAMCOLOR_SEED); 4 internal randomized-bound violation, or
+any other internal error of a run (for example a shift period too small);
+5 parse errors while verifying, a file that is not UTF-8 text included.
 The environment variable STREAMCOLOR_SEED overrides any --seed flag.
 """
 
@@ -58,6 +58,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.s < 1:  # refused before any file is opened, as kout's parameters are
+        print("infeasible spec: --s must be at least 1", file=sys.stderr)
+        return 2
     try:
         infile = open(args.input)
     except OSError as exc:
@@ -77,11 +80,8 @@ def cmd_run(args) -> int:
             header, args.alg, s=args.s, force_stream=args.force_stream, seed=args.seed
         )
         if args.alg == "edge-general" and pipeline.s != args.s:
-            print(
-                f"warning: s={args.s} clamped to {pipeline.s} "
-                f"(beyond ceil(sqrt(delta)) extra space buys nothing)",
-                file=sys.stderr,
-            )
+            print(f"warning: s={args.s} clamped to {pipeline.s} = ceil(sqrt(delta)), which runs "
+                  "as edge-sqrt (extra space buys nothing)", file=sys.stderr)
         print(f"declared color budget: {pipeline.budget}", file=sys.stderr)
         writer = AssignmentWriter(sink)
         stats = run_stream(pipeline, events, emit=writer.emit)

@@ -5,10 +5,10 @@ Available presets and the stream modes they accept:
     one-sided      vertex-one-sided or batch; the plain one-sided colorer
     vertex-general vertex-two-sided; one one-sided colorer per side of each
                    level of the bipartization router
-    edge-sqrt      edge; buffered exact batches over ceil(sqrt(D)) colorers,
-                   behind the router
-    edge-general   edge; space knob s, grouped batch colorers plus flushes,
-                   behind the router
+    edge-general   edge; space knob s <= ceil(sqrt(D)), behind the router:
+                   grouped batch colorers plus flushes, or at the top,
+                   s = ceil(sqrt(D)), buffered exact batches over s colorers
+    edge-sqrt      edge-general at s = ceil(sqrt(D))
     offline-exact  any mode, declared-bipartite header; store everything,
                    exact bipartite coloring against the header's sides
     offline-greedy any mode; store everything, greedy coloring
@@ -27,9 +27,9 @@ color blocks from a single allocator. Its declared color budget, which
 upper-bounds every id it can ever emit, is the sum of what the built
 components can reserve: each reports its static blocks plus a bound on
 its dynamic ones (spill, flush, leftover, base store), and the allocator
-refuses any block past that sum. The edge presets fall back to
+refuses any block past that sum. The edge pipeline falls back to
 store-and-color when the degree bound is too small for the concentration
-arguments behind their routing (below c * log^2 n): exact against the
+arguments behind its dispatcher (below c * log^2 n): exact against the
 header's sides, or with delta + 1 colors on a general header;
 `force_stream` bypasses the fallback so the streaming path can be
 exercised at small scale too.
@@ -91,10 +91,10 @@ def _log2n(header: StreamHeader) -> float:
     return math.log2(max(header.n_total, 2))
 
 
-def uses_fallback(header: StreamHeader, alg: str, force_stream: bool) -> bool:
-    if force_stream or alg not in ("edge-sqrt", "edge-general"):
+def uses_fallback(header: StreamHeader, s: int, force_stream: bool) -> bool:
+    if force_stream:
         return False
-    factor = SQRT_FALLBACK_FACTOR if alg == "edge-sqrt" else GENERAL_FALLBACK_FACTOR
+    factor = SQRT_FALLBACK_FACTOR if s == ceil_sqrt(header.delta) else GENERAL_FALLBACK_FACTOR
     return header.delta <= factor * _log2n(header) ** 2
 
 
@@ -214,17 +214,16 @@ class _Vertex(_Pipeline):
 
 
 class _Edge(_Pipeline):
-    """Edge arrivals through the bipartization router over dispatchers;
-    edge-general's space knob `s` comes clamped by `build_pipeline`."""
+    """Edge arrivals through the bipartization router over dispatchers; the
+    clamped knob `s` alone picks them: sqrt at s = ceil(sqrt(D)), else grouped."""
 
-    def __init__(self, header, seed, meter, alloc, alg, s):
+    def __init__(self, header, seed, meter, alloc, s):
         n = header.n_total
 
-        if alg == "edge-sqrt":
+        if s == ceil_sqrt(header.delta):
             def factory(level: int, bound: int) -> list[BatchIndexDispatcher]:
-                return [BatchIndexDispatcher(
-                    bound, split_seed(seed, 100 + level), meter, alloc, name=f"L{level}"
-                )]
+                level_seed = split_seed(seed, 100 + level)
+                return [BatchIndexDispatcher(bound, level_seed, meter, alloc, name=f"L{level}")]
         else:
             def factory(level: int, bound: int) -> list[GroupedBatchDispatcher]:
                 # an n*s edge buffer, allowed one flush per n*s of the at most
@@ -313,10 +312,9 @@ def build_pipeline(
     refuses any block that would pass it.
     """
     check_mode(header.mode, alg)
-    if alg == "edge-general":
-        s = clamp_s(header, s)
-    else:
-        s = ceil_sqrt(header.delta) if alg == "edge-sqrt" else 0
+    if alg == "edge-sqrt":  # edge-general at the top of its range; from here on only s counts
+        s = header.delta
+    s = clamp_s(header, s) if alg in ("edge-sqrt", "edge-general") else 0
     meter = SpaceMeter()
     alloc = ColorAllocator()
     seed = header.seed if seed is None else seed
@@ -331,10 +329,10 @@ def build_pipeline(
         pipeline = _OneSided(header, seed, meter, alloc)
     elif alg == "vertex-general":
         pipeline = _Vertex(header, seed, meter, alloc)
-    elif uses_fallback(header, alg, force_stream):
+    elif uses_fallback(header, s, force_stream):
         pipeline = _StoreAll(header, "exact" if header.bipartite else "general")
     else:
-        pipeline = _Edge(header, seed, meter, alloc, alg, s)
+        pipeline = _Edge(header, seed, meter, alloc, s)
     pipeline.meter = meter
     pipeline.allocator = alloc
     pipeline.preset = alg

@@ -172,6 +172,19 @@ def test_kout_rejects_parameters_it_cannot_sample(capsys, args, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("alg", ["edge-general", "edge-sqrt", "one-sided"])
+@pytest.mark.parametrize("s", ["0", "-3"])
+def test_run_rejects_s_below_one_before_opening_a_file(tmp_path, capsys, alg, s):
+    stream, out = tmp_path / "s.txt", tmp_path / "o.txt"
+    stream.write_text("H 2 2 2 edge 0 1\ne 0 2\n")
+    assert run_cli("run", str(stream), "--alg", alg, "--s", s, "-o", str(out)) == 2
+    assert capsys.readouterr().err == "infeasible spec: --s must be at least 1\n"
+    assert not out.exists()
+    # nor is the input opened: a missing one is not reported
+    assert run_cli("run", str(tmp_path / "missing.txt"), "--alg", alg, "--s", s) == 2
+    assert capsys.readouterr().err == "infeasible spec: --s must be at least 1\n"
+
+
 @pytest.mark.parametrize(
     "c, n, k, u_size",
     [("1", "8", "8", "8"), ("0.5", "5", "3", "3")],

@@ -14,9 +14,10 @@ import hashlib
 import pytest
 
 from streamcolor.cli import main
+from streamcolor.dispatch import ceil_sqrt
 from streamcolor.harness import GenSpec, generate
-from streamcolor.presets import declared_budget
-from streamcolor.stream import StreamHeader
+from streamcolor.presets import build_pipeline, declared_budget, run_stream
+from streamcolor.stream import StreamHeader, parse_stream
 
 # (id, family, mode, delta, batch_size, preset, extra run arguments, sha256)
 CASES = [
@@ -55,6 +56,11 @@ CASES = [
     ("edge-general-general", "regular-general", "edge", 64, 0, "edge-general",
      ("--s", "2", "--force-stream"),
      "4f572aedb51e19c360c4519ef9158937d347e400cf336737a3b133c03428bdc7"),
+    # s = 11, one below ceil(sqrt(128)): grouped levels [192, 96], and level 1
+    # clamps 11 to its own ceil(sqrt(96)) = 10
+    ("edge-general-deep-s11", "regular-general", "edge", 128, 0, "edge-general",
+     ("--s", "11", "--force-stream"),
+     "71d97db66137e896e68d08ad1c99945a9ea8dc499f00754bf0eb7d23551334e6"),
     ("offline-exact", "regular-bipartite", "vertex-one-sided", 32, 0, "offline-exact", (),
      "7a8ddbe72cd320404fb4aba139124b7119b99d776d3a58282e7da8590cb200a4"),
     # every vertex has degree 32: the exact colorer's flat per-vertex rows
@@ -68,6 +74,10 @@ CASES = [
 ]
 
 SEED = 11
+
+# (family, delta) at n = 256; on the general stream level 0's bound is
+# ceil(1.5 * 64) = 96, so its own ceil(sqrt(bound)) is 10, above the header's 8
+ONE_PATH = [("regular-bipartite", 32), ("adversarial-frontload", 64), ("regular-general", 64)]
 
 # the edge-sqrt-fallback case's stream and hash: the same edges in the
 # same order color the same, however the lines around them are written
@@ -87,6 +97,34 @@ def test_run_output_matches_its_golden_hash(case, tmp_path, monkeypatch):
     monkeypatch.delenv("STREAMCOLOR_SEED", raising=False)
     _, family, mode, delta, batch_size, preset, extra, expected = case
     assert output_sha256(tmp_path, family, mode, delta, batch_size, preset, extra) == expected
+
+
+@pytest.mark.parametrize("force", [True, False], ids=["forced", "default"])
+@pytest.mark.parametrize("top", [False, True], ids=["s-ceil-sqrt", "s-1000"])
+@pytest.mark.parametrize("family, delta", ONE_PATH, ids=[f"{f}-{d}" for f, d in ONE_PATH])
+def test_edge_general_from_ceil_sqrt_delta_up_is_edge_sqrt(family, delta, top, force, tmp_path,
+                                                            monkeypatch):
+    """edge-sqrt is edge-general at the top of its range: from s = ceil(sqrt(delta))
+    up, the two names build one pipeline and write the same bytes."""
+    monkeypatch.delenv("STREAMCOLOR_SEED", raising=False)
+    s = 1000 if top else ceil_sqrt(delta)
+    text = generate(GenSpec(family, 256, delta, "edge", SEED))
+    stream = tmp_path / "stream.txt"
+    stream.write_text(text)
+    forced = ["--force-stream"] if force else []
+    written, budgets, knobs = [], [], []
+    for alg in ("edge-sqrt", "edge-general"):
+        out = tmp_path / f"{alg}.txt"
+        assert main(["run", str(stream), "--alg", alg, "--s", str(s), *forced, "-o", str(out)]) == 0
+        written.append(out.read_bytes())
+        header, events = parse_stream(text.splitlines())
+        budgets.append(declared_budget(header, alg, s, force))
+        stats = run_stream(build_pipeline(header, alg, s=s, force_stream=force), events,
+                           emit=lambda u, v, c: None)
+        knobs.append(stats.s)
+    assert written[0] == written[1]
+    assert budgets[0] == budgets[1]
+    assert knobs == [ceil_sqrt(delta)] * 2
 
 
 def test_a_stream_read_line_by_line_matches_its_golden_hash(tmp_path, monkeypatch):
@@ -130,8 +168,10 @@ BUDGETS = [
     ("edge-sqrt-delta1", 256, 256, 1, "edge", 0, "edge-sqrt", 1, True, 1),
     ("edge-general-s1", 256, 256, 64, "edge", 0, "edge-general", 1, True, 17_336),
     ("edge-general-s2", 256, 256, 64, "edge", 0, "edge-general", 2, True, 8_856),
-    ("edge-general-s-sqrt", 256, 256, 64, "edge", 0, "edge-general", 8, True, 2_472),
-    ("edge-general-s-clamped", 256, 256, 64, "edge", 0, "edge-general", 100, True, 2_472),
+    # from s = ceil(sqrt(delta)) up, edge-general is edge-sqrt: the same
+    # dispatcher, and so the same budget as edge-sqrt on this header
+    ("edge-general-s-sqrt", 256, 256, 64, "edge", 0, "edge-general", 8, True, 1_248),
+    ("edge-general-s-clamped", 256, 256, 64, "edge", 0, "edge-general", 100, True, 1_248),
     ("edge-general-fallback", 256, 256, 64, "edge", 0, "edge-general", 2, False, 64),
     ("edge-general-0-levels", 256, 0, 16, "edge", 0, "edge-general", 2, True, 17),
     ("edge-general-1-level", 256, 0, 64, "edge", 0, "edge-general", 2, True, 16_515),
@@ -141,19 +181,28 @@ BUDGETS = [
     ("offline-exact-delta1", 256, 256, 1, "vertex-one-sided", 0, "offline-exact", 1, False, 1),
     ("offline-greedy", 256, 0, 32, "edge", 0, "offline-greedy", 1, False, 63),
     ("offline-greedy-delta1", 256, 0, 1, "edge", 0, "offline-greedy", 1, False, 1),
-    # s above a deeper level's ceil(sqrt(bound)): each level's buffer cap and
-    # flush bound use the header-clamped s, and so does its budget
-    ("edge-general-deep-s16", 256, 0, 256, "edge", 0, "edge-general", 16, True, 38_967),
-    ("edge-general-deep-s32", 256, 0, 256, "edge", 0, "edge-general", 32, True, 38_967),
-    ("edge-general-deep-s64", 256, 0, 256, "edge", 0, "edge-general", 64, True, 38_967),
+    # s at or above ceil(sqrt(delta)): clamped to it, where edge-general is
+    # edge-sqrt, so each budget is edge-sqrt's on the same header
+    ("edge-general-deep-s16", 256, 0, 256, "edge", 0, "edge-general", 16, True, 13_745),
+    ("edge-general-deep-s32", 256, 0, 256, "edge", 0, "edge-general", 32, True, 13_745),
+    ("edge-general-deep-s64", 256, 0, 256, "edge", 0, "edge-general", 64, True, 13_745),
     ("edge-general-deep-n1024-s32", 1024, 0, 1024, "edge", 0, "edge-general", 32, True,
-     162_149),
+     58_651),
     ("edge-general-deep-n1024-s64", 1024, 0, 1024, "edge", 0, "edge-general", 64, True,
-     162_149),
+     58_651),
     ("edge-general-deep-n4096-s32", 4096, 0, 1024, "edge", 0, "edge-general", 32, True,
-     162_149),
+     58_651),
     ("edge-general-deep-n4096-s64", 4096, 0, 1024, "edge", 0, "edge-general", 64, True,
-     162_149),
+     58_651),
+    # s just below ceil(sqrt(delta)), so above a deeper level's ceil(sqrt(bound)):
+    # grouped levels, whose buffer cap, flush bound and budget each use the
+    # level-clamped s
+    ("edge-general-deep-s14", 256, 0, 256, "edge", 0, "edge-general", 14, True, 39_039),
+    ("edge-general-deep-s15", 256, 0, 256, "edge", 0, "edge-general", 15, True, 39_399),
+    ("edge-general-deep-n1024-s31", 1024, 0, 1024, "edge", 0, "edge-general", 31, True,
+     162_781),
+    ("edge-general-deep-n4096-s31", 4096, 0, 1024, "edge", 0, "edge-general", 31, True,
+     162_781),
 ]
 
 

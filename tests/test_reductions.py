@@ -513,13 +513,18 @@ def test_counted_level_through_both_arrival_kinds(edges, seed):
         assert ledger.get("bipart:level-degrees", 0) == len(tree.level_degrees[1])
 
 
-@pytest.mark.parametrize("alg, s", [("edge-sqrt", 1), ("edge-general", 2), ("edge-general", 4)])
+# Δ = 16: edge-general at s = 4 = ceil(sqrt(16)) runs the sqrt dispatcher, as edge-sqrt does
+@pytest.mark.parametrize("alg, s", [("edge-sqrt", 1), ("edge-general", 2), ("edge-general", 3),
+                                    ("edge-general", 4)])
 def test_dispatcher_fed_colorers_hold_only_offline_state(alg, s):
     # the dispatcher counts each vertex's batches and names the band, so a
     # sub-colorer charges OfflineState.WORDS per offline vertex and nothing more
     pipeline = run_preset("adversarial-frontload", "edge", 64, 16, alg, s=s, force_stream=True)
     (dispatcher,) = pipeline.inner.parts
-    subs = dispatcher.subs if alg == "edge-sqrt" else dispatcher.arrays[0] + dispatcher.arrays[1]
+    if isinstance(dispatcher, BatchIndexDispatcher):
+        subs = dispatcher.subs
+    else:
+        subs = dispatcher.arrays[0] + dispatcher.arrays[1]
     ledger = pipeline.meter.ledger
     held = 0
     for sub in subs:
