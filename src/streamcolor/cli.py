@@ -58,7 +58,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
-    if args.s < 1:  # refused before any file is opened, as kout's parameters are
+    if args.s is not None and args.s < 1:  # refused before any file is opened, as kout's are
         print("infeasible spec: --s must be at least 1", file=sys.stderr)
         return 2
     try:
@@ -76,12 +76,16 @@ def cmd_run(args) -> int:
         return 3
     try:
         header, events = parse_stream(infile)
+        s = 1 if args.s is None else args.s
         pipeline = build_pipeline(
-            header, args.alg, s=args.s, force_stream=args.force_stream, seed=args.seed
+            header, args.alg, s=s, force_stream=args.force_stream, seed=args.seed
         )
-        if args.alg == "edge-general" and pipeline.s != args.s:
-            print(f"warning: s={args.s} clamped to {pipeline.s} = ceil(sqrt(delta)), which runs "
+        if args.alg == "edge-general" and pipeline.s != s:
+            print(f"warning: s={s} clamped to {pipeline.s} = ceil(sqrt(delta)), which runs "
                   "as edge-sqrt (extra space buys nothing)", file=sys.stderr)
+        elif args.alg == "edge-sqrt" and args.s not in (None, pipeline.s):
+            print(f"warning: --s {args.s} ignored: edge-sqrt runs at s={pipeline.s} = "
+                  "ceil(sqrt(delta))", file=sys.stderr)
         print(f"declared color budget: {pipeline.budget}", file=sys.stderr)
         writer = AssignmentWriter(sink)
         stats = run_stream(pipeline, events, emit=writer.emit)
@@ -186,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("run", help="color a stream")
     r.add_argument("input")
     r.add_argument("--alg", required=True, choices=PRESETS)
-    r.add_argument("--s", type=int, default=1)
+    r.add_argument("--s", type=int, default=None)
     r.add_argument("--force-stream", action="store_true")
     r.add_argument("--seed", type=int, default=None)
     r.add_argument("-o", "--output", default=None)

@@ -87,7 +87,7 @@ def color_block(
     if flavor == "exact":
         colors = color_bipartite_exact(edges, degrees, list(map(side_of, degrees)), dmax, meter)
     elif flavor == "general":
-        colors = color_general(edges, len(degrees), dmax, meter)
+        colors = color_general(edges, degrees, dmax, meter)
     else:
         colors = color_greedy(edges, meter)
     return [(a, b, base + c) for (a, b), c in zip(edges, colors)]

@@ -1,24 +1,32 @@
 """Exact offline edge colorers for stored subgraphs.
 
 Each takes a block's edges and what it needs of `core.color_block`'s one
-pass over them: the vertices in first-appearance order, their count n_v,
-the max degree D, one side per vertex. No colorer searches for sides:
-the exact one checks the caller's. Three colorers, all proper:
+pass over them: the vertices in first-appearance order, the max degree D
+and, for the exact colorer, one side per vertex. No colorer searches for
+sides: the exact one checks the caller's. Three colorers, all proper:
 
 * `color_bipartite_exact` colors a bipartite graph with exactly its max
   degree D, inserting edges one at a time: each takes the lowest color
   free at both ends, read off per-vertex used-color bitmasks, and when
   none is shared one alternating two-colored path is flipped in a single
-  walk. O(m * D) worst case. Its color-major table has two layouts with
-  the same steps and colors (`_exact_rows`, `_exact_dicts`), and it
-  checks the sides in the loop that numbers each edge's ends, raising
-  NotBipartite at the first edge inside one side.
+  walk (`_flip`). O(m * D) worst case. It checks the sides in the loop
+  that numbers each edge's ends, raising NotBipartite at the first edge
+  inside one side.
 * `color_general` colors any simple graph with at most D + 1 colors: each
   edge takes the lowest color free at both ends, and only when there is
   none does it run the fan-rotation step of Misra & Gries 1992
-  (`_fan_insert`).
+  (`_fan_insert`), whose path inversion is the same `_flip`.
 * `color_greedy` gives each edge the lowest color unused at either
   endpoint, never exceeding 2D - 1.
+
+The first two share one color-major table (`_table`): vertex x is
+numbered i_x by its position, and color c's cells hold, at i_x, the cell
+of the edge carrying c at x: `idx << S | (i_u ^ i_v)` for edge idx =
+(u, v), with S = n_v.bit_length(). One xor steps along an edge, a flip
+moves cells between two colors without writing a color, and the colors
+are read off the cells at the end. A color's cells are a flat list of
+n_v when the exact colorer's block has every vertex at degree D, else a
+`_Cells` dict that holds exactly the block's colored edge ends.
 
 Edges are processed in input order and color searches are lowest-first,
 so results are deterministic. Scratch tables are charged to the passed
@@ -29,14 +37,72 @@ ceil((D + 1) / 64) for `color_general`) and released on every exit.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from itertools import count
-from typing import Collection, Iterable
+from typing import Collection
 
 from .errors import NotBipartite
 from .meter import SpaceMeter
 
 Edge = tuple[int, int]
+
+
+class _Cells(dict):
+    """One color's cells, keyed by vertex number; a missing cell reads as None."""
+
+    __slots__ = ()
+
+    def __missing__(self, x: int) -> None:
+        return None
+
+
+def _table(vertices: Collection[int], colors: int, flat: bool):
+    """Number `vertices` by position: the numbering, the cell shift S and an
+    empty table of `colors` colors, flat lists of n_v cells or `_Cells`."""
+    index = dict(zip(vertices, count()))
+    n = len(index)
+    table = [[None] * n if flat else _Cells() for _ in range(colors)]
+    return index, n.bit_length(), table
+
+
+def _flip(A, B, x: int, used: list[int], swap: int, mask: int) -> None:
+    """Swap colors a and b on the alternating path that leaves x by its a-cell.
+
+    `A` and `B` are the cells of a and b, x misses b, and `swap` has the
+    bits of both. One walk: at each inner vertex the two cells trade
+    places, and both colors stay present, so only the masks of the path's
+    two ends change. The far end's emptied cell is deleted (set to None in
+    a flat list); x's a-cell is left for the caller to overwrite.
+    """
+    cell = B[x] = A[x]
+    used[x] ^= swap
+    while True:  # two steps a turn: cell arrives as a, then nxt as b
+        x ^= cell & mask
+        nxt = B[x]
+        B[x] = cell
+        if nxt is None:  # the far end: cell was its only path edge
+            break
+        A[x] = nxt
+        x ^= nxt & mask
+        cell = A[x]
+        A[x] = nxt
+        if cell is None:
+            A = B  # the far end's emptied cell is its b-cell
+            break
+        B[x] = cell
+    if type(A) is list:
+        A[x] = None
+    else:
+        del A[x]
+    used[x] ^= swap
+
+
+def _read_colors(table: list, shift: int, m: int) -> list[int]:
+    """The color of each of `m` edges, read off the table's cells."""
+    colors = [0] * m
+    for c, cells in enumerate(table):
+        for cell in filter(None, cells if type(cells) is list else cells.values()):
+            colors[cell >> shift] = c  # a cell is never 0: its ends differ
+    return colors
 
 
 def color_bipartite_exact(
@@ -59,231 +125,88 @@ def color_bipartite_exact(
     words = 3 * len(edges) + len(vertices) * -(-dmax // 64)
     if meter:
         meter.add("offline-scratch", words)
-    # The degrees sum to 2m <= n_v * D, with equality exactly when every
-    # vertex has degree D: only then do D lists of n_v cells fit in the
-    # 2 table words per edge that the charge covers.
-    layout = _exact_rows if len(vertices) * dmax <= 2 * len(edges) else _exact_dicts
     try:
-        return layout(edges, vertices, sides, dmax)
+        # The degrees sum to 2m <= n_v * D, with equality exactly when every
+        # vertex has degree D: only then do D lists of n_v cells fit in the
+        # 2 table words per edge that the charge covers.
+        index, shift, table = _table(vertices, dmax, len(vertices) * dmax <= 2 * len(edges))
+        mask = (1 << shift) - 1
+        used = [0] * len(index)  # bit c of used[i] is set exactly when color c has a cell at i
+        full = (1 << dmax) - 1
+        for idx, (u, v) in enumerate(edges):
+            iu = index[u]
+            iv = index[v]
+            if sides[iu] == sides[iv]:
+                raise NotBipartite(f"witness puts edge ({u}, {v}) inside one side")
+            mu = used[iu]
+            mv = used[iv]
+            free = full & ~(mu | mv)
+            if free:
+                bit = free & -free
+            else:
+                # Flip the alpha/beta path from v: v misses beta, so it is a
+                # path end, and in a bipartite graph the path can never reach
+                # u (it would need the color u misses on the wrong side).
+                # Afterwards alpha is free at v, and v's alpha cell is
+                # overwritten below.
+                bit = ~mu & (mu + 1)  # alpha, the lowest color free at u
+                beta = ~mv & (mv + 1)
+                swap = bit | beta
+                A, B = table[bit.bit_length() - 1], table[beta.bit_length() - 1]
+                _flip(A, B, iv, used, swap, mask)
+                mv ^= swap
+            used[iu] = mu | bit
+            used[iv] = mv | bit
+            cells = table[bit.bit_length() - 1]
+            cells[iu] = cells[iv] = idx << shift | (iu ^ iv)
+        return _read_colors(table, shift, len(edges))
     finally:
         if meter:
             meter.release("offline-scratch", words)
 
 
-def _exact_dicts(
-    edges: list[Edge], vertices: Iterable[int], sides: list[int], dmax: int
-) -> list[int]:
-    """The exact colorer over one vertex -> cell dict per color.
+def _fan_insert(table: list[_Cells], used: list[int], u: int, cell: int, mask: int) -> None:
+    """Color the edge of `cell` at u when no color is free at both its ends.
 
-    Vertex x of `vertices` gets its position i_x as its number, and each
-    edge is checked against `sides` as it is numbered. The dict of color
-    c holds, at i_x, the cell of the edge carrying c at x:
-    `idx << S | (i_u ^ i_v)` for edge idx = (u, v), with S =
-    n_v.bit_length(), so one xor steps along an edge, and no color is
-    written during a flip: they are read off the cells at the end.
+    Misra & Gries 1992: grow a maximal fan at u from the edge's other end,
+    free the tip's lowest free color d at u by flipping one c/d path, then
+    rotate the shortest fan prefix whose tip misses d: each fan edge's cell
+    moves to its successor's color.
     """
-    index = dict(zip(vertices, count()))
-    shift = len(index).bit_length()
-    mask = (1 << shift) - 1
-    table: list[dict[int, int]] = [{} for _ in range(dmax)]
-    used = [0] * len(index)  # bit c of used[i] is set exactly when table[c] has i
-    full = (1 << dmax) - 1
-
-    for idx, (u, v) in enumerate(edges):
-        iu = index[u]
-        iv = index[v]
-        if sides[iu] == sides[iv]:
-            raise NotBipartite(f"witness puts edge ({u}, {v}) inside one side")
-        mu = used[iu]
-        mv = used[iv]
-        free = full & ~(mu | mv)
-        if free:
-            bit = free & -free
-            c = bit.bit_length() - 1
-        else:
-            # Flip the alpha/beta alternating path starting at v: v misses
-            # beta, so it is a path endpoint, and in a bipartite graph the
-            # path can never reach u (it would need the color u misses on
-            # the wrong side). Flipping it frees alpha at v; both colors
-            # stay present at every inner vertex, so the two cells there
-            # trade places and only the masks of the two ends change. The
-            # cell of alpha at v is overwritten with idx below.
-            bit = ~mu & (mu + 1)  # alpha, the lowest color free at u
-            beta_bit = ~mv & (mv + 1)
-            c = bit.bit_length() - 1
-            A = table[c]
-            B = table[beta_bit.bit_length() - 1]
-            swap = bit | beta_bit
-            mv ^= swap
-            cell = B[iv] = A[iv]
-            x = iv
-            while True:  # two steps a turn: cell arrives as alpha, then nxt as beta
-                x ^= cell & mask
-                nxt = B.get(x)
-                if nxt is None:  # the far end: cell was its only path edge
-                    del A[x]
-                    B[x] = cell
-                    used[x] ^= swap
-                    break
-                B[x] = cell
-                A[x] = nxt
-                x ^= nxt & mask
-                cell = A.get(x)
-                if cell is None:
-                    del B[x]
-                    A[x] = nxt
-                    used[x] ^= swap
-                    break
-                A[x] = nxt
-                B[x] = cell
-        used[iu] = mu | bit
-        used[iv] = mv | bit
-        table[c][iu] = table[c][iv] = idx << shift | (iu ^ iv)
-
-    colors = [0] * len(edges)
-    for c, cells in enumerate(table):
-        for cell in cells.values():
-            colors[cell >> shift] = c
-    return colors
-
-
-def _exact_rows(
-    edges: list[Edge], vertices: Iterable[int], sides: list[int], dmax: int
-) -> list[int]:
-    """The exact colorer over one flat list of n_v cells per color.
-
-    Same steps, cells and colors as `_exact_dicts`, with cell i_x of
-    color c's list in place of the dict entry (None when no edge at x
-    carries c). Correct on any bipartite input; cells stay empty only at
-    vertices of degree below D, which `color_bipartite_exact` never sends
-    here.
-    """
-    index = dict(zip(vertices, count()))
-    shift = len(index).bit_length()
-    mask = (1 << shift) - 1
-    table: list[list[int | None]] = [[None] * len(index) for _ in range(dmax)]
-    used = [0] * len(index)
-    full = (1 << dmax) - 1
-
-    for idx, (u, v) in enumerate(edges):
-        iu = index[u]
-        iv = index[v]
-        if sides[iu] == sides[iv]:
-            raise NotBipartite(f"witness puts edge ({u}, {v}) inside one side")
-        mu = used[iu]
-        mv = used[iv]
-        free = full & ~(mu | mv)
-        if free:
-            bit = free & -free
-            c = bit.bit_length() - 1
-        else:
-            # the alpha/beta path from v, flipped as in `_exact_dicts`
-            bit = ~mu & (mu + 1)
-            beta_bit = ~mv & (mv + 1)
-            c = bit.bit_length() - 1
-            A = table[c]
-            B = table[beta_bit.bit_length() - 1]
-            swap = bit | beta_bit
-            mv ^= swap
-            cell = B[iv] = A[iv]
-            x = iv
-            while True:
-                x ^= cell & mask
-                nxt = B[x]
-                if nxt is None:
-                    A[x] = None
-                    B[x] = cell
-                    used[x] ^= swap
-                    break
-                B[x] = cell
-                A[x] = nxt
-                x ^= nxt & mask
-                cell = A[x]
-                if cell is None:
-                    B[x] = None
-                    A[x] = nxt
-                    used[x] ^= swap
-                    break
-                A[x] = nxt
-                B[x] = cell
-        used[iu] = mu | bit
-        used[iv] = mv | bit
-        table[c][iu] = table[c][iv] = idx << shift | (iu ^ iv)
-
-    colors = [0] * len(edges)
-    for c, cells in enumerate(table):
-        for cell in filter(None, cells):  # a cell is never 0: its ends differ
-            colors[cell >> shift] = c
-    return colors
-
-
-def _invert_path(
-    table: dict[int, dict[int, int]],
-    used: dict[int, int],
-    colors: dict[Edge, int],
-    x: int,
-    c: int,
-    d: int,
-) -> None:
-    """Swap c and d on the maximal path from x (which misses c) that alternates d, c.
-
-    One walk: at each vertex passed the two table entries trade places.
-    Both colors stay present at every inner vertex, so only the masks of
-    the path's two ends change.
-    """
-    swap = (1 << c) | (1 << d)
-    used[x] ^= swap
-    want, other = d, c
-    while True:
-        tx = table[x]
-        y = tx.pop(want, None)  # the next vertex along the path
-        back = tx.pop(other, None)  # the previous one
-        if back is not None:
-            tx[want] = back
-        if y is None:
-            used[x] ^= swap
-            return
-        tx[other] = y
-        colors[(x, y) if x < y else (y, x)] = other
-        x = y
-        want, other = other, want
-
-
-def _fan_insert(
-    table: dict[int, dict[int, int]], used: dict[int, int], colors: dict[Edge, int], u: int, v: int
-) -> None:
-    """Color (u, v) when no color of the palette is free at both ends.
-
-    Misra & Gries 1992: grow a maximal fan at u from v, free the tip's
-    lowest free color d at u by inverting one c/d path, then rotate the
-    shortest fan prefix whose tip misses d.
-    """
-    tu = table[u]
     mu = used[u]
-    fan = [v]
-    # Each fan vertex after v is reached through exactly one color at u,
-    # so leaving out the colors taken so far leaves out the fan's vertices:
-    # the next vertex is the one behind the lowest color used at u, free
-    # at the tip and not yet taken, and a fan costs one step per vertex.
+    tip = u ^ (cell & mask)
+    fan = [tip]  # fan[i] for i > 0 is reached from u through color hues[i]
+    cells = [cell]
+    hues = [-1]
+    # Each fan vertex after the first is reached through exactly one color
+    # at u, so leaving out the colors taken so far leaves out the fan's
+    # vertices: the next vertex is the one behind the lowest color used at
+    # u, free at the tip and not yet taken, and a fan costs one step per
+    # vertex.
     rest = mu  # colors at u not taken into the fan
-    tip = v
     while True:
         avail = rest & ~used[tip]
         if not avail:
             break
         bit = avail & -avail
         rest ^= bit
-        tip = tu[bit.bit_length() - 1]
+        c = bit.bit_length() - 1
+        cell = table[c][u]
+        tip = u ^ (cell & mask)
         fan.append(tip)
+        cells.append(cell)
+        hues.append(c)
 
     c = (~mu & (mu + 1)).bit_length() - 1  # lowest free at u
     mt = used[tip]
     dbit = ~mt & (mt + 1)  # lowest free at the tip
     d = dbit.bit_length() - 1
     if mu & dbit:
-        _invert_path(table, used, colors, u, c, d)  # afterwards d is free at u
-        if d in tu:
+        _flip(table[d], table[c], u, used, 1 << c | dbit, mask)  # afterwards d is free at u
+        if used[u] & dbit:
             raise AssertionError("path inversion failed to free the fan color")
+        if d in hues:  # the one fan edge the flip recolored: u's d edge
+            hues[hues.index(d)] = c
 
     # the first fan vertex missing d, provided the fan chain (the color of
     # (u, fan[i+1]) is free at fan[i]) still holds up to it
@@ -291,74 +214,75 @@ def _fan_insert(
     while used[fan[target]] & dbit:
         if target + 1 == len(fan):
             raise AssertionError("no rotatable fan prefix")
-        nxt = fan[target + 1]
-        if used[fan[target]] >> colors[(u, nxt) if u < nxt else (nxt, u)] & 1:
+        if used[fan[target]] >> hues[target + 1] & 1:
             raise AssertionError("fan chain broken before a vertex missing d")
         target += 1
 
     # rotate the prefix: each fan edge takes the color of its successor,
-    # the tip takes d; u keeps its colors and gains d
+    # the tip takes d; u keeps its colors and gains d (its stale d cell,
+    # if the flip left one, is overwritten)
     for i in range(target):
-        w, nxt = fan[i], fan[i + 1]
-        c = colors[(u, nxt) if u < nxt else (nxt, u)]
-        del table[nxt][c]
+        w, nxt, c = fan[i], fan[i + 1], hues[i + 1]
+        at = table[c]
+        del at[nxt]
         used[nxt] ^= 1 << c
-        table[w][c] = u
+        at[w] = at[u] = cells[i]
         used[w] |= 1 << c
-        tu[c] = w
-        colors[(u, w) if u < w else (w, u)] = c
     w = fan[target]
-    table[w][d] = u
+    table[d][w] = table[d][u] = cells[target]
     used[w] |= dbit
-    tu[d] = w
     used[u] |= dbit
-    colors[(u, w) if u < w else (w, u)] = d
 
 
 def color_general(
-    edges: list[Edge], vertex_count: int, dmax: int, meter: SpaceMeter | None = None
+    edges: list[Edge], vertices: Collection[int], dmax: int, meter: SpaceMeter | None = None
 ) -> list[int]:
     """Proper coloring of any simple graph with colors in [0, dmax + 1).
 
-    `vertex_count` is the number of vertices that `edges` touch and
-    `dmax` their max degree.
+    `vertices` lists every end of `edges` once, in order of first
+    appearance, and `dmax` is the max degree. A repeated edge takes the
+    color of its first copy.
     """
     if not edges:
         return []
     palette = dmax + 1
     # as the exact colorer's, with masks of ceil((D + 1) / 64) words
-    words = 3 * len(edges) + vertex_count * -(-palette // 64)
+    words = 3 * len(edges) + len(vertices) * -(-palette // 64)
     if meter:
         meter.add("offline-scratch", words)
 
-    table: defaultdict[int, dict[int, int]] = defaultdict(dict)  # vertex -> color -> neighbor
-    # bit c of used[x] is set exactly when c is a key of table[x]
-    used: defaultdict[int, int] = defaultdict(int)
-    colors: dict[Edge, int] = {}  # (low end, high end) -> color
+    index, shift, table = _table(vertices, palette, False)
+    mask = (1 << shift) - 1
+    used = [0] * len(index)  # bit c of used[i] is set exactly when color c has a cell at i
     full = (1 << palette) - 1
+    first: dict[int, int] = {}  # low << S | high end number -> the edge's first index
+    repeats: list[tuple[int, int]] = []  # (a repeated edge's index, its first index)
 
-    for u, v in edges:
-        e = (u, v) if u < v else (v, u)
-        if e in colors:
+    for idx, (u, v) in enumerate(edges):
+        iu = index[u]
+        iv = index[v]
+        orig = first.setdefault(iu << shift | iv if iu < iv else iv << shift | iu, idx)
+        if orig != idx:
+            repeats.append((idx, orig))
             continue
-        mu = used[u]
-        mv = used[v]
+        mu = used[iu]
+        mv = used[iv]
         free = full & ~(mu | mv)
         if free:
             bit = free & -free
-            c = bit.bit_length() - 1
-            colors[e] = c
-            used[u] = mu | bit
-            used[v] = mv | bit
-            table[u][c] = v
-            table[v][c] = u
+            used[iu] = mu | bit
+            used[iv] = mv | bit
+            cells = table[bit.bit_length() - 1]
+            cells[iu] = cells[iv] = idx << shift | (iu ^ iv)
         else:
-            _fan_insert(table, used, colors, u, v)
+            _fan_insert(table, used, iu, idx << shift | (iu ^ iv), mask)
 
-    out = [colors[(a, b) if a < b else (b, a)] for a, b in edges]
+    colors = _read_colors(table, shift, len(edges))
+    for idx, orig in repeats:
+        colors[idx] = colors[orig]
     if meter:
         meter.release("offline-scratch", words)
-    return out
+    return colors
 
 
 def color_greedy(edges: list[Edge], meter: SpaceMeter | None = None) -> list[int]:

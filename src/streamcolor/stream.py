@@ -23,16 +23,18 @@ n_offline), self-loops, duplicate neighbors within one arrival, and the
 declared degree bound; each error names its exact line. Edge lines are
 read ahead (uncharged, like the file buffer) in blocks of up to
 BLOCK_LINES, checked in bulk when all are plain `e <digits> <digits>`
-lines and line by line otherwise; the algorithm still consumes the edges
-one at a time, in stream order. Side-range semantics are left to the
-algorithm layer.
+lines within the degree bound and line by line otherwise; the algorithm
+still consumes the edges one at a time, in stream order. Degrees are
+counted per id the stream names, not per id the header declares.
+Side-range semantics are left to the algorithm layer.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from operator import eq
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
@@ -148,7 +150,7 @@ def parse_stream(lines: Iterable[str]) -> tuple[StreamHeader, Iterator[StreamEve
 
 
 def _events(header: StreamHeader, it: Iterator[str]) -> Iterator[StreamEvent]:
-    degrees: list[int] = []  # per id up to the largest seen; see `_reach`
+    degrees: Counter[int] = Counter()  # by id: as many entries as the stream names ids
     if header.mode != MODE_EDGE:
         yield from _line_events(header, it, 1, degrees)
         return
@@ -175,29 +177,27 @@ def _events(header: StreamHeader, it: Iterator[str]) -> Iterator[StreamEvent]:
         raise error
 
 
-def _edge_block(lines: list[str], header: StreamHeader, degrees: list[int]):
-    """The block's leading edges, checked and counted: all, those before the
-    first to pass delta, or none when some line needs the per-line parser."""
+def _edge_block(lines: list[str], header: StreamHeader, degrees: Counter[int]):
+    """The block's edges, checked and counted, or none when some line needs
+    the per-line parser: one that is not a plain edge, or passes delta."""
     text = "".join(lines)
     tokens = text.split()
     if len(tokens) != 3 * len(lines) or not _EDGE_LINES.fullmatch(text):
         return [], []
     us, vs = list(map(int, tokens[1::3])), list(map(int, tokens[2::3]))
-    top = max(max(us), max(vs))
-    if top >= header.n_total or any(map(eq, us, vs)):
+    if max(max(us), max(vs)) >= header.n_total or any(map(eq, us, vs)):
         return [], []
-    _reach(degrees, top)
-    delta = header.delta
-    for i, (u, v) in enumerate(zip(us, vs)):
-        du, dv = degrees[u] + 1, degrees[v] + 1
-        if du > delta or dv > delta:
-            del us[i:], vs[i:]
-            break
-        degrees[u], degrees[v] = du, dv
+    degrees.update(us)
+    degrees.update(vs)
+    get = degrees.get
+    if max(max(map(get, us)), max(map(get, vs))) > header.delta:
+        degrees.subtract(us)  # the per-line parser finds the breach
+        degrees.subtract(vs)
+        return [], []
     return us, vs
 
 
-def _line_events(header: StreamHeader, lines: Iterable[str], lineno: int, degrees: list[int]):
+def _line_events(header: StreamHeader, lines: Iterable[str], lineno: int, degrees: Counter[int]):
     """Events line by line, after line `lineno`: an edge as a `(u, v)` pair."""
     delta = header.delta
     mode = header.mode
@@ -222,7 +222,6 @@ def _line_events(header: StreamHeader, lines: Iterable[str], lineno: int, degree
                 raise MalformedLine(f"line {lineno}: vertex id outside [0, {n})")
             if u == v:
                 raise SelfLoop(f"line {lineno}: self-loop at vertex {u}")
-            _reach(degrees, u if u > v else v)
             du = degrees[u] + 1
             dv = degrees[v] + 1
             if du > delta or dv > delta:
@@ -266,24 +265,15 @@ def _arrival(parts, lineno, n, delta, degrees):
         raise SelfLoop(f"line {lineno}: self-loop at vertex {u}")
     if len(set(neighbors)) != len(neighbors):
         raise DuplicateEdge(f"line {lineno}: repeated neighbor in one arrival")
-    _reach(degrees, u if u > top else top)
     du = degrees[u] + len(neighbors)
     if du > delta:
         raise DegreeExceeded(f"line {lineno}: vertex {u} passes delta={delta}")
     degrees[u] = du
-    for v in neighbors:
-        dv = degrees[v] + 1
-        if dv > delta:
-            raise DegreeExceeded(f"line {lineno}: vertex {v} passes delta={delta}")
-        degrees[v] = dv
+    degrees.update(neighbors)
+    if max(map(degrees.get, neighbors), default=0) > delta:
+        v = next(v for v in neighbors if degrees[v] > delta)
+        raise DegreeExceeded(f"line {lineno}: vertex {v} passes delta={delta}")
     return VertexArrival(u, neighbors)
-
-
-def _reach(degrees: list[int], top: int) -> None:
-    """Extend the degree counters to id `top`: they grow with the ids the
-    stream names, not with the header's n."""
-    if top >= len(degrees):
-        degrees.extend(repeat(0, top + 1 - len(degrees)))
 
 
 def event_edges(event: StreamEvent) -> Iterable[tuple[int, int]]:

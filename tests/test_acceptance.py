@@ -245,7 +245,7 @@ def test_c09_offline_colorers():
             continue
         degrees = Counter(chain.from_iterable(edges))
         dmax = max(degrees.values())
-        colors = color_general(edges, len(degrees), dmax)
+        colors = color_general(edges, degrees, dmax)
         assert _proper(edges, colors)
         assert max(colors) <= dmax
         general_checked += 1

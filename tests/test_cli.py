@@ -185,6 +185,27 @@ def test_run_rejects_s_below_one_before_opening_a_file(tmp_path, capsys, alg, s)
     assert capsys.readouterr().err == "infeasible spec: --s must be at least 1\n"
 
 
+def test_edge_sqrt_warns_once_when_it_ignores_an_explicit_s(tmp_path, capsys):
+    # edge-sqrt runs at s = ceil(sqrt(16)) = 4 whatever --s says: a different
+    # value is named in one warning, the same value or none in no warning,
+    # and the output bytes are the same every time
+    stream = tmp_path / "s.txt"
+    stream.write_text(generate(GenSpec("regular-bipartite", 64, 16, "edge", 3)))
+    written = []
+    for extra, warnings in (
+        ((), []),
+        (("--s", "2"), ["warning: --s 2 ignored: edge-sqrt runs at s=4 = ceil(sqrt(delta))"]),
+        (("--s", "4"), []),
+    ):
+        out = tmp_path / f"o{len(written)}.txt"
+        argv = ("run", str(stream), "--alg", "edge-sqrt", *extra, "--force-stream", "-o", str(out))
+        assert run_cli(*argv) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("warning:")] == warnings
+        written.append(out.read_bytes())
+    assert written[0] == written[1] == written[2]
+
+
 @pytest.mark.parametrize(
     "c, n, k, u_size",
     [("1", "8", "8", "8"), ("0.5", "5", "3", "3")],

@@ -41,6 +41,11 @@ CASES = [
      "ee0eb0679ce5ccf2ce36e301cbc6a5dfdea92b50db12f09c2106c903cb671924"),
     ("edge-sqrt-fallback", "regular-bipartite", "edge", 32, 0, "edge-sqrt", (),
      "ec96048f63dda992a0854f161f2e13c462d500ac54d00c8302cd48a368a360f7"),
+    # below its threshold edge-sqrt stores and colors as offline-exact does:
+    # the same stream, the same bytes
+    ("offline-exact-on-edge-sqrt-fallback", "regular-bipartite", "edge", 32, 0,
+     "offline-exact", (),
+     "ec96048f63dda992a0854f161f2e13c462d500ac54d00c8302cd48a368a360f7"),
     # the three edge-general cases: a grouped sub-colorer is told each
     # batch's band, so its peak holds no batch counter of its own
     ("edge-general-s2-forced", "regular-bipartite", "edge", 32, 0, "edge-general",

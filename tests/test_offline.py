@@ -2,6 +2,7 @@ import itertools
 import random
 from collections import Counter
 from itertools import chain
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +12,7 @@ from streamcolor import offline
 from streamcolor.errors import NotBipartite
 from streamcolor.harness import GenSpec, build_edges
 from streamcolor.meter import SpaceMeter
-from streamcolor.offline import (
-    _exact_dicts,
-    _exact_rows,
-    color_bipartite_exact,
-    color_general,
-    color_greedy,
-)
+from streamcolor.offline import color_bipartite_exact, color_general, color_greedy
 
 
 def is_proper(edges, colors):
@@ -58,9 +53,9 @@ def brute_force_min_colors(edges, upper):
 
 
 def block(edges, sides):
-    """The values `core.color_block` passes the exact colorer and its
-    layouts: the vertices in order of first appearance, one side per
-    vertex read off the `sides` dict, and the max degree."""
+    """The values `core.color_block` passes the exact colorer: the
+    vertices in order of first appearance, one side per vertex read off
+    the `sides` dict, and the max degree."""
     degrees = Counter(chain.from_iterable(edges))
     return degrees, [sides[x] for x in degrees], max(degrees.values(), default=0)
 
@@ -71,13 +66,22 @@ def exact(edges, sides, meter=None):
 
 def general(edges, meter=None):
     degrees = Counter(chain.from_iterable(edges))
-    return color_general(edges, len(degrees), max(degrees.values(), default=0), meter)
+    return color_general(edges, degrees, max(degrees.values(), default=0), meter)
 
 
 def layouts(edges, sides):
-    """The colors that `_exact_rows` and `_exact_dicts`, in that order, give `edges`."""
-    args = block(edges, sides)
-    return _exact_rows(edges, *args), _exact_dicts(edges, *args)
+    """The colors the exact colorer gives `edges` over flat lists of cells
+    and over `_Cells` dicts, in that order, whichever its block would pick."""
+    real = offline._table
+    out = []
+    for flat in (True, False):
+
+        def forced(vertices, colors, _, flat=flat):
+            return real(vertices, colors, flat)
+
+        with mock.patch.object(offline, "_table", forced):
+            out.append(exact(edges, sides))
+    return tuple(out)
 
 
 def max_degree(edges):
@@ -354,16 +358,18 @@ def test_both_layouts_match_the_reference_on_a_regular_multigraph():
 
 
 def test_exact_colorer_charges_the_same_words_in_either_layout(monkeypatch):
-    taken = []
-    for name in ("_exact_rows", "_exact_dicts"):
-        real = getattr(offline, name)
-        monkeypatch.setattr(
-            offline, name, lambda *args, real=real, name=name: taken.append(name) or real(*args)
-        )
+    taken = []  # the table layout picked: flat lists (True) or dicts (False)
+    real = offline._table
+
+    def recorded(vertices, colors, flat):
+        taken.append(flat)
+        return real(vertices, colors, flat)
+
+    monkeypatch.setattr(offline, "_table", recorded)
     edges = build_edges(GenSpec("regular-bipartite", 80, 70, "edge", seed=3))
     random.Random(3).shuffle(edges)
     # 70-regular, then one edge short of it: two mask words per vertex both times
-    for part, layout in ((edges, "_exact_rows"), (edges[:-1], "_exact_dicts")):
+    for part, layout in ((edges, True), (edges[:-1], False)):
         vertices, sides, dmax = block(part, sides_for(80, 80))
         assert len(vertices) == 160 and dmax == 70
         meter = SpaceMeter()
@@ -473,7 +479,7 @@ def dense_simple_graph(delta, seed):
 @pytest.mark.parametrize("delta", [63, 64, 70, 130])
 def test_fan_rotation_matches_the_reference_across_mask_words(delta, monkeypatch):
     # palettes of 64, 65, 71 and 131 colors: one, two and three mask words
-    calls = {"_fan_insert": 0, "_invert_path": 0}
+    calls = {"_fan_insert": 0, "_flip": 0}
     for name in calls:
         real = getattr(offline, name)
 
@@ -486,12 +492,55 @@ def test_fan_rotation_matches_the_reference_across_mask_words(delta, monkeypatch
     vertices = Counter(chain.from_iterable(edges))
     assert max(vertices.values()) == delta
     meter = SpaceMeter()
-    colors = color_general(edges, len(vertices), delta, meter)
+    colors = color_general(edges, vertices, delta, meter)
     assert colors == rescanning_fan_general(edges)
     assert is_proper(edges, colors) and max(colors) <= delta
-    assert calls["_fan_insert"] > 0 and calls["_invert_path"] > 0
+    assert calls["_fan_insert"] > 0 and calls["_flip"] > 0
     assert meter.peak_words == 3 * len(edges) + len(vertices) * -(-(delta + 1) // 64)
     assert meter.current_words == 0 and meter.consistent()
+
+
+def test_the_tables_hold_exactly_two_cells_per_colored_edge(monkeypatch):
+    # A flip empties one cell at the path's far end. The `_Cells` dicts must
+    # lose it, not keep it as None, so that they hold exactly the 2 edge ends
+    # per colored edge that the meter charges; likewise the cell a flip
+    # leaves at its start, which the inserted edge overwrites.
+    tables, flips = [], []
+    real_table, real_flip = offline._table, offline._flip
+
+    def kept(vertices, colors, flat):
+        index, shift, table = real_table(vertices, colors, flat)
+        tables.append((shift, table))
+        return index, shift, table
+
+    monkeypatch.setattr(offline, "_table", kept)
+    monkeypatch.setattr(offline, "_flip", lambda *args: flips.append(1) or real_flip(*args))
+    # 16-regular in shuffled order, less its first 32 edges: irregular
+    bipartite = build_edges(GenSpec("regular-bipartite", 64, 16, "edge", seed=16))
+    random.Random(16).shuffle(bipartite)
+    bipartite = bipartite[32:]
+    simple = dense_simple_graph(40, seed=40)
+    # a repeat takes its first copy's color, and no cell; these keep D = 40
+    degrees = Counter(chain.from_iterable(simple))
+    spare = [(a, b) for a, b in simple if degrees[a] < 39 and degrees[b] < 39]
+    repeated = simple + spare
+    assert spare and max_degree(repeated) == 40
+    for edges, colored, colorer in (
+        (bipartite, range(len(bipartite)), lambda e: exact(e, sides_for(64, 64))),
+        (repeated, range(len(simple)), general),
+    ):
+        flips.clear()
+        colors = colorer(edges)
+        assert len(flips) > 30
+        assert is_proper([edges[i] for i in colored], [colors[i] for i in colored])
+        shift, table = tables.pop()
+        assert all(type(cells) is offline._Cells for cells in table)
+        cells = Counter(chain.from_iterable(cells.values() for cells in table))
+        assert set(cells.values()) == {2}
+        assert sorted(cell >> shift for cell in cells) == list(colored)
+        for c, at in enumerate(table):  # and each cell sits at its color
+            assert all(colors[cell >> shift] == c for cell in at.values())
+    assert colors[len(simple) :] == [colors[simple.index(e)] for e in spare]
 
 
 def test_fan_step_runs_when_no_common_color_is_free():
