@@ -80,12 +80,10 @@ def cmd_run(args) -> int:
         pipeline = build_pipeline(
             header, args.alg, s=s, force_stream=args.force_stream, seed=args.seed
         )
-        if args.alg == "edge-general" and pipeline.s != s:
-            print(f"warning: s={s} clamped to {pipeline.s} = ceil(sqrt(delta)), which runs "
-                  "as edge-sqrt (extra space buys nothing)", file=sys.stderr)
-        elif args.alg == "edge-sqrt" and args.s not in (None, pipeline.s):
-            print(f"warning: --s {args.s} ignored: edge-sqrt runs at s={pipeline.s} = "
-                  "ceil(sqrt(delta))", file=sys.stderr)
+        if args.s not in (None, pipeline.s):  # pipeline.s is 0 for a preset without the knob
+            why = (f"runs at s={pipeline.s} = ceil(sqrt(delta))" if pipeline.s
+                   else "has no space knob")
+            print(f"warning: --s {args.s} ignored: {args.alg} {why}", file=sys.stderr)
         print(f"declared color budget: {pipeline.budget}", file=sys.stderr)
         writer = AssignmentWriter(sink)
         stats = run_stream(pipeline, events, emit=writer.emit)

@@ -101,7 +101,7 @@ class OneSidedColorer:
         rng: source for shift draws; owned by the caller.
         meter: word ledger charged for shifts, spill, scratch.
         allocator: global color space; a streaming block is reserved now,
-            the spill block only if a spill happens.
+            the spill block, promised as delta colors, only if a spill happens.
         bands: bands of 3P colors in the streaming block, one per batch
             index a caller may name; 1 for whole-vertex arrivals.
 
@@ -128,8 +128,7 @@ class OneSidedColorer:
         self.bands = bands
         self.block_width = 3 * p * bands
         self.block = allocator.reserve(self.block_width, f"{name}:stream")
-        # the stream block plus a spill block of at most delta colors
-        self.budget = self.block_width + delta
+        allocator.promised += delta  # a spill block of at most delta colors
         self.allocator = allocator
         self.states: dict[int, OfflineState] = {}
         self.spill: list[tuple[int, int]] = []

@@ -81,7 +81,7 @@ class BatchIndexDispatcher:
             )
             for i in range(self.k)
         ]
-        self.budget = sum(sub.budget for sub in self.subs) + delta  # plus the leftover block
+        allocator.promised += delta  # the leftover block
         self.allocator = allocator
         self.buffers: dict[int, deque[int]] = {}
         self.batch_count: dict[int, int] = {}
@@ -173,12 +173,8 @@ class GroupedBatchDispatcher:
             ]
             for side in (0, 1)
         ]
-        # plus flush blocks of under k colors each and the leftover block
-        self.budget = (
-            sum(sub.budget for side in self.arrays for sub in side)
-            + flush_bound * self.k
-            + delta
-        )
+        # flush blocks of under k colors each, and the leftover block
+        allocator.promised += flush_bound * self.k + delta
 
         # adj[x] maps each buffered edge id at x to its other endpoint, in
         # arrival order; len(adj[x]) is x's buffered count. A vertex keeps its

@@ -177,25 +177,26 @@ def generate(spec: GenSpec) -> str:
     mode = spec.mode
     batch_size = 0
 
-    lines: list[str] = []
-    if mode == MODE_EDGE:
+    def arrange(items: list, key=None) -> None:
+        # the frontloaded order sorts, every other order shuffles
         if frontload:
-            edges.sort(key=lambda e: (e[1], e[0]))  # offline-major order
+            items.sort(key=key)
         else:
-            rng.shuffle(edges)
-        lines.extend(f"e {a} {b}" for a, b in edges)
-    elif mode == MODE_VERTEX_ONE_SIDED:
+            rng.shuffle(items)
+
+    if mode in (MODE_VERTEX_ONE_SIDED, MODE_BATCH):
         byu: dict[int, list[int]] = {u: [] for u in range(n_online)}
         for a, b in edges:
             byu[a].append(b)
+    lines: list[str] = []
+    if mode == MODE_EDGE:
+        arrange(edges, key=lambda e: (e[1], e[0]))  # frontloaded: offline-major order
+        lines.extend(f"e {a} {b}" for a, b in edges)
+    elif mode == MODE_VERTEX_ONE_SIDED:
         order = list(range(n_online))
-        if frontload:
-            for u in order:
-                byu[u].sort()
-        else:
-            rng.shuffle(order)
-            for u in order:
-                rng.shuffle(byu[u])
+        arrange(order)
+        for u in order:
+            arrange(byu[u])
         lines.extend(
             f"V {u} " + " ".join(map(str, byu[u])) if byu[u] else f"V {u}" for u in order
         )
@@ -213,30 +214,17 @@ def generate(spec: GenSpec) -> str:
                 late[b].append(a)
         for v in order:
             nbrs = late[v]
-            if frontload:
-                nbrs.sort()
-            else:
-                rng.shuffle(nbrs)
+            arrange(nbrs)
             lines.append(f"V {v} " + " ".join(map(str, nbrs)) if nbrs else f"V {v}")
     else:  # batch mode
-        k = spec.batch_size if spec.batch_size else ceil_sqrt(spec.delta)
-        batch_size = k
-        byu = {u: [] for u in range(n_online)}
-        for a, b in edges:
-            byu[a].append(b)
+        k = batch_size = spec.batch_size if spec.batch_size else ceil_sqrt(spec.delta)
         units = []
         for u in range(n_online):
             nbrs = byu[u]
-            if frontload:
-                nbrs.sort()
-            else:
-                rng.shuffle(nbrs)
+            arrange(nbrs)
             for i in range(0, len(nbrs), k):
                 units.append((i // k, u, nbrs[i : i + k]))
-        if frontload:
-            units.sort(key=lambda t: (t[0], t[1]))  # all first batches first
-        else:
-            rng.shuffle(units)
+        arrange(units, key=lambda t: (t[0], t[1]))  # frontloaded: all first batches first
         lines.extend(f"B {u} " + " ".join(map(str, chunk)) for _, u, chunk in units)
 
     header = StreamHeader(n_online, n_offline, spec.delta, mode, batch_size, spec.seed)
@@ -244,6 +232,9 @@ def generate(spec: GenSpec) -> str:
 
 
 # --- verification ---
+
+
+REPORT_LIMIT = 10
 
 
 @dataclass
@@ -280,24 +271,23 @@ def verify(
     stream_lines: Iterable[str],
     output_lines: Iterable[str],
     budget: int | None = None,
-    limit: int = 10,
 ) -> VerifyReport:
     """Check an output file against its stream file; the whole-run oracle."""
     _header, events = parse_stream(stream_lines)
     expected = collect_edges(events)
     assignments, _trailer = parse_output(output_lines)
-    return check_assignments(expected, assignments, budget=budget, limit=limit)
+    return check_assignments(expected, assignments, budget=budget)
 
 
 def check_assignments(
     expected: dict[tuple[int, int], int],
     assignments,
     budget: int | None = None,
-    limit: int = 10,
 ) -> VerifyReport:
     """The checking core shared by the file oracle and in-memory runs.
 
     `expected` is mutated (coverage counts); pass a fresh dict per check.
+    Each list of problems keeps its first REPORT_LIMIT entries.
     """
     at_vertex: dict[int, dict[int, tuple[int, int]]] = {}
     colors: set[int] = set()
@@ -318,7 +308,7 @@ def check_assignments(
         for x in e:
             holder = at_vertex.setdefault(x, {})
             other = holder.get(c)
-            if other is not None and len(conflicts) < limit:
+            if other is not None and len(conflicts) < REPORT_LIMIT:
                 conflicts.append((other, e, c))
             holder[c] = e
 
@@ -330,9 +320,9 @@ def check_assignments(
         colors_used=len(colors),
         max_color=max_color,
         edges_colored=len(assignments),
-        missing=missing[:limit],
-        duplicates=duplicates[:limit],
-        unknown=unknown[:limit],
+        missing=missing[:REPORT_LIMIT],
+        duplicates=duplicates[:REPORT_LIMIT],
+        unknown=unknown[:REPORT_LIMIT],
         conflicts=conflicts,
         budget_ok=budget_ok,
     )

@@ -13,8 +13,8 @@ computed with integer arithmetic only, so runs are bit-for-bit reproducible
 across platforms.
 
 Layered algorithms give each internal colorer its own contiguous block of
-the final color space: `ColorAllocator` hands out disjoint blocks and,
-given the run's declared budget, refuses any block that would pass it.
+the final color space: `ColorAllocator` hands out disjoint blocks, keeps
+the run's declared budget, and refuses any block that would pass it.
 """
 
 from __future__ import annotations
@@ -64,17 +64,21 @@ class ColorAllocator:
     """Hands out disjoint contiguous blocks of the final color space.
 
     Static blocks are reserved when a run is wired up; dynamic blocks
-    (buffer flushes, spill sets, leftovers) are grabbed as needed. The
-    high-water mark is the run's true palette footprint. Once `budget` is
-    set, a block that would end past it raises BoundViolation instead.
+    (buffer flushes, spill sets, leftovers, stored graphs) are grabbed as
+    needed, and each component adds the total width of its own to
+    `promised` when it is built. The run's declared budget is then `total + promised`,
+    read once the whole pipeline is built. The high-water mark is the
+    run's true palette footprint. Once `budget` is set, a block that would
+    end past it raises BoundViolation instead.
     """
 
-    __slots__ = ("next_free", "blocks", "budget")
+    __slots__ = ("next_free", "blocks", "budget", "promised")
 
     def __init__(self) -> None:
         self.next_free = 0
         self.blocks: list[tuple[str, int, int]] = []
         self.budget: int | None = None
+        self.promised = 0
 
     def reserve(self, width: int, label: str = "") -> int:
         if width < 0:

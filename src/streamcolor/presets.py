@@ -24,15 +24,15 @@ base store, a declared-bipartite header one level whose sides are the
 header's, so each arrival kind has one pipeline.
 Every preset draws all randomness from one seed and reserves disjoint
 color blocks from a single allocator. Its declared color budget, which
-upper-bounds every id it can ever emit, is the sum of what the built
-components can reserve: each reports its static blocks plus a bound on
-its dynamic ones (spill, flush, leftover, base store), and the allocator
-refuses any block past that sum. The edge pipeline falls back to
-store-and-color when the degree bound is too small for the concentration
-arguments behind its dispatcher (below c * log^2 n): exact against the
-header's sides, or with delta + 1 colors on a general header;
-`force_stream` bypasses the fallback so the streaming path can be
-exercised at small scale too.
+upper-bounds every id it can ever emit, is the allocator's: the static
+blocks the built components reserved plus the widths they promised for
+their dynamic ones (spill, flush, leftover, base store, stored graph).
+The allocator refuses any block past it. The edge pipeline falls back
+to store-and-color when the degree bound is too small for the
+concentration arguments behind its dispatcher (below c * log^2 n): exact
+against the header's sides, or with delta + 1 colors on a general
+header; `force_stream` bypasses the fallback so the streaming path can
+be exercised at small scale too.
 """
 
 from __future__ import annotations
@@ -116,13 +116,11 @@ class _Pipeline:
     `feed(event, out)` appends the event's assignments to `out`, which
     holds those of a block's earlier edges if it raises partway.
 
-    Each pipeline sets `budget` from what its components reserve; most
-    drive one component, `inner`. `build_pipeline` adds the run's `meter`,
-    `allocator`, `preset` name and reported `s`.
+    Most drive one component, `inner`. `build_pipeline` adds the run's
+    `meter`, `allocator`, declared `budget`, `preset` name and reported `s`.
     """
 
     inner = None
-    budget: int
 
     def feed(self, event: StreamEvent, out: list[Assignment]) -> None:
         raise NotImplementedError
@@ -136,8 +134,6 @@ class _Pipeline:
 
 class _Trivial(_Pipeline):
     """Degree bound 1: the graph is a matching, one color covers it."""
-
-    budget = 1
 
     def __init__(self, allocator: ColorAllocator):
         self.color = allocator.reserve(1, "trivial")
@@ -164,7 +160,6 @@ class _OneSided(_Pipeline):
             alloc,
             bands=-(-header.delta // header.batch_size) if batched else 1,
         )
-        self.budget = self.inner.budget
         self.batch_counts: dict[int, int] | None = {} if batched else None
 
     def feed(self, event, out):
@@ -201,7 +196,6 @@ class _Vertex(_Pipeline):
         self.inner = VertexBipartization(
             header.n_total, header.delta, split_seed(seed, 1), meter, alloc, factory, n_online=sides
         )
-        self.budget = self.inner.budget
         self.arrived: set[int] = set()
 
     def feed(self, event, out):
@@ -246,7 +240,6 @@ class _Edge(_Pipeline):
         self.inner = EdgeBipartization(
             n, header.delta, split_seed(seed, 1), meter, alloc, factory, n_online=sides
         )
-        self.budget = self.inner.budget
 
     def feed(self, block, out):
         self.inner.on_block(block.us, block.vs, out)
@@ -255,13 +248,13 @@ class _Edge(_Pipeline):
 class _StoreAll(_Pipeline):
     """Baselines and the small-degree fallback: buffer, then color offline."""
 
-    def __init__(self, header: StreamHeader, flavor: str):
+    def __init__(self, header: StreamHeader, flavor: str, alloc: ColorAllocator):
         # exact colors against the header's sides: an edge inside one is an input error
         if flavor == "exact" and not header.bipartite:
             raise ModeMismatch("offline-exact needs declared sides; this header has n_offline 0")
         self.side_of = header.n_online.__gt__ if flavor == "exact" else None
         self.flavor = flavor  # exact | general | greedy
-        self.budget = block_width(flavor, header.delta)
+        alloc.promised += block_width(flavor, header.delta)  # the stored graph
         self.edges: list[tuple[int, int]] = []
 
     def feed(self, event, out):
@@ -308,8 +301,8 @@ def build_pipeline(
 ) -> _Pipeline:
     """Wire a preset to this stream, with a fresh meter and allocator.
 
-    The pipeline's `budget` is read off its components, and the allocator
-    refuses any block that would pass it.
+    The pipeline's `budget` is what its components reserved plus what they
+    promised, and the allocator refuses any block that would pass it.
     """
     check_mode(header.mode, alg)
     if alg == "edge-sqrt":  # edge-general at the top of its range; from here on only s counts
@@ -320,9 +313,9 @@ def build_pipeline(
     seed = header.seed if seed is None else seed
 
     if alg == "offline-exact":
-        pipeline = _StoreAll(header, "exact")
+        pipeline = _StoreAll(header, "exact", alloc)
     elif alg == "offline-greedy":
-        pipeline = _StoreAll(header, "greedy")
+        pipeline = _StoreAll(header, "greedy", alloc)
     elif header.delta == 1:
         pipeline = _Trivial(alloc)
     elif alg == "one-sided":
@@ -330,14 +323,14 @@ def build_pipeline(
     elif alg == "vertex-general":
         pipeline = _Vertex(header, seed, meter, alloc)
     elif uses_fallback(header, s, force_stream):
-        pipeline = _StoreAll(header, "exact" if header.bipartite else "general")
+        pipeline = _StoreAll(header, "exact" if header.bipartite else "general", alloc)
     else:
         pipeline = _Edge(header, seed, meter, alloc, s)
     pipeline.meter = meter
     pipeline.allocator = alloc
     pipeline.preset = alg
     pipeline.s = s
-    alloc.budget = pipeline.budget
+    pipeline.budget = alloc.budget = alloc.total + alloc.promised
     return pipeline
 
 

@@ -70,12 +70,17 @@ class Bipartization:
 
     The per-level algorithm is supplied by `level_factory(level, bound)`,
     which returns the list of the level's parts: the two side colorers
-    (vertex arrivals) or one dispatcher (edge arrivals). Each part has a
-    color `budget`, `finalize()` and `spill_report()`; the router sums,
-    finalizes and reports them in level order, parts in list order.
+    (vertex arrivals) or one dispatcher (edge arrivals). Each part has
+    `finalize()` and `spill_report()`; the router finalizes and reports
+    them in level order, parts in list order.
     `n_online`, given for a declared-bipartite header, replaces the random
     levels with the one level of the header's sides.
     """
+
+    name = "bipart"  # in its meter keys, block labels and errors
+    _bitkey = "bipart:bits"
+    _dkey = "bipart:level-degrees"
+    _basekey = "bipart:base-store"
 
     def __init__(
         self,
@@ -85,22 +90,19 @@ class Bipartization:
         meter: SpaceMeter,
         allocator: ColorAllocator,
         level_factory: Callable[[int, int], list],
-        name: str = "bipart",
         n_online: int | None = None,
     ):
         self.meter = meter
         self.allocator = allocator
-        self.name = name
         self.header_sides = n_online is not None
         self.bounds = [delta] if self.header_sides else plan_levels(n, delta)
         self.levels = [level_factory(i, d) for i, d in enumerate(self.bounds)]
         self.num_levels = len(self.levels)
         self.parts = [part for level in self.levels for part in level]
-        self.budget = sum(part.budget for part in self.parts)
         if self.header_sides:
             self.bit_vector = n_online.__gt__  # online ids have bit 1; nothing stored
         else:
-            self.budget += block_width("general", delta)  # the base store
+            allocator.promised += block_width("general", delta)  # the base store
         self.rng = child_rng(seed, 0xB1)
         self.bits: dict[int, int] = {}
         # None marks a level with no counters: its bound is at least delta
@@ -108,9 +110,6 @@ class Bipartization:
             {} if d < delta else None for d in self.bounds
         ]
         self.base_edges: list[tuple[int, int]] = []
-        self._bitkey = f"{name}:bits"
-        self._dkey = f"{name}:level-degrees"
-        self._basekey = f"{name}:base-store"
 
     def bit_vector(self, v: int) -> int:
         bv = self.bits.get(v)

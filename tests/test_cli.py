@@ -206,6 +206,42 @@ def test_edge_sqrt_warns_once_when_it_ignores_an_explicit_s(tmp_path, capsys):
     assert written[0] == written[1] == written[2]
 
 
+# (stream, alg, --s, the one warning, the run without --s that writes the same bytes)
+S_IGNORED = [
+    # clamped to ceil(sqrt(16)) = 4, where edge-general is edge-sqrt
+    ("edge", "edge-general", "100",
+     "--s 100 ignored: edge-general runs at s=4 = ceil(sqrt(delta))", "edge-sqrt"),
+    ("vertex", "one-sided", "2", "--s 2 ignored: one-sided has no space knob", "one-sided"),
+    ("vertex", "offline-exact", "3", "--s 3 ignored: offline-exact has no space knob",
+     "offline-exact"),
+    # delta 1: the one-color path, at s = ceil(sqrt(1)) = 1
+    ("delta1", "edge-general", "3", "--s 3 ignored: edge-general runs at s=1 = ceil(sqrt(delta))",
+     "edge-general"),
+]
+
+
+@pytest.mark.parametrize("case", S_IGNORED, ids=[f"{c[1]}-s{c[2]}" for c in S_IGNORED])
+def test_an_ignored_s_warns_once_and_changes_no_byte(tmp_path, capsys, case):
+    kind, alg, s, warning, plain_alg = case
+    stream = tmp_path / "s.txt"
+    if kind == "delta1":
+        stream.write_text("H 2 2 1 edge 0 1\ne 0 2\ne 1 3\n")
+    else:
+        mode = "edge" if kind == "edge" else "vertex-one-sided"
+        stream.write_text(generate(GenSpec("regular-bipartite", 64, 16, mode, 3)))
+    written = []
+    for argv, warnings in (
+        (("--alg", alg, "--s", s), [f"warning: {warning}"]),
+        (("--alg", plain_alg), []),  # no --s: no warning
+    ):
+        out = tmp_path / f"o{len(written)}.txt"
+        assert run_cli("run", str(stream), *argv, "--force-stream", "-o", str(out)) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("warning:")] == warnings
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize(
     "c, n, k, u_size",
     [("1", "8", "8", "8"), ("0.5", "5", "3", "3")],

@@ -148,8 +148,8 @@ def test_a_spill_wider_than_delta_passes_the_budget_and_emits_nothing():
     # offline vertex may collect up to P spilled edges; the allocator stops
     # the run before a color past the budget is emitted
     inst, _, alloc = make(4)
-    alloc.budget = inst.budget
-    assert (inst.period, inst.budget) == (11, 37)
+    alloc.budget = alloc.total + alloc.promised
+    assert (inst.period, alloc.budget) == (11, 37)
     for v in (100, 101, 102, 103):
         plant(inst, v, (1, 2, 3))  # four equal triples: three colors for four edges
     for u in range(5):

@@ -6,7 +6,8 @@ one preset through the CLI and compares the SHA-256 of the output file,
 keep every color (a refactor or a speed-up) must leave these hashes as
 they are; a change that moves colors on purpose records the new hashes
 and says why. The budget table pins `declared_budget` per header in the
-same way.
+same way, and the stream table pins the bytes `generate` writes for
+every feasible family and mode.
 """
 
 import hashlib
@@ -15,9 +16,10 @@ import pytest
 
 from streamcolor.cli import main
 from streamcolor.dispatch import ceil_sqrt
-from streamcolor.harness import GenSpec, generate
+from streamcolor.errors import InfeasibleSpec
+from streamcolor.harness import FAMILIES, GenSpec, check_spec, generate
 from streamcolor.presets import build_pipeline, declared_budget, run_stream
-from streamcolor.stream import StreamHeader, parse_stream
+from streamcolor.stream import MODES, StreamHeader, parse_stream
 
 # (id, family, mode, delta, batch_size, preset, extra run arguments, sha256)
 CASES = [
@@ -216,3 +218,65 @@ def test_declared_budget_matches_its_golden_value(case):
     _, n_online, n_offline, delta, mode, batch_size, preset, s, force, expected = case
     header = StreamHeader(n_online, n_offline, delta, mode, batch_size, 0)
     assert declared_budget(header, preset, s, force) == expected
+
+
+@pytest.mark.parametrize("case", BUDGETS, ids=[c[0] for c in BUDGETS])
+def test_the_budget_is_what_the_allocator_holds_and_is_promised(case):
+    # read right after the build: the static blocks are reserved, every
+    # dynamic one is still a promise
+    _, n_online, n_offline, delta, mode, batch_size, preset, s, force, _ = case
+    header = StreamHeader(n_online, n_offline, delta, mode, batch_size, 0)
+    pipeline = build_pipeline(header, preset, s=s, force_stream=force)
+    alloc = pipeline.allocator
+    assert pipeline.budget == alloc.budget == alloc.total + alloc.promised
+
+
+# (family, mode) -> SHA-256 of the stream `generate` writes at n = 64,
+# delta = 16, seed 11 (batch size ceil(sqrt(16)) = 4): every feasible pair
+STREAMS = {
+    ("regular-bipartite", "edge"):
+        "9d3c6f3f38ba0cd4dadb560b89a1bc06616d7e8538a563614ec8e59ac70841a3",
+    ("regular-bipartite", "vertex-one-sided"):
+        "6785f776fc9322d6fc87403e546f394eba21d528464baa947ce5202a203e2b6a",
+    ("regular-bipartite", "vertex-two-sided"):
+        "39655b0aa3925681fdd7853643c9d62694b969b9f63836438a89f59240928b23",
+    ("regular-bipartite", "batch"):
+        "01607006f5fbdcef1ccab2a025fcde99b70017335dd800bc9d8fda8606e324bb",
+    ("random-bipartite", "edge"):
+        "0b1a93a7152bf289bd7945f4f3c7609f3112d46788cdffb5ddcf627e67f88e51",
+    ("random-bipartite", "vertex-one-sided"):
+        "98c70a2e8fe8577deb4cdf6b0c0fed393673b178e339cce44c41d4f2e1acfde3",
+    ("random-bipartite", "vertex-two-sided"):
+        "d28b7ea48b950dc06d01d59bad8b88f4c4b350f3972112f0c402c16414c34cc8",
+    ("regular-general", "edge"):
+        "26320d8f6cbce1b9672cc4ee776a4596295aacc65eccb0c2ca55e70900580d5a",
+    ("regular-general", "vertex-two-sided"):
+        "5434a75351a1c9a67ff6e267570ffedd777eb96f3841fe375ee67f60abb5efd2",
+    ("adversarial-frontload", "edge"):
+        "fe42e97cfb77fb28d0c33e431850b9a79c323b0975156b47cdf585a7c54a9ab7",
+    ("adversarial-frontload", "vertex-one-sided"):
+        "e372b3cc04360453d01b7a03d9ed24665c7f8dacc71406cfe044380a3911dc57",
+    ("adversarial-frontload", "vertex-two-sided"):
+        "9a2d13bf969ed6a1fc9fdea96f2f03c0db38e67697a85227f6329a1cf002b743",
+    ("adversarial-frontload", "batch"):
+        "5b8841dc8c8cb59f6ca311624cfbb53a3080fb357f25d87d763001933a6bd3b0",
+}
+
+
+def test_the_stream_table_covers_every_feasible_family_and_mode():
+    feasible = set()
+    for family in FAMILIES:
+        for mode in MODES:
+            try:
+                check_spec(GenSpec(family, 64, 16, mode, SEED))
+            except InfeasibleSpec:
+                continue
+            feasible.add((family, mode))
+    assert feasible == set(STREAMS)
+
+
+@pytest.mark.parametrize("pair, expected", STREAMS.items(), ids=["-".join(p) for p in STREAMS])
+def test_a_generated_stream_matches_its_golden_hash(pair, expected):
+    family, mode = pair
+    text = generate(GenSpec(family, 64, 16, mode, SEED))
+    assert hashlib.sha256(text.encode()).hexdigest() == expected

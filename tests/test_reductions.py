@@ -196,7 +196,7 @@ def test_base_store_is_colored_as_a_general_graph(arrivals, width, monkeypatch):
         assert tree.on_vertex(u, neighbors) == []
     final = tree.finalize()
     assert len(final) == sum(len(nbrs) for _, nbrs in arrivals)
-    assert alloc.blocks == [("bipart:base", 0, width)] and tree.budget == width
+    assert alloc.blocks == [("bipart:base", 0, width)] and alloc.promised == width
     checker(final)
 
 
