@@ -9,14 +9,13 @@ talk about: a handful of words per offline vertex plus whatever spilled.
 
 import random
 
-from streamcolor import OneSidedColorer, SpaceMeter
-from streamcolor.palette import ColorAllocator
+from streamcolor import OneSidedColorer, Run
 
 N, DELTA, SEED = 500, 16, 21
 
-meter = SpaceMeter()
-alloc = ColorAllocator()
-colorer = OneSidedColorer(DELTA, random.Random(SEED), meter, alloc)
+run = Run()
+meter = run.meter
+colorer = OneSidedColorer(DELTA, random.Random(SEED), run)
 
 rng = random.Random(SEED + 1)
 shifts = rng.sample(range(N), DELTA)

@@ -10,7 +10,7 @@ random bipartization for general graphs. A word-exact space meter and an
 independent output verifier make the guarantees checkable per run.
 """
 
-from .core import OneSidedColorer, SpillReport
+from .core import OneSidedColorer, Run
 from .errors import StreamColorError
 from .harness import GenSpec, KoutResult, RunRequest, VerifyReport, generate, run_kout_experiment, verify
 from .matching import brute_force_match, kout_trial
@@ -38,10 +38,10 @@ __all__ = [
     "OfflineState",
     "OneSidedColorer",
     "PRESETS",
+    "Run",
     "RunRequest",
     "RunStats",
     "SpaceMeter",
-    "SpillReport",
     "StreamColorError",
     "StreamHeader",
     "VertexArrival",

@@ -17,6 +17,10 @@ block via the exact bipartite colorer.
 the spill set here, the dispatchers' flushes and leftovers, the
 bipartization's base store and the store-and-color presets.
 
+`Run` is what every component of one run shares: the word ledger, the
+color space, and the one-sided colorers in build order, whose spill
+counts are the run's.
+
 Color layout within this colorer's block of the global space:
 
     band b < bands   [b*3P, (b+1)*3P)     whole vertices use band 0
@@ -30,9 +34,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import BoundViolation, TooManyBatches, TooManySlots
 from .matching import maximum_matching
@@ -42,18 +45,16 @@ from .palette import ColorAllocator, OfflineState, draw_offline_state, period_fo
 from .stream import Assignment
 
 
-@dataclass(frozen=True)
-class SpillReport:
-    spilled_vertices: int  # arrivals whose edges went to the spill set
-    spilled_edges: int
+class Run:
+    """One run's shared context: the word ledger `meter`, the color space
+    `alloc`, and `colorers`, every one-sided colorer in the order built."""
 
-    @classmethod
-    def total(cls, parts: Iterable) -> "SpillReport":
-        """The sum of the reports of `parts`, each with a `spill_report()`."""
-        reports = [p.spill_report() for p in parts]
-        return cls(
-            sum(r.spilled_vertices for r in reports), sum(r.spilled_edges for r in reports)
-        )
+    __slots__ = ("meter", "alloc", "colorers")
+
+    def __init__(self) -> None:
+        self.meter = SpaceMeter()
+        self.alloc = ColorAllocator()
+        self.colorers: list[OneSidedColorer] = []
 
 
 def block_width(flavor: str, d: int) -> int:
@@ -65,8 +66,7 @@ def color_block(
     edges: list[tuple[int, int]],
     side_of: Callable[[int], int] | None,
     label: str,
-    meter: SpaceMeter,
-    allocator: ColorAllocator,
+    run: Run,
     flavor: str = "exact",
 ) -> list[Assignment]:
     """Color a stored edge list offline in one fresh block of the color space.
@@ -83,7 +83,8 @@ def color_block(
         return []
     degrees = Counter(chain.from_iterable(edges))  # keys in first-appearance order
     dmax = max(degrees.values())
-    base = allocator.reserve(block_width(flavor, dmax), label)
+    base = run.alloc.reserve(block_width(flavor, dmax), label)
+    meter = run.meter
     if flavor == "exact":
         colors = color_bipartite_exact(edges, degrees, list(map(side_of, degrees)), dmax, meter)
     elif flavor == "general":
@@ -99,9 +100,10 @@ class OneSidedColorer:
     Args:
         delta: degree bound this instance is sized for (sets P).
         rng: source for shift draws; owned by the caller.
-        meter: word ledger charged for shifts, spill, scratch.
-        allocator: global color space; a streaming block is reserved now,
-            the spill block, promised as delta colors, only if a spill happens.
+        run: the shared context; its meter is charged for shifts, spill and
+            scratch, and its allocator gives a streaming block now, the spill
+            block, promised as delta colors, only if a spill happens. The
+            colorer adds itself to `run.colorers`.
         bands: bands of 3P colors in the streaming block, one per batch
             index a caller may name; 1 for whole-vertex arrivals.
 
@@ -114,8 +116,7 @@ class OneSidedColorer:
         self,
         delta: int,
         rng: random.Random,
-        meter: SpaceMeter,
-        allocator: ColorAllocator,
+        run: Run,
         *,
         bands: int = 1,
         name: str = "one-sided",
@@ -123,13 +124,13 @@ class OneSidedColorer:
         self.period = p = period_for(delta)
         self.delta = delta
         self.rng = rng
-        self.meter = meter
+        self.run = run
         self.name = name
         self.bands = bands
         self.block_width = 3 * p * bands
-        self.block = allocator.reserve(self.block_width, f"{name}:stream")
-        allocator.promised += delta  # a spill block of at most delta colors
-        self.allocator = allocator
+        self.block = run.alloc.reserve(self.block_width, f"{name}:stream")
+        run.alloc.promised += delta  # a spill block of at most delta colors
+        run.colorers.append(self)
         self.states: dict[int, OfflineState] = {}
         self.spill: list[tuple[int, int]] = []
         self.spilled_vertices = 0
@@ -149,7 +150,7 @@ class OneSidedColorer:
             return []
         if d > self.delta:
             raise TooManySlots(f"arrival of {d} edges exceeds the degree bound {self.delta}")
-        meter = self.meter
+        meter = self.run.meter
         p = self.period
         p2 = 2 * p
         base = self.block + band * 3 * p
@@ -228,11 +229,8 @@ class OneSidedColorer:
         if not self.spill:
             return []
         edges = self.spill
-        self.meter.release(self._skey, 2 * len(edges))
+        self.run.meter.release(self._skey, 2 * len(edges))
         # every spilled neighbor holds state here, and no arriving vertex does
-        out = color_block(edges, self.states.__contains__, self._skey, self.meter, self.allocator)
+        out = color_block(edges, self.states.__contains__, self._skey, self.run)
         self.spill = []
         return out
-
-    def spill_report(self) -> SpillReport:
-        return SpillReport(self.spilled_vertices, self.spilled_edges_total)

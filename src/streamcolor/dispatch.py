@@ -37,10 +37,8 @@ from collections import deque
 from itertools import islice
 from typing import Callable
 
-from .core import OneSidedColorer, SpillReport, color_block
+from .core import OneSidedColorer, Run, color_block
 from .errors import BoundViolation, FlushBudgetExceeded
-from .meter import SpaceMeter
-from .palette import ColorAllocator
 from .rng import child_rng
 from .stream import Assignment
 
@@ -62,27 +60,19 @@ class BatchIndexDispatcher:
         self,
         delta: int,
         seed: int,
-        meter: SpaceMeter,
-        allocator: ColorAllocator,
+        run: Run,
         name: str = "sqrt",
     ):
         self.k = ceil_sqrt(delta)
         self.max_batches = -(-delta // self.k)  # <= k, so batch indices stay injective
-        self.meter = meter
+        self.run = run
         self.name = name
         self.rng = child_rng(seed, 0)
         self.subs = [
-            OneSidedColorer(
-                2 * self.k,
-                child_rng(seed, 1 + i),
-                meter,
-                allocator,
-                name=f"{name}:H{i}",
-            )
+            OneSidedColorer(2 * self.k, child_rng(seed, 1 + i), run, name=f"{name}:H{i}")
             for i in range(self.k)
         ]
-        allocator.promised += delta  # the leftover block
-        self.allocator = allocator
+        run.alloc.promised += delta  # the leftover block
         self.buffers: dict[int, deque[int]] = {}
         self.batch_count: dict[int, int] = {}
         self.batch_shift: dict[int, int] = {}
@@ -95,17 +85,18 @@ class BatchIndexDispatcher:
         if buf is None:
             buf = self.buffers[u] = deque()
         buf.append(v)
-        self.meter.add(self._bkey, 2)
+        meter = self.run.meter
+        meter.add(self._bkey, 2)
         if len(buf) < self.k:
             return []
 
         batch = [buf.popleft() for _ in range(self.k)]
-        self.meter.release(self._bkey, 2 * self.k)
+        meter.release(self._bkey, 2 * self.k)
         count = self.batch_count.get(u)
         if count is None:
             count = 0
             self.batch_shift[u] = self.rng.randrange(self.k)
-            self.meter.add(self._ckey, 2)
+            meter.add(self._ckey, 2)
         count += 1
         if count > self.max_batches:
             raise BoundViolation(f"{self.name}: vertex {u} exceeded {self.max_batches} batches")
@@ -116,18 +107,13 @@ class BatchIndexDispatcher:
     def finalize(self) -> list[Assignment]:
         leftover = [(u, v) for u, buf in self.buffers.items() for v in buf]
         # the buffers are keyed by the level's bit-1 ends only: they are one side
-        out = color_block(
-            leftover, self.buffers.__contains__, f"{self.name}:leftover", self.meter, self.allocator
-        )
+        out = color_block(leftover, self.buffers.__contains__, f"{self.name}:leftover", self.run)
         if leftover:
-            self.meter.release(self._bkey, 2 * len(leftover))
+            self.run.meter.release(self._bkey, 2 * len(leftover))
             self.buffers.clear()
         for sub in self.subs:
             out.extend(sub.finalize())
         return out
-
-    def spill_report(self) -> SpillReport:
-        return SpillReport.total(self.subs)
 
 
 class GroupedBatchDispatcher:
@@ -140,8 +126,7 @@ class GroupedBatchDispatcher:
         cap: int,
         side_of: Callable[[int], int],
         seed: int,
-        meter: SpaceMeter,
-        allocator: ColorAllocator,
+        run: Run,
         flush_bound: int,
         name: str = "general",
     ):
@@ -153,8 +138,7 @@ class GroupedBatchDispatcher:
         sub_delta = max(-(-2 * delta // self.s), min(self.group_width * self.k, delta))
         self.cap = cap
         self.side_of = side_of
-        self.meter = meter
-        self.allocator = allocator
+        self.run = run
         self.name = name
         self.flush_bound = flush_bound
         self.flushes = 0
@@ -164,8 +148,7 @@ class GroupedBatchDispatcher:
                 OneSidedColorer(
                     sub_delta,
                     child_rng(seed, 1 + side * self.s + i),
-                    meter,
-                    allocator,
+                    run,
                     bands=self.group_width,
                     name=f"{name}:side{side}:G{i}",
                 )
@@ -174,7 +157,7 @@ class GroupedBatchDispatcher:
             for side in (0, 1)
         ]
         # flush blocks of under k colors each, and the leftover block
-        allocator.promised += flush_bound * self.k + delta
+        run.alloc.promised += flush_bound * self.k + delta
 
         # adj[x] maps each buffered edge id at x to its other endpoint, in
         # arrival order; len(adj[x]) is x's buffered count. A vertex keeps its
@@ -209,7 +192,7 @@ class GroupedBatchDispatcher:
         size = self.size + 1
         self.size = size
         # SpaceMeter.add(self._bkey, 4), inline: this runs once per edge
-        meter = self.meter
+        meter = self.run.meter
         ledger = meter.ledger
         ledger[self._bkey] = ledger.get(self._bkey, 0) + 4
         words = meter.current_words + 4
@@ -252,13 +235,13 @@ class GroupedBatchDispatcher:
         if len(at) >= k:
             self.ready.append(u)
         self.size -= k
-        self.meter.release(self._bkey, 4 * k)
+        self.run.meter.release(self._bkey, 4 * k)
 
         count = self.batch_count.get(u)
         if count is None:
             count = 0
             self.group_shift[u] = self.rng.randrange(self.s)
-            self.meter.add(self._ckey, 2)
+            self.run.meter.add(self._ckey, 2)
         count += 1
         self.batch_count[u] = count
         group = -(-count // self.group_width)
@@ -281,7 +264,7 @@ class GroupedBatchDispatcher:
         self.ready.clear()
         released = self.size
         self.size = 0
-        self.meter.release(self._bkey, 4 * released)
+        self.run.meter.release(self._bkey, 4 * released)
         return edges
 
     def _flush(self) -> list[Assignment]:
@@ -293,20 +276,15 @@ class GroupedBatchDispatcher:
                 f"{self.name}: {self.flushes} flushes exceed the bound {self.flush_bound}"
             )
         edges = self._collect_live()
-        out = color_block(
-            edges, self.side_of, f"{self.name}:flush{self.flushes}", self.meter, self.allocator
-        )
-        if out and self.allocator.blocks[-1][2] >= self.k:
+        out = color_block(edges, self.side_of, f"{self.name}:flush{self.flushes}", self.run)
+        if out and self.run.alloc.blocks[-1][2] >= self.k:
             raise AssertionError("flush with a full batch still buffered")
         return out
 
     def finalize(self) -> list[Assignment]:
         edges = self._collect_live()
-        out = color_block(edges, self.side_of, f"{self.name}:leftover", self.meter, self.allocator)
+        out = color_block(edges, self.side_of, f"{self.name}:leftover", self.run)
         for side in (0, 1):
             for sub in self.arrays[side]:
                 out.extend(sub.finalize())
         return out
-
-    def spill_report(self) -> SpillReport:
-        return SpillReport.total(self.arrays[0] + self.arrays[1])

@@ -22,8 +22,10 @@ Every two-sided stream, vertex or edge, goes through one router
 (`reductions.Bipartization`): a general graph gets random levels plus a
 base store, a declared-bipartite header one level whose sides are the
 header's, so each arrival kind has one pipeline.
-Every preset draws all randomness from one seed and reserves disjoint
-color blocks from a single allocator. Its declared color budget, which
+Every preset draws all randomness from one seed, and its components
+share one `core.Run`: a single meter, a single allocator of disjoint
+color blocks, and the list of its one-sided colorers, whose spill counts
+`run_stream` sums. Its declared color budget, which
 upper-bounds every id it can ever emit, is the allocator's: the static
 blocks the built components reserved plus the widths they promised for
 their dynamic ones (spill, flush, leftover, base store, stored graph).
@@ -42,11 +44,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .core import OneSidedColorer, SpillReport, block_width, color_block
+from .core import OneSidedColorer, Run, block_width, color_block
 from .dispatch import BatchIndexDispatcher, GroupedBatchDispatcher, ceil_sqrt
 from .errors import ModeMismatch
-from .meter import SpaceMeter
-from .palette import ColorAllocator
 from .reductions import EdgeBipartization, VertexBipartization
 from .rng import child_rng, split_seed
 from .stream import (
@@ -116,11 +116,10 @@ class _Pipeline:
     `feed(event, out)` appends the event's assignments to `out`, which
     holds those of a block's earlier edges if it raises partway.
 
-    Most drive one component, `inner`. `build_pipeline` adds the run's
-    `meter`, `allocator`, declared `budget`, `preset` name and reported `s`.
+    Each holds `run`, the context its components share. Most drive one
+    component, `inner`. `build_pipeline` adds the declared `budget`, the
+    `preset` name and the reported `s`.
     """
-
-    inner = None
 
     def feed(self, event: StreamEvent, out: list[Assignment]) -> None:
         raise NotImplementedError
@@ -128,15 +127,13 @@ class _Pipeline:
     def finalize(self) -> list[Assignment]:
         return self.inner.finalize()
 
-    def spill_report(self) -> SpillReport:
-        return SpillReport(0, 0) if self.inner is None else self.inner.spill_report()
-
 
 class _Trivial(_Pipeline):
     """Degree bound 1: the graph is a matching, one color covers it."""
 
-    def __init__(self, allocator: ColorAllocator):
-        self.color = allocator.reserve(1, "trivial")
+    def __init__(self, run: Run):
+        self.run = run
+        self.color = run.alloc.reserve(1, "trivial")
 
     def feed(self, event, out):
         out += [(u, v, self.color) for u, v in event_edges(event)]
@@ -149,15 +146,15 @@ class _OneSided(_Pipeline):
     """One colorer; in batch mode a vertex's b-th batch goes to band b - 1,
     counted here at one word per vertex."""
 
-    def __init__(self, header: StreamHeader, seed: int, meter: SpaceMeter, alloc: ColorAllocator):
+    def __init__(self, header: StreamHeader, seed: int, run: Run):
+        self.run = run
         self.n_online = header.n_online
         self.n_total = header.n_total
         batched = header.mode == MODE_BATCH
         self.inner = OneSidedColorer(
             header.delta,
             random.Random(split_seed(seed, 1)),
-            meter,
-            alloc,
+            run,
             bands=-(-header.delta // header.batch_size) if batched else 1,
         )
         self.batch_counts: dict[int, int] | None = {} if batched else None
@@ -175,7 +172,7 @@ class _OneSided(_Pipeline):
         if counts is not None:
             band = counts.get(u, 0)
             if not band:
-                self.meter.add("one-sided:batches", 1)
+                self.run.meter.add("one-sided:batches", 1)
             counts[u] = band + 1
         out += self.inner.on_online_vertex(u, list(neighbors), band)
 
@@ -183,41 +180,37 @@ class _OneSided(_Pipeline):
 class _Vertex(_Pipeline):
     """Two-sided vertex arrivals through the bipartization router."""
 
-    def __init__(self, header: StreamHeader, seed: int, meter: SpaceMeter, alloc: ColorAllocator):
+    def __init__(self, header: StreamHeader, seed: int, run: Run):
         def factory(level: int, bound: int) -> list[OneSidedColorer]:
             level_seed = split_seed(seed, 100 + level)  # one colorer per side
             return [
-                OneSidedColorer(bound, child_rng(level_seed, side), meter, alloc,
+                OneSidedColorer(bound, child_rng(level_seed, side), run,
                                 name=f"L{level}:side{side}")
                 for side in (0, 1)
             ]
 
+        self.run = run
         sides = header.n_online if header.bipartite else None  # None: random levels
         self.inner = VertexBipartization(
-            header.n_total, header.delta, split_seed(seed, 1), meter, alloc, factory, n_online=sides
+            header.n_total, header.delta, split_seed(seed, 1), run, factory, n_online=sides
         )
-        self.arrived: set[int] = set()
 
     def feed(self, event, out):
-        u, neighbors = event
-        if not self.arrived.issuperset(neighbors):
-            v = next(v for v in neighbors if v not in self.arrived)
-            raise ModeMismatch(f"neighbor {v} of {u} has not arrived yet")
-        self.arrived.add(u)
-        out += self.inner.on_vertex(u, neighbors)
+        out += self.inner.on_vertex(*event)
 
 
 class _Edge(_Pipeline):
     """Edge arrivals through the bipartization router over dispatchers; the
     clamped knob `s` alone picks them: sqrt at s = ceil(sqrt(D)), else grouped."""
 
-    def __init__(self, header, seed, meter, alloc, s):
+    def __init__(self, header, seed, run, s):
+        self.run = run
         n = header.n_total
 
         if s == ceil_sqrt(header.delta):
             def factory(level: int, bound: int) -> list[BatchIndexDispatcher]:
                 level_seed = split_seed(seed, 100 + level)
-                return [BatchIndexDispatcher(bound, level_seed, meter, alloc, name=f"L{level}")]
+                return [BatchIndexDispatcher(bound, level_seed, run, name=f"L{level}")]
         else:
             def factory(level: int, bound: int) -> list[GroupedBatchDispatcher]:
                 # an n*s edge buffer, allowed one flush per n*s of the at most
@@ -230,15 +223,14 @@ class _Edge(_Pipeline):
                     n * s,
                     lambda v, lvl=level: self.inner.side_of(v, lvl),
                     split_seed(seed, 100 + level),
-                    meter,
-                    alloc,
+                    run,
                     flush_bound=(n * bound // 2) // max(n * s, 1) + 1,
                     name=f"L{level}",
                 )]
 
         sides = header.n_online if header.bipartite else None  # None: random levels
         self.inner = EdgeBipartization(
-            n, header.delta, split_seed(seed, 1), meter, alloc, factory, n_online=sides
+            n, header.delta, split_seed(seed, 1), run, factory, n_online=sides
         )
 
     def feed(self, block, out):
@@ -248,28 +240,27 @@ class _Edge(_Pipeline):
 class _StoreAll(_Pipeline):
     """Baselines and the small-degree fallback: buffer, then color offline."""
 
-    def __init__(self, header: StreamHeader, flavor: str, alloc: ColorAllocator):
+    def __init__(self, header: StreamHeader, flavor: str, run: Run):
         # exact colors against the header's sides: an edge inside one is an input error
         if flavor == "exact" and not header.bipartite:
             raise ModeMismatch("offline-exact needs declared sides; this header has n_offline 0")
         self.side_of = header.n_online.__gt__ if flavor == "exact" else None
         self.flavor = flavor  # exact | general | greedy
-        alloc.promised += block_width(flavor, header.delta)  # the stored graph
+        self.run = run
+        run.alloc.promised += block_width(flavor, header.delta)  # the stored graph
         self.edges: list[tuple[int, int]] = []
 
     def feed(self, event, out):
         pairs = list(event_edges(event))
         self.edges += pairs
-        self.meter.add("stored-graph", 2 * len(pairs))
+        self.run.meter.add("stored-graph", 2 * len(pairs))
 
     def finalize(self):
         edges = self.edges
         if not edges:
             return []
-        out = color_block(
-            edges, self.side_of, "stored-graph", self.meter, self.allocator, self.flavor
-        )
-        self.meter.release("stored-graph", 2 * len(edges))
+        out = color_block(edges, self.side_of, "stored-graph", self.run, self.flavor)
+        self.run.meter.release("stored-graph", 2 * len(edges))
         self.edges = []
         return out
 
@@ -299,7 +290,7 @@ def build_pipeline(
     force_stream: bool = False,
     seed: int | None = None,
 ) -> _Pipeline:
-    """Wire a preset to this stream, with a fresh meter and allocator.
+    """Wire a preset to this stream, on a fresh `Run`.
 
     The pipeline's `budget` is what its components reserved plus what they
     promised, and the allocator refuses any block that would pass it.
@@ -308,29 +299,26 @@ def build_pipeline(
     if alg == "edge-sqrt":  # edge-general at the top of its range; from here on only s counts
         s = header.delta
     s = clamp_s(header, s) if alg in ("edge-sqrt", "edge-general") else 0
-    meter = SpaceMeter()
-    alloc = ColorAllocator()
+    run = Run()
     seed = header.seed if seed is None else seed
 
     if alg == "offline-exact":
-        pipeline = _StoreAll(header, "exact", alloc)
+        pipeline = _StoreAll(header, "exact", run)
     elif alg == "offline-greedy":
-        pipeline = _StoreAll(header, "greedy", alloc)
+        pipeline = _StoreAll(header, "greedy", run)
     elif header.delta == 1:
-        pipeline = _Trivial(alloc)
+        pipeline = _Trivial(run)
     elif alg == "one-sided":
-        pipeline = _OneSided(header, seed, meter, alloc)
+        pipeline = _OneSided(header, seed, run)
     elif alg == "vertex-general":
-        pipeline = _Vertex(header, seed, meter, alloc)
+        pipeline = _Vertex(header, seed, run)
     elif uses_fallback(header, s, force_stream):
-        pipeline = _StoreAll(header, "exact" if header.bipartite else "general", alloc)
+        pipeline = _StoreAll(header, "exact" if header.bipartite else "general", run)
     else:
-        pipeline = _Edge(header, seed, meter, alloc, s)
-    pipeline.meter = meter
-    pipeline.allocator = alloc
+        pipeline = _Edge(header, seed, run, s)
     pipeline.preset = alg
     pipeline.s = s
-    pipeline.budget = alloc.budget = alloc.total + alloc.promised
+    pipeline.budget = run.alloc.budget = run.alloc.total + run.alloc.promised
     return pipeline
 
 
@@ -358,15 +346,15 @@ def run_stream(
         colors.add(c)
         emit(u, v, c)
     emitted += len(out)
-    report = pipeline.spill_report()
+    run = pipeline.run
     return RunStats(
         preset=pipeline.preset,
         s=pipeline.s,
         declared_budget=pipeline.budget,
-        palette_used=pipeline.allocator.total,
+        palette_used=run.alloc.total,
         colors_used=len(colors),
-        peak_words=pipeline.meter.peak_words,
-        spilled_vertices=report.spilled_vertices,
-        spilled_edges=report.spilled_edges,
+        peak_words=run.meter.peak_words,
+        spilled_vertices=sum(c.spilled_vertices for c in run.colorers),
+        spilled_edges=sum(c.spilled_edges_total for c in run.colorers),
         edges_emitted=emitted,
     )

@@ -33,10 +33,8 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .core import SpillReport, block_width, color_block
+from .core import Run, block_width, color_block
 from .errors import BoundViolation, ModeMismatch
-from .meter import SpaceMeter
-from .palette import ColorAllocator
 from .rng import child_rng
 from .stream import Assignment
 
@@ -70,9 +68,9 @@ class Bipartization:
 
     The per-level algorithm is supplied by `level_factory(level, bound)`,
     which returns the list of the level's parts: the two side colorers
-    (vertex arrivals) or one dispatcher (edge arrivals). Each part has
-    `finalize()` and `spill_report()`; the router finalizes and reports
-    them in level order, parts in list order.
+    (vertex arrivals) or one dispatcher (edge arrivals), all built on the
+    one `run`. Each part has `finalize()`; the router finalizes them in
+    level order, parts in list order.
     `n_online`, given for a declared-bipartite header, replaces the random
     levels with the one level of the header's sides.
     """
@@ -87,13 +85,11 @@ class Bipartization:
         n: int,
         delta: int,
         seed: int,
-        meter: SpaceMeter,
-        allocator: ColorAllocator,
+        run: Run,
         level_factory: Callable[[int, int], list],
         n_online: int | None = None,
     ):
-        self.meter = meter
-        self.allocator = allocator
+        self.run = run
         self.header_sides = n_online is not None
         self.bounds = [delta] if self.header_sides else plan_levels(n, delta)
         self.levels = [level_factory(i, d) for i, d in enumerate(self.bounds)]
@@ -102,7 +98,7 @@ class Bipartization:
         if self.header_sides:
             self.bit_vector = n_online.__gt__  # online ids have bit 1; nothing stored
         else:
-            allocator.promised += block_width("general", delta)  # the base store
+            run.alloc.promised += block_width("general", delta)  # the base store
         self.rng = child_rng(seed, 0xB1)
         self.bits: dict[int, int] = {}
         # None marks a level with no counters: its bound is at least delta
@@ -116,7 +112,7 @@ class Bipartization:
         if bv is None:
             bv = self.rng.getrandbits(self.num_levels) if self.num_levels else 0
             self.bits[v] = bv
-            self.meter.add(self._bitkey, 1)
+            self.run.meter.add(self._bitkey, 1)
         return bv
 
     def route(self, u: int, v: int) -> int:
@@ -144,21 +140,21 @@ class Bipartization:
                 d = step
                 fresh += 1
             if d > bound:
-                self.meter.add(self._dkey, fresh)
+                self.run.meter.add(self._dkey, fresh)
                 raise BoundViolation(
                     f"{self.name}: vertex {v} reached degree {d} at level {level}, "
                     f"declared bound {bound}"
                 )
             degs[v] = d
             step = 1
-        self.meter.add(self._dkey, fresh)
+        self.run.meter.add(self._dkey, fresh)
 
     def _store_base(self, u: int, v: int) -> None:
         """Keep an edge no level takes; under header sides it is an input error."""
         if self.header_sides:
             raise ModeMismatch(f"edge ({u}, {v}) does not cross the declared sides")
         self.base_edges.append((u, v))
-        self.meter.add(self._basekey, 2)
+        self.run.meter.add(self._basekey, 2)
 
     def finalize(self) -> list[Assignment]:
         out: list[Assignment] = []
@@ -167,13 +163,10 @@ class Bipartization:
         edges = self.base_edges
         if edges:
             label = f"{self.name}:base"
-            out += color_block(edges, None, label, self.meter, self.allocator, "general")
-            self.meter.release(self._basekey, 2 * len(edges))
+            out += color_block(edges, None, label, self.run, "general")
+            self.run.meter.release(self._basekey, 2 * len(edges))
             self.base_edges = []
         return out
-
-    def spill_report(self) -> SpillReport:
-        return SpillReport.total(self.parts)
 
 
 class VertexBipartization(Bipartization):
@@ -204,7 +197,7 @@ class VertexBipartization(Bipartization):
                     self._store_base(u, v)  # raises
             return self.levels[0][side].on_online_vertex(u, neighbors)
         bits = self.bits
-        meter = self.meter
+        meter = self.run.meter
         k = self.num_levels
         getrandbits = self.rng.getrandbits
         bu = self.bit_vector(u)

@@ -19,14 +19,16 @@ emission order, then a trailer `T <colors_used> <peak_words>`.
 
 The parser is single pass and lazy: it yields events in file order and
 validates syntax, event-kind legality, vertex ids in [0, n_online +
-n_offline), self-loops, duplicate neighbors within one arrival, and the
-declared degree bound; each error names its exact line. Edge lines are
-read ahead (uncharged, like the file buffer) in blocks of up to
-BLOCK_LINES, checked in bulk when all are plain `e <digits> <digits>`
-lines within the degree bound and line by line otherwise; the algorithm
-still consumes the edges one at a time, in stream order. Degrees are
-counted per id the stream names, not per id the header declares.
-Side-range semantics are left to the algorithm layer.
+n_offline), self-loops, duplicate neighbors within one arrival, a second
+`V` line for one vertex, a `vertex-two-sided` neighbor that has not
+arrived yet, and the declared degree bound; each error names its exact
+line. Edge lines are read ahead (uncharged, like the file buffer) in
+blocks of up to BLOCK_LINES, checked in bulk when all are plain
+`e <digits> <digits>` lines within the degree bound and line by line
+otherwise; the algorithm still consumes the edges one at a time, in
+stream order. Degrees are counted per id the stream names, not per id
+the header declares. Side-range semantics are left to the algorithm
+layer.
 """
 
 from __future__ import annotations
@@ -234,7 +236,7 @@ def _line_events(header: StreamHeader, lines: Iterable[str], lineno: int, degree
         elif kind == "V":
             if mode not in (MODE_VERTEX_ONE_SIDED, MODE_VERTEX_TWO_SIDED):
                 raise ModeMismatch(f"line {lineno}: vertex event in {mode} stream")
-            yield _arrival(parts, lineno, n, delta, degrees)
+            yield _arrival(parts, lineno, n, delta, degrees, mode)
 
         elif kind == "B":
             if mode != MODE_BATCH:
@@ -244,7 +246,7 @@ def _line_events(header: StreamHeader, lines: Iterable[str], lineno: int, degree
                     f"line {lineno}: batch has {len(parts) - 2} edges, "
                     f"declared batch_size is {header.batch_size}"
                 )
-            yield _arrival(parts, lineno, n, delta, degrees)
+            yield _arrival(parts, lineno, n, delta, degrees, mode)
 
         elif kind == "H":
             raise MalformedLine(f"line {lineno}: second header line")
@@ -252,7 +254,7 @@ def _line_events(header: StreamHeader, lines: Iterable[str], lineno: int, degree
             raise MalformedLine(f"line {lineno}: unknown record {kind!r}")
 
 
-def _arrival(parts, lineno, n, delta, degrees):
+def _arrival(parts, lineno, n, delta, degrees, mode):
     try:
         u = int(parts[1])
         neighbors = tuple(map(int, parts[2:]))
@@ -265,6 +267,14 @@ def _arrival(parts, lineno, n, delta, degrees):
         raise SelfLoop(f"line {lineno}: self-loop at vertex {u}")
     if len(set(neighbors)) != len(neighbors):
         raise DuplicateEdge(f"line {lineno}: repeated neighbor in one arrival")
+    # `degrees` has an entry for every id named so far: in a vertex mode an
+    # id arrives once, and in two-sided mode only after its neighbors
+    if mode != MODE_BATCH:
+        if u in degrees:
+            raise ModeMismatch(f"line {lineno}: vertex {u} already appeared; it arrives once")
+        if mode == MODE_VERTEX_TWO_SIDED and not all(map(degrees.__contains__, neighbors)):
+            v = next(v for v in neighbors if v not in degrees)
+            raise ModeMismatch(f"line {lineno}: neighbor {v} of {u} has not arrived yet")
     du = degrees[u] + len(neighbors)
     if du > delta:
         raise DegreeExceeded(f"line {lineno}: vertex {u} passes delta={delta}")

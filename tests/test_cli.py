@@ -458,6 +458,37 @@ def test_a_same_side_edge_after_a_checkpoint_in_its_block_keeps_the_emitted_pref
     )
 
 
+OFFLINE_FIRST = "".join(f"V {v}\n" for v in range(1, 9))  # vertex-two-sided: they arrive too
+
+
+@pytest.mark.parametrize(
+    "mode, body, alg, message, emitted",
+    [
+        # a simple graph of degree at most 8; before the parser refused the
+        # second arrival, seed 0 colored it in conflict with the first
+        ("vertex-one-sided", "V 0 1 2 3 4\nV 0 5 6 7 8\n", "one-sided",
+         "line 3: vertex 0 already appeared; it arrives once", 4),
+        ("vertex-one-sided", "V 0\nV 0 1\n", "one-sided",
+         "line 3: vertex 0 already appeared; it arrives once", 0),
+        ("vertex-two-sided", OFFLINE_FIRST + "V 0 1 2 3 4\nV 0 5 6 7 8\n", "vertex-general",
+         "line 11: vertex 0 already appeared; it arrives once", 4),
+        ("vertex-two-sided", "V 1\nV 0 1 2\n", "vertex-general",
+         "line 3: neighbor 2 of 0 has not arrived yet", 0),
+    ],
+)
+def test_a_vertex_arrives_once_and_after_its_neighbors(tmp_path, capsys, mode, body, alg,
+                                                        message, emitted):
+    stream, out = tmp_path / "s.txt", tmp_path / "o.txt"
+    stream.write_text(f"H 1 8 8 {mode} 0 0\n{body}")
+    assert run_cli("run", str(stream), "--alg", alg, "-o", str(out)) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("input error:")] == [
+        f"input error: {message}"
+    ]
+    assert len(out.read_text().splitlines()) == emitted
+
+
 @pytest.mark.parametrize(
     "mode, body, alg, message",
     [

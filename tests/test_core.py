@@ -3,7 +3,7 @@ import random
 import pytest
 
 import streamcolor.core as core_mod
-from streamcolor.core import OneSidedColorer, block_width, color_block
+from streamcolor.core import OneSidedColorer, Run, block_width, color_block
 from streamcolor.errors import (
     BoundViolation,
     NotBipartite,
@@ -11,21 +11,19 @@ from streamcolor.errors import (
     TooManySlots,
 )
 from streamcolor.matching import maximum_matching
-from streamcolor.meter import SpaceMeter
-from streamcolor.palette import ColorAllocator, OfflineState, draw_offline_state, period_for
+from streamcolor.palette import OfflineState, draw_offline_state, period_for
 
 
 def make(delta, seed=0, **kw):
-    meter = SpaceMeter()
-    alloc = ColorAllocator()
-    inst = OneSidedColorer(delta, random.Random(seed), meter, alloc, **kw)
-    return inst, meter, alloc
+    run = Run()
+    inst = OneSidedColorer(delta, random.Random(seed), run, **kw)
+    return inst, run.meter, run.alloc
 
 
 def plant(inst, v, shifts, deg=0):
     state = OfflineState(*shifts, deg=deg)
     inst.states[v] = state
-    inst.meter.add(f"{inst.name}:state", OfflineState.WORDS)
+    inst.run.meter.add(f"{inst.name}:state", OfflineState.WORDS)
     return state
 
 
@@ -154,7 +152,7 @@ def test_a_spill_wider_than_delta_passes_the_budget_and_emits_nothing():
         plant(inst, v, (1, 2, 3))  # four equal triples: three colors for four edges
     for u in range(5):
         assert inst.on_online_vertex(u, [100, 101, 102, 103]) == []
-    assert inst.spill_report().spilled_edges == 20
+    assert inst.spilled_edges_total == 20
     with pytest.raises(BoundViolation, match="spill of 5 colors at 33 passes the budget 37"):
         inst.finalize()
     assert [label for label, _, _ in alloc.blocks] == ["one-sided:stream"]
@@ -173,7 +171,7 @@ def test_single_spilled_edge_takes_first_fresh_color():
     plant(inst, 100, (1, 2, 3), deg=1)  # a spilled neighbor holds state
     inst.spill.append((0, 100))
     inst.spilled_edges_total += 1
-    inst.meter.add(f"{inst.name}:spill", 2)
+    inst.run.meter.add(f"{inst.name}:spill", 2)
     out = inst.finalize()
     assert len(out) == 1
     assert out[0][2] == 3 * p  # fresh block begins right after the bands
@@ -188,7 +186,7 @@ def test_spilled_path_needs_at_most_two_fresh_colors():
     for e in [(0, 100), (1, 100), (1, 101)]:  # path with middle degree 2
         inst.spill.append(e)
     inst.spilled_edges_total += 3
-    inst.meter.add(f"{inst.name}:spill", 6)
+    inst.run.meter.add(f"{inst.name}:spill", 6)
     out = inst.finalize()
     assert len(out) == 3
     assert all(3 * p <= c < 3 * p + 2 for _, _, c in out)
@@ -231,9 +229,8 @@ def test_full_run_proper_within_budget_and_space():
         p = period_for(delta)
         assert len({c for _, _, c in out}) <= 3 * p + delta
         assert alloc.total <= 3 * p + delta
-        report = inst.spill_report()
-        assert report.spilled_edges <= delta * report.spilled_vertices
-        assert meter.peak_words <= 5 * n + 2 * report.spilled_edges + 8 * delta
+        assert inst.spilled_edges_total <= delta * inst.spilled_vertices
+        assert meter.peak_words <= 5 * n + 2 * inst.spilled_edges_total + 8 * delta
 
 
 def test_no_offline_vertex_repeats_a_color_across_the_run():
@@ -264,19 +261,19 @@ def below_two(v):
     ],
 )
 def test_color_block_by_flavor(flavor, edges, side_of, width):
-    meter = SpaceMeter()
-    alloc = ColorAllocator()
+    run = Run()
+    meter, alloc = run.meter, run.alloc
     # a block colored before, as a dispatcher's meter has after its first
     # flush: the scratch key is in the ledger, at zero words
-    color_block([(5, 6)], (6).__eq__, "first", meter, alloc)
+    color_block([(5, 6)], (6).__eq__, "first", run)
     meter.add("stored", 2 * len(edges))
     before = meter.current_words, dict(meter.ledger)
     if width is None:
         with pytest.raises(NotBipartite) as raised:
-            color_block(edges, side_of, "block", meter, alloc, flavor)
+            color_block(edges, side_of, "block", run, flavor)
         assert str(raised.value) == "witness puts edge (1, 0) inside one side"
     else:
-        out = color_block(edges, side_of, "block", meter, alloc, flavor)
+        out = color_block(edges, side_of, "block", run, flavor)
         assert alloc.blocks[-1] == ("block", 1, width) == ("block", 1, block_width(flavor, 2))
         assert [(u, v) for u, v, _ in out] == edges
         assert all(1 <= c < 1 + width for _, _, c in out)
@@ -296,7 +293,7 @@ class MatcherColorer(OneSidedColorer):
             return []
         if d > self.delta:
             raise TooManySlots(f"arrival of {d} edges exceeds the degree bound {self.delta}")
-        meter = self.meter
+        meter = self.run.meter
         p = self.period
         states = []
         slots = []
@@ -361,8 +358,7 @@ def test_greedy_pick_matches_the_matcher_reference(monkeypatch):
         delta = rng.randint(4, 10)
         bands = rng.randint(1, 3)
         fast, fast_meter, fast_alloc = make(delta, seed, bands=bands)
-        slow = MatcherColorer(delta, random.Random(seed), SpaceMeter(), ColorAllocator(),
-                              bands=bands)
+        slow = MatcherColorer(delta, random.Random(seed), Run(), bands=bands)
         # a small offline pool, drawn with replacement: repeated neighbors
         # in one arrival are common, and four copies of one always spill
         pool = range(100, 100 + rng.randint(delta, 3 * delta))
@@ -372,15 +368,15 @@ def test_greedy_pick_matches_the_matcher_reference(monkeypatch):
             before = fast.spilled_vertices
             got = outcome(fast, u, neighbors, band)
             assert got == outcome(slow, u, neighbors, band)
-            assert colorer_state(fast, fast_meter) == colorer_state(slow, slow.meter)
+            assert colorer_state(fast, fast_meter) == colorer_state(slow, slow.run.meter)
             arrivals += 1
             spilled += fast.spilled_vertices - before
             if isinstance(got, str):  # an offline vertex reached its cap
                 raised += 1
                 break
         assert fast.finalize() == slow.finalize()
-        assert colorer_state(fast, fast_meter) == colorer_state(slow, slow.meter)
-        assert fast_alloc.blocks == slow.allocator.blocks
+        assert colorer_state(fast, fast_meter) == colorer_state(slow, slow.run.meter)
+        assert fast_alloc.blocks == slow.run.alloc.blocks
     # the greedy pick failed and the full matcher still matched every slot
     assert rescued.count(True) > 0
     assert spilled > 0 and rescued.count(False) == spilled

@@ -3,6 +3,7 @@ from collections import deque
 
 import pytest
 
+from streamcolor.core import Run
 from streamcolor.dispatch import (
     BatchIndexDispatcher,
     GroupedBatchDispatcher,
@@ -10,8 +11,9 @@ from streamcolor.dispatch import (
     ceil_sqrt,
 )
 from streamcolor.errors import BoundViolation, FlushBudgetExceeded, NotBipartite
-from streamcolor.meter import SpaceMeter
-from streamcolor.palette import ColorAllocator
+from streamcolor.palette import OfflineState
+from streamcolor.presets import build_pipeline, run_stream
+from streamcolor.stream import parse_stream
 
 
 def test_ceil_sqrt():
@@ -42,8 +44,9 @@ def regular_bipartite_edges(n, delta, seed):
 
 
 def test_no_emission_until_a_full_batch():
-    meter, alloc = SpaceMeter(), ColorAllocator()
-    d = BatchIndexDispatcher(16, seed=3, meter=meter, allocator=alloc)
+    run = Run()
+    meter = run.meter
+    d = BatchIndexDispatcher(16, seed=3, run=run)
     assert d.k == 4
     for j in range(3):
         assert d.feed_edge(0, 100 + j) == []
@@ -56,8 +59,9 @@ def test_no_emission_until_a_full_batch():
 def test_batch_dispatch_conserves_edges_and_stays_proper():
     n, delta = 32, 9
     edges = regular_bipartite_edges(n, delta, seed=5)
-    meter, alloc = SpaceMeter(), ColorAllocator()
-    d = BatchIndexDispatcher(delta, seed=11, meter=meter, allocator=alloc)
+    run = Run()
+    meter = run.meter
+    d = BatchIndexDispatcher(delta, seed=11, run=run)
     out = []
     for u, v in edges:
         out += d.feed_edge(u, v)
@@ -73,14 +77,14 @@ def test_sqrt_leftover_is_colored_against_the_buffer_keys():
     # a buffered edge sits under its bit-1 end, so the buffer keys are one
     # side of the leftover: a path takes its max degree, 2 colors, and a key
     # buffered as another key's neighbor is an edge inside one side
-    meter, alloc = SpaceMeter(), ColorAllocator()
-    d = BatchIndexDispatcher(16, seed=3, meter=meter, allocator=alloc)
+    run = Run()
+    d = BatchIndexDispatcher(16, seed=3, run=run)
     for u, v in [(0, 100), (1, 100), (1, 101)]:
         d.feed_edge(u, v)
     out = d.finalize()
-    assert alloc.blocks[-1][0::2] == ("sqrt:leftover", 2) and len(out) == 3
+    assert run.alloc.blocks[-1][0::2] == ("sqrt:leftover", 2) and len(out) == 3
     checker(out)
-    d = BatchIndexDispatcher(16, seed=3, meter=SpaceMeter(), allocator=ColorAllocator())
+    d = BatchIndexDispatcher(16, seed=3, run=Run())
     for u, v in [(0, 100), (1, 0)]:
         d.feed_edge(u, v)
     with pytest.raises(NotBipartite, match=r"witness puts edge \(1, 0\) inside one side"):
@@ -91,7 +95,7 @@ def test_batch_dispatch_is_deterministic():
     edges = regular_bipartite_edges(16, 4, seed=2)
 
     def run():
-        d = BatchIndexDispatcher(4, seed=7, meter=SpaceMeter(), allocator=ColorAllocator())
+        d = BatchIndexDispatcher(4, seed=7, run=Run())
         out = []
         for u, v in edges:
             out += d.feed_edge(u, v)
@@ -100,19 +104,52 @@ def test_batch_dispatch_is_deterministic():
     assert run() == run()
 
 
+def test_the_run_spill_totals_sum_over_its_colorers():
+    # equal shift triples at the four offline neighbors, in every
+    # sub-colorer: each online vertex's one batch of k = 4 edges has three
+    # residues for four slots and spills, and the two batches take two colorers
+    lines = ["H 4 8 16 edge 0 0"] + [f"e {u} {v}" for u in (0, 1) for v in (4, 5, 6, 7)]
+    header, events = parse_stream(lines)
+    pipeline = build_pipeline(header, "edge-sqrt", force_stream=True)
+    run = pipeline.run
+    (d,) = pipeline.inner.parts
+    for sub in d.subs:
+        for v in (4, 5, 6, 7):
+            sub.states[v] = OfflineState(1, 2, 3)
+            run.meter.add(f"{sub.name}:state", OfflineState.WORDS)
+    out = []
+    stats = run_stream(pipeline, events, emit=lambda u, v, c: out.append((u, v, c)))
+    spilled = [sub for sub in d.subs if sub.spilled_vertices]
+    assert len(spilled) == 2
+    assert (stats.spilled_vertices, stats.spilled_edges) == (
+        sum(sub.spilled_vertices for sub in spilled),
+        sum(sub.spilled_edges_total for sub in spilled),
+    ) == (2, 8)
+    spill_blocks = [(base, width) for label, base, width in run.alloc.blocks
+                    if label.endswith(":spill")]
+    assert len(spill_blocks) == 2
+    in_spill = [c for _, _, c in out if any(0 <= c - b < w for b, w in spill_blocks)]
+    assert len(in_spill) == stats.spilled_edges == len(out)
+    checker(out)
+    # each colorer once, in the order of the stream blocks they reserved
+    assert run.colorers == d.subs
+    assert [f"{c.name}:stream" for c in run.colorers] == [
+        label for label, _, _ in run.alloc.blocks if label.endswith(":stream")
+    ]
+
+
 def grouped(delta, s, cap, seed=0, flush_bound=10_000):
-    meter, alloc = SpaceMeter(), ColorAllocator()
+    run = Run()
     d = GroupedBatchDispatcher(
         delta,
         s,
         cap,
         side_of=lambda v: 0 if v < 1000 else 1,
         seed=seed,
-        meter=meter,
-        allocator=alloc,
+        run=run,
         flush_bound=flush_bound,
     )
-    return d, meter, alloc
+    return d, run.meter, run.alloc
 
 
 def test_grouped_buffer_respects_its_cap():
@@ -214,7 +251,7 @@ class DequeBufferDispatcher(GroupedBatchDispatcher):
             if cnt == self.k:
                 self.ready.append(x)
         self.size += 1
-        self.meter.add(self._bkey, 4)
+        self.run.meter.add(self._bkey, 4)
         if self.size < self.cap:
             return []
         return self._checkpoint()
@@ -241,13 +278,13 @@ class DequeBufferDispatcher(GroupedBatchDispatcher):
         if self.counts[u] >= k:
             self.ready.append(u)
         self.size -= k
-        self.meter.release(self._bkey, 4 * k)
+        self.run.meter.release(self._bkey, 4 * k)
 
         count = self.batch_count.get(u)
         if count is None:
             count = 0
             self.group_shift[u] = self.rng.randrange(self.s)
-            self.meter.add(self._ckey, 2)
+            self.run.meter.add(self._ckey, 2)
         count += 1
         self.batch_count[u] = count
         group = -(-count // self.group_width)
@@ -269,7 +306,7 @@ class DequeBufferDispatcher(GroupedBatchDispatcher):
         self.ready.clear()
         released = self.size
         self.size = 0
-        self.meter.release(self._bkey, 4 * released)
+        self.run.meter.release(self._bkey, 4 * released)
         self.adj.clear()
         return edges
 
@@ -289,15 +326,15 @@ def random_multigraph_stream(rng, n_side, delta, m):
 
 
 def run_grouped(cls, edges, n_side, delta, s, cap, seed):
-    meter = SpaceMeter()
+    run = Run()
+    meter = run.meter
     d = cls(
         delta,
         s,
         cap,
         side_of=lambda v: 0 if v < n_side else 1,
         seed=seed,
-        meter=meter,
-        allocator=ColorAllocator(),
+        run=run,
         flush_bound=10_000,
     )
     trace = []
@@ -326,15 +363,15 @@ def test_grouped_buffer_matches_the_deque_reference():
 def test_grouped_buffer_footprint_is_bounded_by_the_buffered_edges():
     n, delta, s = 256, 32, 1
     edges = regular_bipartite_edges(n, delta, seed=9)
-    meter = SpaceMeter()
+    run = Run()
+    meter = run.meter
     d = GroupedBatchDispatcher(
         delta,
         s,
         2 * n * s,
         side_of=lambda v: 0 if v < n else 1,
         seed=1,
-        meter=meter,
-        allocator=ColorAllocator(),
+        run=run,
         flush_bound=10_000,
     )
     bound = 2 * d.cap  # 1,024 against 8,192 edges fed

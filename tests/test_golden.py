@@ -227,7 +227,7 @@ def test_the_budget_is_what_the_allocator_holds_and_is_promised(case):
     _, n_online, n_offline, delta, mode, batch_size, preset, s, force, _ = case
     header = StreamHeader(n_online, n_offline, delta, mode, batch_size, 0)
     pipeline = build_pipeline(header, preset, s=s, force_stream=force)
-    alloc = pipeline.allocator
+    alloc = pipeline.run.alloc
     assert pipeline.budget == alloc.budget == alloc.total + alloc.promised
 
 

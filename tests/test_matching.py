@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcolor.core import OneSidedColorer
+from streamcolor.core import OneSidedColorer, Run
 from streamcolor.errors import InstanceTooLarge
 from streamcolor.matching import brute_force_match, kout_trial, maximum_matching, sample_distinct
-from streamcolor.meter import SpaceMeter
-from streamcolor.palette import ColorAllocator, OfflineState, period_for
+from streamcolor.palette import OfflineState, period_for
 
 
 def valid(slots, result):
@@ -47,7 +46,7 @@ def test_single_slot_takes_lowest_color():
 def arrival_colors(delta, states):
     """Block-relative colors an arrival takes from offline vertices holding
     `states`, split as (band, base) with base < P."""
-    inst = OneSidedColorer(delta, random.Random(0), SpaceMeter(), ColorAllocator())
+    inst = OneSidedColorer(delta, random.Random(0), Run())
     p = inst.period
     neighbors = list(range(1, len(states) + 1))
     inst.states.update(zip(neighbors, states))

@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from streamcolor.core import OneSidedColorer
+from streamcolor.core import OneSidedColorer, Run
 from streamcolor.errors import BoundViolation, PeriodTooSmall
-from streamcolor.meter import SpaceMeter
 from streamcolor.palette import (
     ColorAllocator,
     OfflineState,
@@ -27,7 +26,7 @@ def one_edge_color(delta, state):
     """The color, within its colorer's block, that a one-edge arrival takes
     from an offline vertex holding `state`: the lowest of the three bases
     (shift + degree) mod P, in its own band."""
-    inst = OneSidedColorer(delta, random.Random(0), SpaceMeter(), ColorAllocator())
+    inst = OneSidedColorer(delta, random.Random(0), Run())
     inst.states[1] = state
     [(_, _, color)] = inst.on_online_vertex(0, [1])
     return color - inst.block
@@ -111,7 +110,7 @@ def test_allocator_blocks_are_disjoint_and_tile():
 def test_allocator_refuses_a_block_past_the_pipeline_budget():
     header = StreamHeader(16, 16, 4, "vertex-one-sided", 0, 0)
     pipeline = build_pipeline(header, "one-sided")
-    alloc = pipeline.allocator
+    alloc = pipeline.run.alloc
     assert alloc.budget == pipeline.budget == 3 * period_for(4) + 4
     alloc.reserve(pipeline.budget - alloc.total, "up to the budget")
     with pytest.raises(BoundViolation):

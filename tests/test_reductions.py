@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcolor.core import OneSidedColorer
+from streamcolor.core import OneSidedColorer, Run
 from streamcolor.dispatch import BatchIndexDispatcher
 from streamcolor.errors import BoundViolation, ModeMismatch
 from streamcolor.harness import GenSpec, check_assignments, generate
-from streamcolor.meter import SpaceMeter
-from streamcolor.palette import ColorAllocator, OfflineState
+from streamcolor.palette import OfflineState
 from streamcolor.presets import build_pipeline, run_stream
 from streamcolor.rng import child_rng
 from streamcolor.stream import StreamHeader, parse_stream
@@ -46,29 +45,29 @@ def test_plan_levels_respects_the_stop_rule():
     assert stop_threshold(2) == 16.0
 
 
-def side_factory(meter, alloc):
+def side_factory(run):
     """Levels of vertex arrivals: one colorer per side."""
     def factory(level, bound):
-        return [OneSidedColorer(bound, child_rng(level + 50, side), meter, alloc,
+        return [OneSidedColorer(bound, child_rng(level + 50, side), run,
                                 name=f"L{level}:side{side}")
                 for side in (0, 1)]
 
     return factory
 
 
-def dispatcher_factory(meter, alloc):
+def dispatcher_factory(run):
     """Levels of edge arrivals: one dispatcher."""
     def factory(level, bound):
-        return [BatchIndexDispatcher(bound, level + 50, meter, alloc, name=f"L{level}")]
+        return [BatchIndexDispatcher(bound, level + 50, run, name=f"L{level}")]
 
     return factory
 
 
 def make_tree(n, delta, seed=0, cls=VertexBipartization, n_online=None):
-    meter, alloc = SpaceMeter(), ColorAllocator()
+    run = Run()
     make = dispatcher_factory if issubclass(cls, EdgeBipartization) else side_factory
-    tree = cls(n, delta, seed, meter, alloc, make(meter, alloc), n_online=n_online)
-    return tree, meter, alloc
+    tree = cls(n, delta, seed, run, make(run), n_online=n_online)
+    return tree, run.meter, run.alloc
 
 
 class PerEdgeCounts:
@@ -82,7 +81,7 @@ class PerEdgeCounts:
         d = degs.get(v)
         if d is None:
             d = 0
-            self.meter.add(self._dkey, 1)
+            self.run.meter.add(self._dkey, 1)
         d += amount
         if d > self.bounds[level]:
             raise BoundViolation(
@@ -261,8 +260,7 @@ def test_level_colorer_pair_routes_both_sides():
     assert len(out) == 4
     checker(out)
     out += pipeline.finalize()
-    report = pipeline.spill_report()
-    assert report.spilled_edges == 0
+    assert sum(c.spilled_edges_total for c in pipeline.run.colorers) == 0
 
 
 def test_level_colorer_pair_blocks_are_disjoint():
@@ -460,7 +458,7 @@ def test_header_sides_draw_no_bits_and_count_no_level_degrees(mode, alg, kwargs)
     pipeline = run_preset("regular-bipartite", mode, 64, 16, alg, **kwargs)
     assert pipeline.inner.header_sides and pipeline.inner.bounds == [16]
     assert pipeline.inner.bits == {} and pipeline.inner.level_degrees == [None]
-    keys = [k for k in pipeline.meter.ledger if k.endswith((":bits", ":level-degrees"))]
+    keys = [k for k in pipeline.run.meter.ledger if k.endswith((":bits", ":level-degrees"))]
     assert keys == []
 
 
@@ -469,7 +467,7 @@ def test_general_router_counts_no_level_degrees_at_level_zero():
     tree = pipeline.inner
     assert tree.bounds == [192, 96]  # only level 1 is below delta
     assert tree.level_degrees[0] is None and tree.level_degrees[1]
-    assert pipeline.meter.ledger["bipart:level-degrees"] == len(tree.level_degrees[1])
+    assert pipeline.run.meter.ledger["bipart:level-degrees"] == len(tree.level_degrees[1])
 
 
 def general_stream(mode, edges, seed):
@@ -508,8 +506,8 @@ def test_counted_level_through_both_arrival_kinds(edges, seed):
         stats = run_stream(pipeline, events, emit=lambda u, v, c: out.append((u, v, c)))
         report = check_assignments(dict.fromkeys(edges, 0), out, budget=stats.declared_budget)
         assert report.ok, (alg, report)
-        assert pipeline.meter.consistent()
-        ledger = pipeline.meter.ledger
+        assert pipeline.run.meter.consistent()
+        ledger = pipeline.run.meter.ledger
         assert ledger.get("bipart:level-degrees", 0) == len(tree.level_degrees[1])
 
 
@@ -525,7 +523,7 @@ def test_dispatcher_fed_colorers_hold_only_offline_state(alg, s):
         subs = dispatcher.subs
     else:
         subs = dispatcher.arrays[0] + dispatcher.arrays[1]
-    ledger = pipeline.meter.ledger
+    ledger = pipeline.run.meter.ledger
     held = 0
     for sub in subs:
         assert ledger.get(f"{sub.name}:state", 0) == OfflineState.WORDS * len(sub.states)

@@ -201,7 +201,7 @@ def test_parser_is_lazy():
      # the highest id costs no more than the lowest, in either parser
      "edge 0 1\ne 0 9999999\n",
      "edge 0 1\n# one comment\ne 0 9999999\n",
-     "vertex-two-sided 0 1\nV 9999999 0\n"],
+     "vertex-two-sided 0 1\nV 0\nV 9999999 0\n"],
 )
 def test_degree_counters_grow_with_the_ids_the_stream_names(body):
     # the header declares ten million ids; the stream names two
