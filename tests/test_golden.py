@@ -1,11 +1,12 @@
 """Golden output hashes and declared budgets, pinned value for value.
 
 Each hash case generates a small stream (n=256) with a fixed seed, runs
-one preset through the CLI and compares the SHA-256 of the output file,
-`c` lines and `T` trailer, with the recorded value. A change meant to
-keep every color (a refactor or a speed-up) must leave these hashes as
-they are; a change that moves colors on purpose records the new hashes
-and says why. The budget table pins `declared_budget` per header in the
+one preset through the CLI and compares the SHA-256 of the output's `c`
+lines, and the two values of its `T` trailer (colors used, peak words),
+with the recorded ones. The two are pinned apart: a change meant to keep
+every color (a refactor or a speed-up) must leave the `c`-line hashes as
+they are, while a change to what the meter charges moves only `T`
+values; either records its new values and says why. The budget table pins `declared_budget` per header in the
 same way, and the stream table pins the bytes `generate` writes for
 every feasible family and mode.
 """
@@ -21,63 +22,79 @@ from streamcolor.harness import FAMILIES, GenSpec, check_spec, generate
 from streamcolor.presets import build_pipeline, declared_budget, run_stream
 from streamcolor.stream import MODES, StreamHeader, parse_stream
 
-# (id, family, mode, delta, batch_size, preset, extra run arguments, sha256)
+# (id, family, mode, delta, batch_size, preset, extra run arguments,
+#  sha256 of the c lines, T colors_used, T peak_words)
 CASES = [
     ("one-sided-vertex", "regular-bipartite", "vertex-one-sided", 32, 0, "one-sided", (),
-     "4f68ebb1c97b8a49dac4e00c923e1002bcde631eb1cca9b647d49f9c11ec5fd0"),
+     "5ab49489a4c88808fb335256a740fbc1690c8b04c70146e38114f4183069ffae",
+     264, 1_216),
     ("one-sided-batch", "regular-bipartite", "batch", 32, 4, "one-sided", (),
-     "be40f9f55fd08a957010e443c83a83adcb823b8f677ec9048d97cc1e59568c68"),
+     "ca5a12a8a2601bd5180bbd5653b8703acf99c9ff1b6c01ab3493e25501fb1fce",
+     1_576, 1_304),
     # a declared-bipartite stream is the router's one header-sides level,
     # seeded as level 0 (split_seed(seed, 100)); so are the three bipartite
     # forced edge cases below
     ("vertex-general-bipartite", "regular-bipartite", "vertex-two-sided", 32, 0,
      "vertex-general", (),
-     "a2bc901e25b85c402ff5d86c848ab2ecbf43df6964dde3b53c7fa5621ed2c23d"),
+     "067358cb0b4b15a4f9119b43d2adc3312723223c242bcb4d75a990579a424fda",
+     521, 2_164),
     # Δ=64 at n=256 builds one bipartization level (plan_levels gives [96]);
     # the base store's color_general charges one mask word per vertex (256);
     # level 0's bound 96 is not below Δ, so it keeps no degree counters
     ("vertex-general-general", "regular-general", "vertex-two-sided", 64, 0,
      "vertex-general", (),
-     "ff60c790e234e6f7212ae9da247d930c78126cba6e8c2c3860748f1761617a83"),
+     "aea2a8245aa0810d26ec47b15bfaac6ab75c42fe578fc7921ef979fec8331fd8",
+     1_135, 21_646),
     ("edge-sqrt-forced", "regular-bipartite", "edge", 32, 0, "edge-sqrt", ("--force-stream",),
-     "ee0eb0679ce5ccf2ce36e301cbc6a5dfdea92b50db12f09c2106c903cb671924"),
+     "e7072df4355463c841a88da472bdfd797157a9fe7c58a97e7dd9e72558772042",
+     550, 9_661),
     ("edge-sqrt-fallback", "regular-bipartite", "edge", 32, 0, "edge-sqrt", (),
-     "ec96048f63dda992a0854f161f2e13c462d500ac54d00c8302cd48a368a360f7"),
+     "6db6200ba9fcb6fad87481833beaa5149fee3c0da88a2a986f46dce7440c9b44",
+     32, 41_472),
     # below its threshold edge-sqrt stores and colors as offline-exact does:
     # the same stream, the same bytes
     ("offline-exact-on-edge-sqrt-fallback", "regular-bipartite", "edge", 32, 0,
      "offline-exact", (),
-     "ec96048f63dda992a0854f161f2e13c462d500ac54d00c8302cd48a368a360f7"),
+     "6db6200ba9fcb6fad87481833beaa5149fee3c0da88a2a986f46dce7440c9b44",
+     32, 41_472),
     # the three edge-general cases: a grouped sub-colorer is told each
     # batch's band, so its peak holds no batch counter of its own
     ("edge-general-s2-forced", "regular-bipartite", "edge", 32, 0, "edge-general",
      ("--s", "2", "--force-stream"),
-     "9dd36740b95a0c6d529d5972bf02e359656c182b6e088465a46b14da967e20da"),
+     "44fcc742649c962315ae783218605c69b8af203077ccd3d7a865f4e5a60fa641",
+     2_117, 9_208),
     # s=1 caps the grouped buffer at n edges: 14 flushes at this seed
     ("edge-general-s1-forced", "regular-bipartite", "edge", 32, 0, "edge-general",
      ("--s", "1", "--force-stream"),
-     "e8b8849bc91f2ba5d2e5d0026019822b6f2bf7825666c471a3d8cd4247bdf19f"),
+     "b69f529f5b8a76b278665df31edfa7cf003adf2b3530e002d59df0e0ac8e5932",
+     470, 3_630),
     # one EdgeBipartization level over grouped dispatchers sharing one meter;
     # 256 mask words in the base store's color_general and no level-0
     # degree counters, as above
     ("edge-general-general", "regular-general", "edge", 64, 0, "edge-general",
      ("--s", "2", "--force-stream"),
-     "4f572aedb51e19c360c4519ef9158937d347e400cf336737a3b133c03428bdc7"),
+     "d3b92c43002d8d29e3dcd70f6e169d6fbfb63867d521a533160b2a87bbf54389",
+     200, 21_324),
     # s = 11, one below ceil(sqrt(128)): grouped levels [192, 96], and level 1
     # clamps 11 to its own ceil(sqrt(96)) = 10
     ("edge-general-deep-s11", "regular-general", "edge", 128, 0, "edge-general",
      ("--s", "11", "--force-stream"),
-     "71d97db66137e896e68d08ad1c99945a9ea8dc499f00754bf0eb7d23551334e6"),
+     "d5f0fe30fb472d29632d554ac944876105a6206a913ee05b80a919c138523df3",
+     5_528, 40_722),
     ("offline-exact", "regular-bipartite", "vertex-one-sided", 32, 0, "offline-exact", (),
-     "7a8ddbe72cd320404fb4aba139124b7119b99d776d3a58282e7da8590cb200a4"),
+     "8ac5c01bea6c4513ff6882fa09f8da45bd013f59d3871bc70dc925fcb261e5d8",
+     32, 41_472),
     # every vertex has degree 32: the exact colorer's flat per-vertex rows
     ("offline-exact-regular", "adversarial-frontload", "edge", 32, 0, "offline-exact", (),
-     "f44c06acee29d657e099ce7b9709104e5a8248e1130648a8e68da0862f4f2277"),
+     "073dd434e13e6b61b1e7a49d6fbe51af15727433a26014e06d492fa7c85171b4",
+     32, 41_472),
     # 4,472 edges on 512 vertices, not regular: its per-vertex dicts
     ("offline-exact-irregular", "random-bipartite", "edge", 32, 0, "offline-exact", (),
-     "c045e3a380da1d608b271929af261b7fcd6601f6230bd4aec9e15c1cf5c6edb6"),
+     "792470a2bbfefa0bca0b98d9dfed88b43a753656e1a73359f264269c42d45bc1",
+     32, 22_872),
     ("offline-greedy", "regular-general", "edge", 32, 0, "offline-greedy", (),
-     "987e8196905c7fe4adde429c89791fb3156159c8eeed0f6b7bf3e759232dcb8a"),
+     "3a5345b76c5c70517523765f7e744b3498b8191b016fe0ee5865c678c016dd30",
+     37, 20_480),
 ]
 
 SEED = 11
@@ -86,24 +103,34 @@ SEED = 11
 # ceil(1.5 * 64) = 96, so its own ceil(sqrt(bound)) is 10, above the header's 8
 ONE_PATH = [("regular-bipartite", 32), ("adversarial-frontload", 64), ("regular-general", 64)]
 
-# the edge-sqrt-fallback case's stream and hash: the same edges in the
+# the edge-sqrt-fallback case's stream and values: the same edges in the
 # same order color the same, however the lines around them are written
-LINE_BY_LINE_SHA256 = "ec96048f63dda992a0854f161f2e13c462d500ac54d00c8302cd48a368a360f7"
+LINE_BY_LINE = next(case[7:] for case in CASES if case[0] == "edge-sqrt-fallback")
 
 
-def output_sha256(tmp_path, family, mode, delta, batch_size, preset, extra):
+def output_digest(path):
+    """The SHA-256 of an output file's `c` lines, and its `T` values."""
+    body, trailer = path.read_bytes().rstrip(b"\n").rsplit(b"\n", 1)
+    kind, colors_used, peak_words = trailer.split()
+    assert kind == b"T"
+    return hashlib.sha256(body + b"\n").hexdigest(), int(colors_used), int(peak_words)
+
+
+def run_output(tmp_path, family, mode, delta, batch_size, preset, extra):
     stream = tmp_path / "stream.txt"
     out = tmp_path / "out.txt"
     stream.write_text(generate(GenSpec(family, 256, delta, mode, SEED, batch_size)))
     assert main(["run", str(stream), "--alg", preset, *extra, "-o", str(out)]) == 0
-    return hashlib.sha256(out.read_bytes()).hexdigest()
+    return output_digest(out)
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
 def test_run_output_matches_its_golden_hash(case, tmp_path, monkeypatch):
     monkeypatch.delenv("STREAMCOLOR_SEED", raising=False)
-    _, family, mode, delta, batch_size, preset, extra, expected = case
-    assert output_sha256(tmp_path, family, mode, delta, batch_size, preset, extra) == expected
+    _, family, mode, delta, batch_size, preset, extra, c_lines, colors_used, peak = case
+    got = run_output(tmp_path, family, mode, delta, batch_size, preset, extra)
+    assert got[0] == c_lines  # the colors, byte for byte
+    assert got[1:] == (colors_used, peak)  # the trailer
 
 
 @pytest.mark.parametrize("force", [True, False], ids=["forced", "default"])
@@ -151,7 +178,7 @@ def test_a_stream_read_line_by_line_matches_its_golden_hash(tmp_path, monkeypatc
     stream.write_text("\n".join(lines) + "\n")
     assert len(lines) > 2 * 4096 + 1
     assert main(["run", str(stream), "--alg", "edge-sqrt", "-o", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == LINE_BY_LINE_SHA256
+    assert output_digest(out) == LINE_BY_LINE
 
 
 # (id, n_online, n_offline, delta, mode, batch_size, preset, s, force_stream, budget)
