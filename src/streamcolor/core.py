@@ -15,7 +15,10 @@ block via the exact bipartite colorer.
 
 `color_block` is the one way any layer colors a stored block offline:
 the spill set here, the dispatchers' flushes and leftovers, the
-bipartization's base store and the store-and-color presets.
+bipartization's base store and the store-and-color presets. It colors
+the block in place: each owner releases its list's words just before
+the call, and the colorer consumes the list, charging its words as
+scratch.
 
 `Run` is what every component of one run shares: the word ledger, the
 color space, and the one-sided colorers in build order, whose spill
@@ -68,16 +71,23 @@ def color_block(
     label: str,
     run: Run,
     flavor: str = "exact",
+    simple: bool = False,
 ) -> list[Assignment]:
-    """Color a stored edge list offline in one fresh block of the color space.
+    """Color a stored edge list in place, in one fresh block of the color space.
 
     The block is `block_width(flavor, D)` colors wide for max degree D.
     One pass finds the vertices and their degrees. "exact" reads each
     vertex's side off `side_of` (vertex -> side), the sides the caller
     already knows, and the exact colorer raises NotBipartite at an edge
     inside one side; nothing searches for sides, and the other flavors
-    take `side_of=None`. Only the colorer's scratch is charged here: the
-    caller releases the words of its edge list, before or after this call.
+    take `side_of=None`. `simple` tells the general colorer that the block
+    cannot repeat an edge. Returns one (u, v, color) per edge, in input
+    order.
+
+    The call consumes `edges`: the colorer drops each edge as it colors it
+    and leaves the list empty, and charges the edge words as its own
+    scratch. So the caller releases its list's words just before the call
+    and does not read the list afterwards.
     """
     if not edges:
         return []
@@ -86,12 +96,11 @@ def color_block(
     base = run.alloc.reserve(block_width(flavor, dmax), label)
     meter = run.meter
     if flavor == "exact":
-        colors = color_bipartite_exact(edges, degrees, list(map(side_of, degrees)), dmax, meter)
-    elif flavor == "general":
-        colors = color_general(edges, degrees, dmax, meter)
-    else:
-        colors = color_greedy(edges, meter)
-    return [(a, b, base + c) for (a, b), c in zip(edges, colors)]
+        sides = list(map(side_of, degrees))
+        return color_bipartite_exact(edges, degrees, sides, dmax, meter, base)
+    if flavor == "general":
+        return color_general(edges, degrees, dmax, meter, base, simple)
+    return color_greedy(edges, degrees, dmax, meter, base)
 
 
 class OneSidedColorer:
@@ -228,9 +237,7 @@ class OneSidedColorer:
         """Color the spill set with a fresh block and empty it."""
         if not self.spill:
             return []
-        edges = self.spill
+        edges, self.spill = self.spill, []
         self.run.meter.release(self._skey, 2 * len(edges))
         # every spilled neighbor holds state here, and no arriving vertex does
-        out = color_block(edges, self.states.__contains__, self._skey, self.run)
-        self.spill = []
-        return out
+        return color_block(edges, self.states.__contains__, self._skey, self.run)

@@ -106,11 +106,12 @@ class BatchIndexDispatcher:
 
     def finalize(self) -> list[Assignment]:
         leftover = [(u, v) for u, buf in self.buffers.items() for v in buf]
-        # the buffers are keyed by the level's bit-1 ends only: they are one side
-        out = color_block(leftover, self.buffers.__contains__, f"{self.name}:leftover", self.run)
-        if leftover:
-            self.run.meter.release(self._bkey, 2 * len(leftover))
-            self.buffers.clear()
+        # the buffers are keyed by the level's bit-1 ends only: their keys,
+        # kept without the buffers, are one side
+        online = dict.fromkeys(self.buffers)
+        self.buffers = {}
+        self.run.meter.release(self._bkey, 2 * len(leftover))
+        out = color_block(leftover, online.__contains__, f"{self.name}:leftover", self.run)
         for sub in self.subs:
             out.extend(sub.finalize())
         return out

@@ -1,4 +1,4 @@
-"""Exact offline edge colorers for stored subgraphs.
+"""Exact offline edge colorers for stored subgraphs, colored in place.
 
 Each takes a block's edges and what it needs of `core.color_block`'s one
 pass over them: the vertices in first-appearance order, the max degree D
@@ -19,29 +19,42 @@ sides: the exact one checks the caller's. Three colorers, all proper:
 * `color_greedy` gives each edge the lowest color unused at either
   endpoint, never exceeding 2D - 1.
 
+Each consumes the edge list it is handed: an edge's tuple is dropped as
+the edge is colored (absorbed into the table, or emitted by the greedy
+colorer), the list is empty on return, and the result is one
+`(u, v, base + color)` triple per edge, in input order, with each edge's
+ends in the order it was given.
+
 The first two share one color-major table (`_table`): vertex x is
 numbered i_x by its position, and color c's cells hold, at i_x, the cell
-of the edge carrying c at x: `idx << S | (i_u ^ i_v)` for edge idx =
-(u, v), with S = n_v.bit_length(). One xor steps along an edge, a flip
-moves cells between two colors without writing a color, and the colors
-are read off the cells at the end. A color's cells are a flat list of
-n_v when the exact colorer's block has every vertex at degree D, else a
+of the edge carrying c at x: `(idx << 1 | (i_u > i_v)) << S | (i_u ^ i_v)`
+for edge idx = (u, v), with S = n_v.bit_length(). One xor steps along an
+edge, a flip moves cells between two colors without writing a color, and
+`_read_out` reads the triples off the cells at the end, the low bit above
+S giving each edge's orientation. A color's cells are a flat list of n_v
+when the exact colorer's block has every vertex at degree D, else a
 `_Cells` dict that holds exactly the block's colored edge ends.
 
 Edges are processed in input order and color searches are lowest-first,
-so results are deterministic. Scratch tables are charged to the passed
-meter (2 table entries plus 1 result word per edge, plus ceil(D / 64)
-mask words per vertex for the exact bipartite colorer and
-ceil((D + 1) / 64) for `color_general`) and released on every exit.
+so results are deterministic. Scratch is charged to the passed meter
+once, as `offline-scratch`, and released on every exit: the 2m words of
+the handed edge ends, which move into table cells as the edges are
+absorbed, plus per vertex one word of the number -> id list and a
+used-color bitmask of ceil(D / 64) words (exact), ceil((D + 1) / 64)
+(`color_general`) or ceil((2D - 1) / 64) (greedy, which keeps no list).
+A flat table is allocated before any edge is absorbed, so it adds its
+n_v * D cells: 4m words for a regular block. The caller releases the
+words of its edge list just before handing it over.
 """
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import compress, count
 from typing import Collection
 
 from .errors import NotBipartite
 from .meter import SpaceMeter
+from .stream import Assignment
 
 Edge = tuple[int, int]
 
@@ -96,13 +109,23 @@ def _flip(A, B, x: int, used: list[int], swap: int, mask: int) -> None:
     used[x] ^= swap
 
 
-def _read_colors(table: list, shift: int, m: int) -> list[int]:
-    """The color of each of `m` edges, read off the table's cells."""
-    colors = [0] * m
-    for c, cells in enumerate(table):
-        for cell in filter(None, cells if type(cells) is list else cells.values()):
-            colors[cell >> shift] = c  # a cell is never 0: its ends differ
-    return colors
+def _read_out(table: list, shift: int, ids: list[int], base: int, m: int) -> list[Assignment]:
+    """Each of `m` edges as (u, v, base + color), in input order, read off
+    the table's cells; each color's cells are dropped once read."""
+    out: list = [None] * m
+    mask = (1 << shift) - 1
+    for c in range(len(table)):
+        cells = table[c]
+        table[c] = None
+        color = base + c
+        # a flat list skips its empty cells in C; a cell is never 0 (its ends differ)
+        pairs = compress(enumerate(cells), cells) if type(cells) is list else cells.items()
+        for x, cell in pairs:
+            y = x ^ (cell & mask)
+            if x < y:  # each edge once, at its lower-numbered end
+                key = cell >> shift
+                out[key >> 1] = (ids[y], ids[x], color) if key & 1 else (ids[x], ids[y], color)
+    return out
 
 
 def color_bipartite_exact(
@@ -111,33 +134,39 @@ def color_bipartite_exact(
     sides: list[int],
     dmax: int,
     meter: SpaceMeter | None = None,
-) -> list[int]:
-    """Proper coloring of a bipartite graph with colors in [0, dmax).
+    base: int = 0,
+) -> list[Assignment]:
+    """Proper coloring of a bipartite graph with colors in [base, base + dmax).
 
     `vertices` lists every end of `edges` once, in order of first
     appearance, `sides[i]` is the side of the i-th, and `dmax` is the max
-    degree. Raises NotBipartite at the first edge inside one side.
+    degree. Consumes `edges`. Raises NotBipartite at the first edge inside
+    one side.
     """
-    if not edges:
+    m = len(edges)
+    if not m:
         return []
-    # two color-table entries and one result word per edge, plus one
-    # used-color bitmask of ceil(D / 64) words per vertex
-    words = 3 * len(edges) + len(vertices) * -(-dmax // 64)
+    n = len(vertices)
+    # The degrees sum to 2m <= n_v * D, with equality exactly when every
+    # vertex has degree D: only then do D flat lists of n_v cells hold no
+    # more cells than the block's edges.
+    flat = n * dmax <= 2 * m
+    # the edge ends, one id word and a ceil(D / 64)-word used-color bitmask
+    # per vertex, and a flat table's cells up front
+    words = 2 * m + n * (1 + -(-dmax // 64)) + (n * dmax if flat else 0)
     if meter:
         meter.add("offline-scratch", words)
     try:
-        # The degrees sum to 2m <= n_v * D, with equality exactly when every
-        # vertex has degree D: only then do D lists of n_v cells fit in the
-        # 2 table words per edge that the charge covers.
-        index, shift, table = _table(vertices, dmax, len(vertices) * dmax <= 2 * len(edges))
+        index, shift, table = _table(vertices, dmax, flat)
         mask = (1 << shift) - 1
-        used = [0] * len(index)  # bit c of used[i] is set exactly when color c has a cell at i
+        used = [0] * n  # bit c of used[i] is set exactly when color c has a cell at i
         full = (1 << dmax) - 1
         for idx, (u, v) in enumerate(edges):
             iu = index[u]
             iv = index[v]
             if sides[iu] == sides[iv]:
                 raise NotBipartite(f"witness puts edge ({u}, {v}) inside one side")
+            edges[idx] = None
             mu = used[iu]
             mv = used[iv]
             free = full & ~(mu | mv)
@@ -158,8 +187,10 @@ def color_bipartite_exact(
             used[iu] = mu | bit
             used[iv] = mv | bit
             cells = table[bit.bit_length() - 1]
-            cells[iu] = cells[iv] = idx << shift | (iu ^ iv)
-        return _read_colors(table, shift, len(edges))
+            cells[iu] = cells[iv] = (idx << 1 | (iu > iv)) << shift | (iu ^ iv)
+        edges.clear()
+        del index, used
+        return _read_out(table, shift, list(vertices), base, m)
     finally:
         if meter:
             meter.release("offline-scratch", words)
@@ -235,74 +266,100 @@ def _fan_insert(table: list[_Cells], used: list[int], u: int, cell: int, mask: i
 
 
 def color_general(
-    edges: list[Edge], vertices: Collection[int], dmax: int, meter: SpaceMeter | None = None
-) -> list[int]:
-    """Proper coloring of any simple graph with colors in [0, dmax + 1).
+    edges: list[Edge],
+    vertices: Collection[int],
+    dmax: int,
+    meter: SpaceMeter | None = None,
+    base: int = 0,
+    simple: bool = False,
+) -> list[Assignment]:
+    """Proper coloring of any simple graph with colors in [base, base + dmax + 1).
 
     `vertices` lists every end of `edges` once, in order of first
-    appearance, and `dmax` is the max degree. A repeated edge takes the
-    color of its first copy.
+    appearance, and `dmax` is the max degree. Consumes `edges`. A repeated
+    edge takes the color of its first copy; `simple` says the block holds
+    none, and skips looking for them.
     """
-    if not edges:
+    m = len(edges)
+    if not m:
         return []
+    n = len(vertices)
     palette = dmax + 1
-    # as the exact colorer's, with masks of ceil((D + 1) / 64) words
-    words = 3 * len(edges) + len(vertices) * -(-palette // 64)
+    # as the exact colorer's dict layout, with masks of ceil((D + 1) / 64) words
+    words = 2 * m + n * (1 + -(-palette // 64))
     if meter:
         meter.add("offline-scratch", words)
 
     index, shift, table = _table(vertices, palette, False)
     mask = (1 << shift) - 1
-    used = [0] * len(index)  # bit c of used[i] is set exactly when color c has a cell at i
+    used = [0] * n  # bit c of used[i] is set exactly when color c has a cell at i
     full = (1 << palette) - 1
     first: dict[int, int] = {}  # low << S | high end number -> the edge's first index
-    repeats: list[tuple[int, int]] = []  # (a repeated edge's index, its first index)
+    repeats: list[tuple[int, int, int, int]] = []  # (index, first index, u, v) of a repeat
 
     for idx, (u, v) in enumerate(edges):
+        edges[idx] = None
         iu = index[u]
         iv = index[v]
-        orig = first.setdefault(iu << shift | iv if iu < iv else iv << shift | iu, idx)
-        if orig != idx:
-            repeats.append((idx, orig))
-            continue
+        if not simple:
+            orig = first.setdefault(iu << shift | iv if iu < iv else iv << shift | iu, idx)
+            if orig != idx:
+                repeats.append((idx, orig, u, v))
+                continue
         mu = used[iu]
         mv = used[iv]
+        cell = (idx << 1 | (iu > iv)) << shift | (iu ^ iv)
         free = full & ~(mu | mv)
         if free:
             bit = free & -free
             used[iu] = mu | bit
             used[iv] = mv | bit
             cells = table[bit.bit_length() - 1]
-            cells[iu] = cells[iv] = idx << shift | (iu ^ iv)
+            cells[iu] = cells[iv] = cell
         else:
-            _fan_insert(table, used, iu, idx << shift | (iu ^ iv), mask)
+            _fan_insert(table, used, iu, cell, mask)
 
-    colors = _read_colors(table, shift, len(edges))
-    for idx, orig in repeats:
-        colors[idx] = colors[orig]
+    edges.clear()
+    del index, used, first
+    out = _read_out(table, shift, list(vertices), base, m)
+    for idx, orig, u, v in repeats:
+        out[idx] = (u, v, out[orig][2])
     if meter:
         meter.release("offline-scratch", words)
-    return colors
+    return out
 
 
-def color_greedy(edges: list[Edge], meter: SpaceMeter | None = None) -> list[int]:
-    """Lowest color unused at both endpoints; at most 2 * max degree - 1."""
-    if not edges:
+def color_greedy(
+    edges: list[Edge],
+    vertices: Collection[int],
+    dmax: int,
+    meter: SpaceMeter | None = None,
+    base: int = 0,
+) -> list[Assignment]:
+    """Lowest color unused at both endpoints, in [base, base + 2 * dmax - 1).
+
+    `vertices` lists every end of `edges` once and `dmax` is the max
+    degree. Consumes `edges`, appending each edge's triple as it is colored.
+    """
+    m = len(edges)
+    if not m:
         return []
-    words = 3 * len(edges)
+    # the edge ends and a used-color bitmask of ceil((2D - 1) / 64) words per vertex
+    words = 2 * m + len(vertices) * -(-max(2 * dmax - 1, 1) // 64)
     if meter:
         meter.add("offline-scratch", words)
-    used: dict[int, set[int]] = {}
-    colors = []
-    for a, b in edges:
-        ua = used.setdefault(a, set())
-        ub = used.setdefault(b, set())
-        c = 0
-        while c in ua or c in ub:
-            c += 1
-        ua.add(c)
-        ub.add(c)
-        colors.append(c)
+    used = dict.fromkeys(vertices, 0)  # bit c is set exactly when c is taken at the vertex
+    out = []
+    for idx, (a, b) in enumerate(edges):
+        edges[idx] = None
+        ua = used[a]
+        ub = used[b]
+        taken = ua | ub
+        bit = ~taken & (taken + 1)  # the lowest color free at both
+        used[a] = ua | bit
+        used[b] = ub | bit
+        out.append((a, b, base + bit.bit_length() - 1))
+    edges.clear()
     if meter:
         meter.release("offline-scratch", words)
-    return colors
+    return out

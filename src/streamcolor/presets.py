@@ -256,13 +256,9 @@ class _StoreAll(_Pipeline):
         self.run.meter.add("stored-graph", 2 * len(pairs))
 
     def finalize(self):
-        edges = self.edges
-        if not edges:
-            return []
-        out = color_block(edges, self.side_of, "stored-graph", self.run, self.flavor)
+        edges, self.edges = self.edges, []
         self.run.meter.release("stored-graph", 2 * len(edges))
-        self.edges = []
-        return out
+        return color_block(edges, self.side_of, "stored-graph", self.run, self.flavor)
 
 
 _MODE_FOR_ALG = {

@@ -76,6 +76,7 @@ class Bipartization:
     """
 
     name = "bipart"  # in its meter keys, block labels and errors
+    simple = False  # whether the base store is known to hold no repeated edge
     _bitkey = "bipart:bits"
     _dkey = "bipart:level-degrees"
     _basekey = "bipart:base-store"
@@ -160,12 +161,9 @@ class Bipartization:
         out: list[Assignment] = []
         for part in self.parts:
             out.extend(part.finalize())
-        edges = self.base_edges
-        if edges:
-            label = f"{self.name}:base"
-            out += color_block(edges, None, label, self.run, "general")
-            self.run.meter.release(self._basekey, 2 * len(edges))
-            self.base_edges = []
+        edges, self.base_edges = self.base_edges, []
+        self.run.meter.release(self._basekey, 2 * len(edges))
+        out += color_block(edges, None, f"{self.name}:base", self.run, "general", self.simple)
         return out
 
 
@@ -176,6 +174,10 @@ class VertexBipartization(Bipartization):
     its edge group; within a level it goes to the colorer of its own side.
     Each level is its pair of side colorers, `[side 0, side 1]`.
     """
+
+    # a vertex arrives once and names each neighbor that has arrived once,
+    # so no edge can repeat: the base store is colored without a repeat check
+    simple = True
 
     def on_vertex(self, u: int, neighbors) -> list[Assignment]:
         """Route a whole arrival in one pass, as `route` per edge would.

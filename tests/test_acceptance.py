@@ -226,7 +226,8 @@ def test_c09_offline_colorers():
         sides = {**{i: 0 for i in range(nl)}, **{nl + j: 1 for j in range(nr)}}
         degrees = Counter(chain.from_iterable(edges))  # vertices in first-appearance order
         dmax = max(degrees.values())
-        colors = color_bipartite_exact(edges, degrees, [sides[x] for x in degrees], dmax)
+        colored = color_bipartite_exact(list(edges), degrees, [sides[x] for x in degrees], dmax)
+        colors = [c for _, _, c in colored]
         assert _proper(edges, colors)
         assert len(set(colors)) == dmax == _min_colors(edges, dmax), edges
         checked += 1
@@ -245,7 +246,7 @@ def test_c09_offline_colorers():
             continue
         degrees = Counter(chain.from_iterable(edges))
         dmax = max(degrees.values())
-        colors = color_general(edges, degrees, dmax)
+        colors = [c for _, _, c in color_general(list(edges), degrees, dmax)]
         assert _proper(edges, colors)
         assert max(colors) <= dmax
         general_checked += 1

@@ -1,9 +1,12 @@
 import random
+from collections import Counter
+from itertools import chain
 
 import pytest
 
 import streamcolor.core as core_mod
 from streamcolor.core import OneSidedColorer, Run, block_width, color_block
+from streamcolor.dispatch import BatchIndexDispatcher, GroupedBatchDispatcher
 from streamcolor.errors import (
     BoundViolation,
     NotBipartite,
@@ -11,7 +14,10 @@ from streamcolor.errors import (
     TooManySlots,
 )
 from streamcolor.matching import maximum_matching
+from streamcolor.harness import GenSpec, generate
 from streamcolor.palette import OfflineState, draw_offline_state, period_for
+from streamcolor.presets import build_pipeline
+from streamcolor.stream import parse_stream
 
 
 def make(delta, seed=0, **kw):
@@ -268,17 +274,175 @@ def test_color_block_by_flavor(flavor, edges, side_of, width):
     color_block([(5, 6)], (6).__eq__, "first", run)
     meter.add("stored", 2 * len(edges))
     before = meter.current_words, dict(meter.ledger)
+    handed = list(edges)  # the call consumes the list it is handed
     if width is None:
         with pytest.raises(NotBipartite) as raised:
-            color_block(edges, side_of, "block", run, flavor)
+            color_block(handed, side_of, "block", run, flavor)
         assert str(raised.value) == "witness puts edge (1, 0) inside one side"
     else:
-        out = color_block(edges, side_of, "block", run, flavor)
+        out = color_block(handed, side_of, "block", run, flavor)
+        assert handed == []
         assert alloc.blocks[-1] == ("block", 1, width) == ("block", 1, block_width(flavor, 2))
         assert [(u, v) for u, v, _ in out] == edges
         assert all(1 <= c < 1 + width for _, _, c in out)
         properly_colored(out)
     assert (meter.current_words, meter.ledger) == before
+
+
+# --- a stored block colored in place ---
+
+
+def scratch_words(flavor, m, n, d):
+    """What a block's colorer charges for m edges on n vertices of max
+    degree d: the 2m handed edge ends, which move into its table, and per
+    vertex one id word and a used-color bitmask (the greedy colorer has no
+    table and no id list); an exact block with every vertex at degree d has
+    a flat table, whose n * d cells are charged up front."""
+    if flavor == "greedy":
+        return 2 * m + n * -(-(2 * d - 1) // 64)
+    palette = d if flavor == "exact" else d + 1
+    flat = n * d if flavor == "exact" and n * d == 2 * m else 0
+    return 2 * m + n * (1 + -(-palette // 64)) + flat
+
+
+def spy_colorers(monkeypatch, meter):
+    """Wrap the three offline colorers where `color_block` calls them; each
+    call records (flavor, words live as it starts, words it added at its
+    peak, `scratch_words` of its block, whether it emptied its list)."""
+    calls = []
+    for name, flavor in (("color_bipartite_exact", "exact"), ("color_general", "general"),
+                         ("color_greedy", "greedy")):
+
+        def spy(edges, *args, real=getattr(core_mod, name), flavor=flavor):
+            degrees = Counter(chain.from_iterable(edges))
+            expected = scratch_words(flavor, len(edges), len(degrees), max(degrees.values()))
+            live, held = meter.current_words, meter.peak_words
+            meter.peak_words = live  # the peak of this call alone
+            out = real(edges, *args)
+            calls.append((flavor, live, meter.peak_words - live, expected, edges == []))
+            meter.peak_words = max(held, meter.peak_words)
+            return out
+
+        monkeypatch.setattr(core_mod, name, spy)
+    return calls
+
+
+def mixed_orientation(edges):
+    """Every other edge turned around: given high to low and low to high."""
+    return [(v, u) if i % 2 else (u, v) for i, (u, v) in enumerate(edges)]
+
+
+# a 4-regular bipartite graph on 8 + 8 vertices (ids 0-7 and 8-15)
+REGULAR = mixed_orientation([(u, 8 + (u + j) % 8) for j in range(4) for u in range(8)])
+GENERAL = mixed_orientation([(a, b) for a in range(5) for b in range(a + 1, 5)] + [(4, 5), (5, 6)])
+
+
+@pytest.mark.parametrize(
+    "flavor, edges, side_of, width",
+    [
+        ("exact", REGULAR, (8).__le__, 4),  # every vertex at degree D: a flat table
+        ("exact", REGULAR[:-1], (8).__le__, 4),  # one edge short: `_Cells` dicts
+        ("general", GENERAL, None, 6),
+        ("greedy", GENERAL, None, 9),
+    ],
+    ids=["exact-flat", "exact-dict", "general", "greedy"],
+)
+def test_a_block_is_colored_in_place(flavor, edges, side_of, width, monkeypatch):
+    run = Run()
+    meter = run.meter
+    calls = spy_colorers(monkeypatch, meter)
+    meter.add("caller", 100)  # what the caller holds besides the list it hands over
+    handed = list(edges)
+    assert {u < v for u, v in handed} == {True, False}
+    out = color_block(handed, side_of, "block", run, flavor)
+    assert handed == []  # consumed
+    assert [(u, v) for u, v, _ in out] == edges  # each edge as it was given
+    assert run.alloc.blocks == [("block", 0, width)]
+    assert all(0 <= c < width for _, _, c in out)
+    properly_colored(out)
+    [(called, live, added, expected, emptied)] = calls
+    assert (called, live, emptied) == (flavor, 100, True)
+    assert added == expected
+    assert meter.peak_words == 100 + expected and meter.current_words == 100
+    if edges is REGULAR:
+        assert expected == 4 * len(edges) + 16 * 2  # the flat table: 4m
+    else:
+        assert expected < 3 * len(edges) + 16 * 2
+
+
+def spill_case():
+    inst, meter, _ = make(10)
+    for i in range(4):
+        plant(inst, 100 + i, (3, 7, 9))
+    assert inst.on_online_vertex(0, [100, 101, 102, 103]) == []  # spilled
+    return meter, inst.finalize, f"{inst.name}:spill"
+
+
+def flush_case():
+    # 3 edges at each of 6 + 6 vertices, under k = 4: the 18th edge fills the
+    # buffer's cap, no vertex holds a batch, and the whole buffer is flushed
+    run = Run()
+    d = GroupedBatchDispatcher(16, 1, 18, side_of=(6).__le__, seed=1, run=run, flush_bound=4)
+    edges = mixed_orientation([(u, 6 + (u + j) % 6) for j in range(3) for u in range(6)])
+    for u, v in edges[:-1]:
+        assert d.feed_edge(u, v) == []
+
+    def flush():  # the last edge's 4 words join the buffer, then all of it leaves
+        out = d.feed_edge(*edges[-1])
+        assert d.flushes == 1 and len(out) == len(edges)
+        return out
+
+    return run.meter, flush, d._bkey
+
+
+def sqrt_leftover_case():
+    run = Run()
+    d = BatchIndexDispatcher(16, seed=3, run=run)  # k = 4: three edges never make a batch
+    for u in range(5):
+        for j in range(3):
+            assert d.feed_edge(u, 100 + (u + j) % 5) == []
+    return run.meter, d.finalize, d._bkey
+
+
+def pipeline_case(family, mode, delta, alg, key):
+    text = generate(GenSpec(family, 64, delta, mode, 5))
+    header, events = parse_stream(text.splitlines())
+    pipeline = build_pipeline(header, alg)
+    out = []
+    for event in events:
+        pipeline.feed(event, out)
+    assert pipeline.run.meter.ledger[key] > 0
+    return pipeline.run.meter, pipeline.finalize, key
+
+
+CALLERS = {
+    "one-sided spill": spill_case,
+    "grouped flush": flush_case,
+    "sqrt leftover": sqrt_leftover_case,
+    # Δ = 12 at n = 64 is below the first level's threshold: every edge
+    # goes to the base store
+    "base store": lambda: pipeline_case("regular-general", "vertex-two-sided", 12,
+                                        "vertex-general", "bipart:base-store"),
+    "stored graph": lambda: pipeline_case("regular-bipartite", "edge", 8, "offline-exact",
+                                          "stored-graph"),
+}
+
+
+@pytest.mark.parametrize("caller", CALLERS)
+def test_every_caller_releases_its_list_just_before_coloring_it(caller, monkeypatch):
+    # The list's words leave the caller's key as the call starts and come
+    # back as the colorer's scratch: the peak of the call is the caller's
+    # other live words plus the colorer's own charge, and nothing holds the
+    # list twice or leaves it uncharged.
+    meter, trigger, key = CALLERS[caller]()
+    before, held = meter.current_words, meter.ledger[key]
+    calls = spy_colorers(monkeypatch, meter)
+    trigger()
+    [(_, live, added, expected, emptied)] = calls
+    assert live == before - held
+    assert added == expected
+    assert emptied
+    assert meter.ledger[key] == 0 and meter.consistent()
 
 
 class MatcherColorer(OneSidedColorer):

@@ -44,19 +44,19 @@ CASES = [
     ("vertex-general-general", "regular-general", "vertex-two-sided", 64, 0,
      "vertex-general", (),
      "aea2a8245aa0810d26ec47b15bfaac6ab75c42fe578fc7921ef979fec8331fd8",
-     1_135, 21_646),
+     1_135, 9_812),
     ("edge-sqrt-forced", "regular-bipartite", "edge", 32, 0, "edge-sqrt", ("--force-stream",),
      "e7072df4355463c841a88da472bdfd797157a9fe7c58a97e7dd9e72558772042",
-     550, 9_661),
+     550, 8_602),
     ("edge-sqrt-fallback", "regular-bipartite", "edge", 32, 0, "edge-sqrt", (),
      "6db6200ba9fcb6fad87481833beaa5149fee3c0da88a2a986f46dce7440c9b44",
-     32, 41_472),
+     32, 33_792),
     # below its threshold edge-sqrt stores and colors as offline-exact does:
     # the same stream, the same bytes
     ("offline-exact-on-edge-sqrt-fallback", "regular-bipartite", "edge", 32, 0,
      "offline-exact", (),
      "6db6200ba9fcb6fad87481833beaa5149fee3c0da88a2a986f46dce7440c9b44",
-     32, 41_472),
+     32, 33_792),
     # the three edge-general cases: a grouped sub-colorer is told each
     # batch's band, so its peak holds no batch counter of its own
     ("edge-general-s2-forced", "regular-bipartite", "edge", 32, 0, "edge-general",
@@ -74,7 +74,7 @@ CASES = [
     ("edge-general-general", "regular-general", "edge", 64, 0, "edge-general",
      ("--s", "2", "--force-stream"),
      "d3b92c43002d8d29e3dcd70f6e169d6fbfb63867d521a533160b2a87bbf54389",
-     200, 21_324),
+     200, 10_510),
     # s = 11, one below ceil(sqrt(128)): grouped levels [192, 96], and level 1
     # clamps 11 to its own ceil(sqrt(96)) = 10
     ("edge-general-deep-s11", "regular-general", "edge", 128, 0, "edge-general",
@@ -83,18 +83,18 @@ CASES = [
      5_528, 40_722),
     ("offline-exact", "regular-bipartite", "vertex-one-sided", 32, 0, "offline-exact", (),
      "8ac5c01bea6c4513ff6882fa09f8da45bd013f59d3871bc70dc925fcb261e5d8",
-     32, 41_472),
+     32, 33_792),
     # every vertex has degree 32: the exact colorer's flat per-vertex rows
     ("offline-exact-regular", "adversarial-frontload", "edge", 32, 0, "offline-exact", (),
      "073dd434e13e6b61b1e7a49d6fbe51af15727433a26014e06d492fa7c85171b4",
-     32, 41_472),
+     32, 33_792),
     # 4,472 edges on 512 vertices, not regular: its per-vertex dicts
     ("offline-exact-irregular", "random-bipartite", "edge", 32, 0, "offline-exact", (),
      "792470a2bbfefa0bca0b98d9dfed88b43a753656e1a73359f264269c42d45bc1",
-     32, 22_872),
+     32, 9_968),
     ("offline-greedy", "regular-general", "edge", 32, 0, "offline-greedy", (),
      "3a5345b76c5c70517523765f7e744b3498b8191b016fe0ee5865c678c016dd30",
-     37, 20_480),
+     37, 8_448),
 ]
 
 SEED = 11

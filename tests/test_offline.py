@@ -60,13 +60,23 @@ def block(edges, sides):
     return degrees, [sides[x] for x in degrees], max(degrees.values(), default=0)
 
 
+def colors_of(assignments):
+    return [c for _, _, c in assignments]
+
+
 def exact(edges, sides, meter=None):
-    return color_bipartite_exact(edges, *block(edges, sides), meter)
+    """The exact colorer's colors for `edges`, one per edge, on a copy of the list."""
+    return colors_of(color_bipartite_exact(list(edges), *block(edges, sides), meter))
 
 
 def general(edges, meter=None):
     degrees = Counter(chain.from_iterable(edges))
-    return color_general(edges, degrees, max(degrees.values(), default=0), meter)
+    return colors_of(color_general(list(edges), degrees, max(degrees.values(), default=0), meter))
+
+
+def greedy(edges, meter=None):
+    degrees = Counter(chain.from_iterable(edges))
+    return colors_of(color_greedy(list(edges), degrees, max(degrees.values(), default=0), meter))
 
 
 def layouts(edges, sides):
@@ -266,7 +276,7 @@ def test_one_walk_flip_matches_the_two_phase_reference_on_small_graphs():
         colors = exact(edges, sides)
         assert colors == two_phase_bipartite_exact(edges)
         assert layouts(edges, sides) == (colors, colors)  # either table layout
-        flipped += colors != color_greedy(edges)
+        flipped += colors != greedy(edges)
     assert flipped > 0  # lowest shared color alone was not enough somewhere
 
 
@@ -278,7 +288,7 @@ def test_one_walk_flip_matches_the_two_phase_reference_on_regular_graphs(delta):
     random.Random(delta).shuffle(edges)
     colors = exact(edges, sides_for(64, 64))
     assert colors == two_phase_bipartite_exact(edges)
-    assert colors != color_greedy(edges)
+    assert colors != greedy(edges)
     assert is_proper(edges, colors) and max(colors) == delta - 1
 
 
@@ -292,7 +302,7 @@ def test_exact_colorer_on_a_star_with_a_pendant_matching():
     edges = pendant + star
     sides = {0: 0, **{leaf: 1 for leaf in range(1, 71)}, **{100 + j: 0 for j in range(1, 71)}}
     colors = exact(edges, sides)
-    assert max(color_greedy(edges)) == 70  # greedy needs one more
+    assert max(greedy(edges)) == 70  # greedy needs one more
     assert colors == two_phase_bipartite_exact(edges)
     assert layouts(edges, sides) == (colors, colors)
     assert is_proper(edges, colors) and sorted(colors[70:]) == list(range(70))
@@ -311,11 +321,13 @@ def test_exact_colorer_matches_the_reference_and_charges_its_masks(delta):
     vertices, sides, dmax = block(edges, sides_for(160, 160))
     assert len(vertices) == 320 and dmax == delta
     meter = SpaceMeter()
-    colors = color_bipartite_exact(edges, vertices, sides, dmax, meter)
+    colors = colors_of(color_bipartite_exact(list(edges), vertices, sides, dmax, meter))
     assert colors == two_phase_bipartite_exact(edges)
     assert layouts(edges, sides_for(160, 160)) == (colors, colors)
     assert is_proper(edges, colors) and max(colors) == delta - 1
-    assert meter.peak_words == 3 * len(edges) + 320 * -(-delta // 64)
+    # regular: the flat table's 320 * delta = 2m cells on top of the 2m edge
+    # ends, and per vertex one id word and the masks
+    assert meter.peak_words == 4 * len(edges) + 320 * (1 + -(-delta // 64))
     assert meter.current_words == 0 and meter.consistent()
 
 
@@ -354,10 +366,10 @@ def test_both_layouts_match_the_reference_on_a_regular_multigraph():
     expected = two_phase_bipartite_exact(edges)
     assert layouts(edges, sides_for(64, 64)) == (expected, expected)
     assert is_proper(edges, expected) and max(expected) == 8
-    assert expected != color_greedy(edges)  # some path was flipped
+    assert expected != greedy(edges)  # some path was flipped
 
 
-def test_exact_colorer_charges_the_same_words_in_either_layout(monkeypatch):
+def test_exact_colorer_charges_a_flat_table_up_front(monkeypatch):
     taken = []  # the table layout picked: flat lists (True) or dicts (False)
     real = offline._table
 
@@ -368,14 +380,16 @@ def test_exact_colorer_charges_the_same_words_in_either_layout(monkeypatch):
     monkeypatch.setattr(offline, "_table", recorded)
     edges = build_edges(GenSpec("regular-bipartite", 80, 70, "edge", seed=3))
     random.Random(3).shuffle(edges)
-    # 70-regular, then one edge short of it: two mask words per vertex both times
+    # 70-regular, then one edge short of it: two mask words and one id word
+    # per vertex both times, and the flat table's 160 * 70 cells only in the
+    # first, allocated before any edge moves into it
     for part, layout in ((edges, True), (edges[:-1], False)):
         vertices, sides, dmax = block(part, sides_for(80, 80))
         assert len(vertices) == 160 and dmax == 70
         meter = SpaceMeter()
-        colors = color_bipartite_exact(part, vertices, sides, dmax, meter)
+        colors = colors_of(color_bipartite_exact(list(part), vertices, sides, dmax, meter))
         assert taken.pop() == layout
-        assert meter.peak_words == 3 * len(part) + 160 * 2
+        assert meter.peak_words == 2 * len(part) + 160 * 3 + (160 * 70 if layout else 0)
         assert meter.current_words == 0 and meter.consistent()
         assert colors == two_phase_bipartite_exact(part)
 
@@ -406,8 +420,11 @@ def test_both_layouts_match_the_reference_on_matching_unions(delta, n, keep, see
     expected = two_phase_bipartite_exact(edges)
     assert layouts(edges, sides_for(n, n)) == (expected, expected)
     meter = SpaceMeter()
-    assert color_bipartite_exact(edges, vertices, sides, dmax, meter) == expected
-    assert meter.peak_words == 3 * len(edges) + len(vertices) * -(-dmax // 64)
+    assert colors_of(color_bipartite_exact(list(edges), vertices, sides, dmax, meter)) == expected
+    flat = len(vertices) * dmax == 2 * len(edges)
+    assert meter.peak_words == (
+        2 * len(edges) + len(vertices) * (1 + -(-dmax // 64)) + flat * len(vertices) * dmax
+    )
     assert is_proper(edges, expected) and all(0 <= c < dmax for c in expected)
     if keep == 1.0:
         assert dmax == delta and len(vertices) == 2 * n
@@ -441,7 +458,7 @@ def test_star_uses_exactly_its_degree():
 def test_empty_graph_gives_empty_map():
     assert general([]) == []
     assert exact([], {}) == []
-    assert color_greedy([]) == []
+    assert greedy([]) == []
 
 
 def test_fan_rotation_proper_and_within_bound_on_random_graphs():
@@ -492,11 +509,11 @@ def test_fan_rotation_matches_the_reference_across_mask_words(delta, monkeypatch
     vertices = Counter(chain.from_iterable(edges))
     assert max(vertices.values()) == delta
     meter = SpaceMeter()
-    colors = color_general(edges, vertices, delta, meter)
+    colors = colors_of(color_general(list(edges), vertices, delta, meter))
     assert colors == rescanning_fan_general(edges)
     assert is_proper(edges, colors) and max(colors) <= delta
     assert calls["_fan_insert"] > 0 and calls["_flip"] > 0
-    assert meter.peak_words == 3 * len(edges) + len(vertices) * -(-(delta + 1) // 64)
+    assert meter.peak_words == 2 * len(edges) + len(vertices) * (1 + -(-(delta + 1) // 64))
     assert meter.current_words == 0 and meter.consistent()
 
 
@@ -504,16 +521,17 @@ def test_the_tables_hold_exactly_two_cells_per_colored_edge(monkeypatch):
     # A flip empties one cell at the path's far end. The `_Cells` dicts must
     # lose it, not keep it as None, so that they hold exactly the 2 edge ends
     # per colored edge that the meter charges; likewise the cell a flip
-    # leaves at its start, which the inserted edge overwrites.
+    # leaves at its start, which the inserted edge overwrites. The tables
+    # are copied as the read-out gets them, before it empties them.
     tables, flips = [], []
-    real_table, real_flip = offline._table, offline._flip
+    real_read, real_flip = offline._read_out, offline._flip
 
-    def kept(vertices, colors, flat):
-        index, shift, table = real_table(vertices, colors, flat)
-        tables.append((shift, table))
-        return index, shift, table
+    def kept(table, shift, *args):
+        tables.append((shift, [dict(cells) for cells in table]))
+        assert all(type(cells) is offline._Cells for cells in table)
+        return real_read(table, shift, *args)
 
-    monkeypatch.setattr(offline, "_table", kept)
+    monkeypatch.setattr(offline, "_read_out", kept)
     monkeypatch.setattr(offline, "_flip", lambda *args: flips.append(1) or real_flip(*args))
     # 16-regular in shuffled order, less its first 32 edges: irregular
     bipartite = build_edges(GenSpec("regular-bipartite", 64, 16, "edge", seed=16))
@@ -534,12 +552,11 @@ def test_the_tables_hold_exactly_two_cells_per_colored_edge(monkeypatch):
         assert len(flips) > 30
         assert is_proper([edges[i] for i in colored], [colors[i] for i in colored])
         shift, table = tables.pop()
-        assert all(type(cells) is offline._Cells for cells in table)
         cells = Counter(chain.from_iterable(cells.values() for cells in table))
         assert set(cells.values()) == {2}
-        assert sorted(cell >> shift for cell in cells) == list(colored)
+        assert sorted(cell >> shift + 1 for cell in cells) == list(colored)
         for c, at in enumerate(table):  # and each cell sits at its color
-            assert all(colors[cell >> shift] == c for cell in at.values())
+            assert all(colors[cell >> shift + 1] == c for cell in at.values())
     assert colors[len(simple) :] == [colors[simple.index(e)] for e in spare]
 
 
@@ -581,10 +598,10 @@ def test_fan_rotation_handles_odd_cycles():
 
 
 def test_greedy_hand_cases():
-    assert color_greedy([(0, 1)]) == [0]
-    assert color_greedy([(0, 1), (1, 2), (0, 2)]) == [0, 1, 2]
+    assert greedy([(0, 1)]) == [0]
+    assert greedy([(0, 1), (1, 2), (0, 2)]) == [0, 1, 2]
     star = [(0, i) for i in range(1, 8)]
-    assert color_greedy(star) == list(range(7))
+    assert greedy(star) == list(range(7))
 
 
 def test_greedy_stays_below_twice_degree():
@@ -594,7 +611,7 @@ def test_greedy_stays_below_twice_degree():
         pool = list(itertools.combinations(range(n), 2))
         rng.shuffle(pool)
         edges = pool[: rng.randrange(1, 30)]
-        colors = color_greedy(edges)
+        colors = greedy(edges)
         assert is_proper(edges, colors)
         assert max(colors) <= 2 * max_degree(edges) - 2
 
@@ -604,7 +621,7 @@ def test_meter_scratch_is_released():
     edges = [(0, 1), (1, 2), (2, 3)]
     general(edges, meter)
     assert meter.current_words == 0
-    assert meter.peak_words == 3 * len(edges) + 4  # one mask word per vertex
-    color_greedy(edges, meter)
+    assert meter.peak_words == 2 * len(edges) + 4 * 2  # an id and a mask word per vertex
+    greedy(edges, meter)
     exact(edges, {0: 0, 1: 1, 2: 0, 3: 1}, meter)
     assert meter.current_words == 0

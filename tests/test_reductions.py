@@ -511,6 +511,41 @@ def test_counted_level_through_both_arrival_kinds(edges, seed):
         assert ledger.get("bipart:level-degrees", 0) == len(tree.level_degrees[1])
 
 
+# (0, 1) three times, the last turned around; 0 and 1 reach Δ = 4 with the copies
+REPEATS = "H 6 0 4 edge 0 3\ne 0 1\ne 1 2\ne 0 1\ne 2 0\ne 1 0\ne 3 4\n"
+
+
+@pytest.mark.parametrize(
+    "alg, force, simple",
+    [
+        ("edge-sqrt", False, False),  # stored graph: the store-and-color fallback
+        ("edge-general", True, False),  # no level at n = 6: the edge router's base store
+        ("vertex-general", False, True),  # a vertex stream cannot repeat an edge
+    ],
+    ids=["stored-graph", "edge-base-store", "vertex-base-store"],
+)
+def test_a_repeated_edge_takes_its_first_copy_s_color(alg, force, simple, monkeypatch):
+    import streamcolor.core as core_mod
+
+    flags = []
+    real = core_mod.color_general
+    monkeypatch.setattr(core_mod, "color_general", lambda *args: flags.append(args[5]) or real(*args))
+    text = REPEATS
+    if alg == "vertex-general":
+        text = "H 6 0 4 vertex-two-sided 0 3\nV 0\nV 1 0\nV 2 1 0\nV 3\nV 4 3\n"
+    header, events = parse_stream(text.splitlines())
+    out = []
+    stats = run_stream(build_pipeline(header, alg, force_stream=force), events,
+                       emit=lambda u, v, c: out.append((u, v, c)))
+    assert flags == [simple]
+    assert len(out) == stats.edges_emitted
+    checker(list({(min(u, v), max(u, v)): (u, v, c) for u, v, c in out}.values()))
+    if not simple:
+        assert [(u, v) for u, v, _ in out] == [(0, 1), (1, 2), (0, 1), (2, 0), (1, 0), (3, 4)]
+        assert out[0][2] == out[2][2] == out[4][2]
+        assert len({c for _, _, c in out}) == 3
+
+
 # Δ = 16: edge-general at s = 4 = ceil(sqrt(16)) runs the sqrt dispatcher, as edge-sqrt does
 @pytest.mark.parametrize("alg, s", [("edge-sqrt", 1), ("edge-general", 2), ("edge-general", 3),
                                     ("edge-general", 4)])
