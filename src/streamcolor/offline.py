@@ -189,7 +189,7 @@ def color_bipartite_exact(
             cells = table[bit.bit_length() - 1]
             cells[iu] = cells[iv] = (idx << 1 | (iu > iv)) << shift | (iu ^ iv)
         edges.clear()
-        del index, used
+        del index, used  # the read-out needs neither: free them first
         return _read_out(table, shift, list(vertices), base, m)
     finally:
         if meter:
@@ -320,7 +320,7 @@ def color_general(
             _fan_insert(table, used, iu, cell, mask)
 
     edges.clear()
-    del index, used, first
+    del index, used, first  # the read-out needs none of them: free them first
     out = _read_out(table, shift, list(vertices), base, m)
     for idx, orig, u, v in repeats:
         out[idx] = (u, v, out[orig][2])
