@@ -100,7 +100,7 @@ def color_block(
         return color_bipartite_exact(edges, degrees, sides, dmax, meter, base)
     if flavor == "general":
         return color_general(edges, degrees, dmax, meter, base, simple)
-    return color_greedy(edges, degrees, dmax, meter, base)
+    return color_greedy(edges, meter, base)
 
 
 class OneSidedColorer:

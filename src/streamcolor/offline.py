@@ -1,9 +1,10 @@
 """Exact offline edge colorers for stored subgraphs, colored in place.
 
-Each takes a block's edges and what it needs of `core.color_block`'s one
-pass over them: the vertices in first-appearance order, the max degree D
-and, for the exact colorer, one side per vertex. No colorer searches for
-sides: the exact one checks the caller's. Three colorers, all proper:
+Each takes a block's edges, and the first two what they need of
+`core.color_block`'s one pass over them: the vertices in first-appearance
+order, the max degree D and, for the exact colorer, one side per vertex.
+No colorer searches for sides: the exact one checks the caller's. Three
+colorers, all proper:
 
 * `color_bipartite_exact` colors a bipartite graph with exactly its max
   degree D, inserting edges one at a time: each takes the lowest color
@@ -39,12 +40,13 @@ Edges are processed in input order and color searches are lowest-first,
 so results are deterministic. Scratch is charged to the passed meter
 once, as `offline-scratch`, and released on every exit: the 2m words of
 the handed edge ends, which move into table cells as the edges are
-absorbed, plus per vertex one word of the number -> id list and a
-used-color bitmask of ceil(D / 64) words (exact), ceil((D + 1) / 64)
-(`color_general`) or ceil((2D - 1) / 64) (greedy, which keeps no list).
-A flat table is allocated before any edge is absorbed, so it adds its
-n_v * D cells: 4m words for a regular block. The caller releases the
-words of its edge list just before handing it over.
+absorbed (into per-vertex used-color sets for the greedy colorer, which
+charges nothing more), plus per vertex one word of the number -> id list
+and a used-color bitmask of ceil(D / 64) words (exact) or
+ceil((D + 1) / 64) (`color_general`). A flat table is allocated before
+any edge is absorbed, so it adds its n_v * D cells: 4m words for a
+regular block. The caller releases the words of its edge list just
+before handing it over.
 """
 
 from __future__ import annotations
@@ -330,35 +332,30 @@ def color_general(
 
 
 def color_greedy(
-    edges: list[Edge],
-    vertices: Collection[int],
-    dmax: int,
-    meter: SpaceMeter | None = None,
-    base: int = 0,
+    edges: list[Edge], meter: SpaceMeter | None = None, base: int = 0
 ) -> list[Assignment]:
-    """Lowest color unused at both endpoints, in [base, base + 2 * dmax - 1).
+    """Lowest color unused at both endpoints, in [base, base + 2 * max degree - 1).
 
-    `vertices` lists every end of `edges` once and `dmax` is the max
-    degree. Consumes `edges`, appending each edge's triple as it is colored.
+    Consumes `edges`, appending each edge's triple as it is colored.
     """
     m = len(edges)
     if not m:
         return []
-    # the edge ends and a used-color bitmask of ceil((2D - 1) / 64) words per vertex
-    words = 2 * m + len(vertices) * -(-max(2 * dmax - 1, 1) // 64)
+    words = 2 * m  # the edge ends, which move into the used-color sets
     if meter:
         meter.add("offline-scratch", words)
-    used = dict.fromkeys(vertices, 0)  # bit c is set exactly when c is taken at the vertex
+    used: dict[int, set[int]] = {}
     out = []
     for idx, (a, b) in enumerate(edges):
         edges[idx] = None
-        ua = used[a]
-        ub = used[b]
-        taken = ua | ub
-        bit = ~taken & (taken + 1)  # the lowest color free at both
-        used[a] = ua | bit
-        used[b] = ub | bit
-        out.append((a, b, base + bit.bit_length() - 1))
+        ua = used.setdefault(a, set())
+        ub = used.setdefault(b, set())
+        c = 0
+        while c in ua or c in ub:
+            c += 1
+        ua.add(c)
+        ub.add(c)
+        out.append((a, b, base + c))
     edges.clear()
     if meter:
         meter.release("offline-scratch", words)

@@ -175,8 +175,10 @@ class VertexBipartization(Bipartization):
     Each level is its pair of side colorers, `[side 0, side 1]`.
     """
 
-    # a vertex arrives once and names each neighbor that has arrived once,
-    # so no edge can repeat: the base store is colored without a repeat check
+    # a vertex arrives once and names each neighbor that has arrived once
+    # (the stream parser checks both, and `on_vertex` relies on them), so no
+    # edge can repeat: the base store is colored without the general
+    # colorer's first-copy dict, its largest uncharged structure
     simple = True
 
     def on_vertex(self, u: int, neighbors) -> list[Assignment]:
@@ -189,6 +191,10 @@ class VertexBipartization(Bipartization):
         base edges, and each level's new degree entries. All of these are
         additions with nothing released between them, so the ledger and
         the peak are the per-edge ones.
+
+        `u` arrives once, and `neighbors` are distinct vertices that arrived
+        before it, as the stream parser checks: the base store's coloring
+        relies on it (`simple`).
         """
         if not neighbors:
             return []

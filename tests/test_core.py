@@ -295,11 +295,12 @@ def test_color_block_by_flavor(flavor, edges, side_of, width):
 def scratch_words(flavor, m, n, d):
     """What a block's colorer charges for m edges on n vertices of max
     degree d: the 2m handed edge ends, which move into its table, and per
-    vertex one id word and a used-color bitmask (the greedy colorer has no
-    table and no id list); an exact block with every vertex at degree d has
-    a flat table, whose n * d cells are charged up front."""
+    vertex one id word and a used-color bitmask (the greedy colorer charges
+    only the edge ends, which move into its used-color sets); an exact block
+    with every vertex at degree d has a flat table, whose n * d cells are
+    charged up front."""
     if flavor == "greedy":
-        return 2 * m + n * -(-(2 * d - 1) // 64)
+        return 2 * m
     palette = d if flavor == "exact" else d + 1
     flat = n * d if flavor == "exact" and n * d == 2 * m else 0
     return 2 * m + n * (1 + -(-palette // 64)) + flat

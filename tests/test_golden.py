@@ -94,7 +94,7 @@ CASES = [
      32, 9_968),
     ("offline-greedy", "regular-general", "edge", 32, 0, "offline-greedy", (),
      "3a5345b76c5c70517523765f7e744b3498b8191b016fe0ee5865c678c016dd30",
-     37, 8_448),
+     37, 8_192),
 ]
 
 SEED = 11

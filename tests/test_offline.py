@@ -75,8 +75,7 @@ def general(edges, meter=None):
 
 
 def greedy(edges, meter=None):
-    degrees = Counter(chain.from_iterable(edges))
-    return colors_of(color_greedy(list(edges), degrees, max(degrees.values(), default=0), meter))
+    return colors_of(color_greedy(list(edges), meter))
 
 
 def layouts(edges, sides):
