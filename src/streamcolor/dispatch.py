@@ -17,12 +17,14 @@ each batch to the band of its index in its group. If the checkpoint finds
 no such vertex, the whole buffer (max degree below k) is colored offline
 with one fresh block and dropped.
 
-The grouped buffer is one insertion-ordered dict per vertex, edge id to
-other endpoint, with each buffered edge under both of its endpoints. A
-drain takes a vertex's first k entries and deletes each edge at both ends,
-so everything the buffer holds is bounded by the edges buffered, at most
-n*s, plus one entry per vertex seen since the last flush; nothing grows
-with the length of the stream.
+The grouped buffer is one list per vertex of its buffered edges' other
+endpoints, in arrival order, with each buffered edge under both of its
+endpoints: two words per buffered edge. A drain takes a vertex's first k
+entries and removes the first copy of the vertex at each far end. Parallel
+copies of an edge sit in arrival order at both ends, so the copy removed
+there is the one taken. Everything the buffer holds is bounded by the
+edges buffered, at most n*s, plus one list per vertex seen since the last
+flush; nothing grows with the length of the stream.
 
 Leftover buffered edges at end of stream are colored offline with a final
 fresh block, against the buffer keys (sqrt) or the router's `side_of`
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import islice
 from typing import Callable
 
 from .core import OneSidedColorer, Run, color_block
@@ -73,7 +74,7 @@ class BatchIndexDispatcher:
             for i in range(self.k)
         ]
         run.alloc.promised += delta  # the leftover block
-        self.buffers: dict[int, deque[int]] = {}
+        self.buffers: dict[int, list[int]] = {}
         self.batch_count: dict[int, int] = {}
         self.batch_shift: dict[int, int] = {}
         self._bkey = f"{name}:buffer"
@@ -83,14 +84,16 @@ class BatchIndexDispatcher:
         """Insert one edge, oriented (designated online endpoint, other)."""
         buf = self.buffers.get(u)
         if buf is None:
-            buf = self.buffers[u] = deque()
+            buf = self.buffers[u] = []
         buf.append(v)
         meter = self.run.meter
         meter.add(self._bkey, 2)
         if len(buf) < self.k:
             return []
 
-        batch = [buf.popleft() for _ in range(self.k)]
+        # a full buffer is the batch; its key keeps its place for the leftover
+        batch = buf.copy()
+        buf.clear()
         meter.release(self._bkey, 2 * self.k)
         count = self.batch_count.get(u)
         if count is None:
@@ -160,43 +163,40 @@ class GroupedBatchDispatcher:
         # flush blocks of under k colors each, and the leftover block
         run.alloc.promised += flush_bound * self.k + delta
 
-        # adj[x] maps each buffered edge id at x to its other endpoint, in
+        # adj[x] lists the other endpoint of each edge buffered at x, in
         # arrival order; len(adj[x]) is x's buffered count. A vertex keeps its
-        # (possibly empty) dict until the buffer is emptied, so the flush
+        # (possibly empty) list until the buffer is emptied, so the flush
         # walks vertices in first-arrival order.
-        self.adj: dict[int, dict[int, int]] = {}
+        self.adj: dict[int, list[int]] = {}
         self.ready: deque[int] = deque()
         self.size = 0
-        self.next_eid = 0
         self.batch_count: dict[int, int] = {}
         self.group_shift: dict[int, int] = {}
         self._bkey = f"{name}:buffer"
         self._ckey = f"{name}:counters"
 
     def feed_edge(self, a: int, b: int) -> list[Assignment]:
-        eid = self.next_eid
-        self.next_eid = eid + 1
         adj = self.adj
         k = self.k
         at = adj.get(a)
         if at is None:
-            at = adj[a] = {}
-        at[eid] = b
+            at = adj[a] = []
+        at.append(b)
         if len(at) == k:
             self.ready.append(a)
         at = adj.get(b)
         if at is None:
-            at = adj[b] = {}
-        at[eid] = a
+            at = adj[b] = []
+        at.append(a)
         if len(at) == k:
             self.ready.append(b)
         size = self.size + 1
         self.size = size
-        # SpaceMeter.add(self._bkey, 4), inline: this runs once per edge
+        # SpaceMeter.add(self._bkey, 2), inline: this runs once per edge
         meter = self.run.meter
         ledger = meter.ledger
-        ledger[self._bkey] = ledger.get(self._bkey, 0) + 4
-        words = meter.current_words + 4
+        ledger[self._bkey] = ledger.get(self._bkey, 0) + 2
+        words = meter.current_words + 2
         meter.current_words = words
         if words > meter.peak_words:
             meter.peak_words = words
@@ -227,16 +227,15 @@ class GroupedBatchDispatcher:
         k = self.k
         adj = self.adj
         at = adj[u]
-        taken = list(islice(at.items(), k))
-        batch: list[int] = []
-        for eid, v in taken:
-            del at[eid]
-            del adj[v][eid]
-            batch.append(v)
+        batch = at[:k]
+        del at[:k]
+        # the first u at each far end is the copy just taken
+        for v in batch:
+            adj[v].remove(u)
         if len(at) >= k:
             self.ready.append(u)
         self.size -= k
-        self.run.meter.release(self._bkey, 4 * k)
+        self.run.meter.release(self._bkey, 2 * k)
 
         count = self.batch_count.get(u)
         if count is None:
@@ -254,18 +253,18 @@ class GroupedBatchDispatcher:
 
     def _collect_live(self) -> list[tuple[int, int]]:
         # each edge is taken at the first of its endpoints in adj order and
-        # deleted at the other one
+        # removed at the other one
         edges: list[tuple[int, int]] = []
         adj = self.adj
         for x, at in adj.items():
-            for eid, y in at.items():
+            for y in at:
                 edges.append((x, y))
-                del adj[y][eid]
+                adj[y].remove(x)
         adj.clear()
         self.ready.clear()
         released = self.size
         self.size = 0
-        self.run.meter.release(self._bkey, 4 * released)
+        self.run.meter.release(self._bkey, 2 * released)
         return edges
 
     def _flush(self) -> list[Assignment]:

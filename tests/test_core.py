@@ -388,7 +388,7 @@ def flush_case():
     for u, v in edges[:-1]:
         assert d.feed_edge(u, v) == []
 
-    def flush():  # the last edge's 4 words join the buffer, then all of it leaves
+    def flush():  # the last edge's 2 words join the buffer, then all of it leaves
         out = d.feed_edge(*edges[-1])
         assert d.flushes == 1 and len(out) == len(edges)
         return out

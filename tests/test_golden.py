@@ -62,25 +62,25 @@ CASES = [
     ("edge-general-s2-forced", "regular-bipartite", "edge", 32, 0, "edge-general",
      ("--s", "2", "--force-stream"),
      "44fcc742649c962315ae783218605c69b8af203077ccd3d7a865f4e5a60fa641",
-     2_117, 9_208),
+     2_117, 7_816),
     # s=1 caps the grouped buffer at n edges: 14 flushes at this seed
     ("edge-general-s1-forced", "regular-bipartite", "edge", 32, 0, "edge-general",
      ("--s", "1", "--force-stream"),
      "b69f529f5b8a76b278665df31edfa7cf003adf2b3530e002d59df0e0ac8e5932",
-     470, 3_630),
+     470, 3_516),
     # one EdgeBipartization level over grouped dispatchers sharing one meter;
     # 256 mask words in the base store's color_general and no level-0
     # degree counters, as above
     ("edge-general-general", "regular-general", "edge", 64, 0, "edge-general",
      ("--s", "2", "--force-stream"),
      "d3b92c43002d8d29e3dcd70f6e169d6fbfb63867d521a533160b2a87bbf54389",
-     200, 10_510),
+     200, 10_146),
     # s = 11, one below ceil(sqrt(128)): grouped levels [192, 96], and level 1
     # clamps 11 to its own ceil(sqrt(96)) = 10
     ("edge-general-deep-s11", "regular-general", "edge", 128, 0, "edge-general",
      ("--s", "11", "--force-stream"),
      "d5f0fe30fb472d29632d554ac944876105a6206a913ee05b80a919c138523df3",
-     5_528, 40_722),
+     5_528, 33_632),
     ("offline-exact", "regular-bipartite", "vertex-one-sided", 32, 0, "offline-exact", (),
      "8ac5c01bea6c4513ff6882fa09f8da45bd013f59d3871bc70dc925fcb261e5d8",
      32, 33_792),
